@@ -258,16 +258,18 @@ func TestEnsembleWorkerInvariance(t *testing.T) {
 	ctx := context.Background()
 	spec := zgbEnsembleSpec(t)
 	const replicas, until, every = 6, 10, 1
-	e1, err := parsurf.RunEnsemble(ctx, spec, replicas, 1, until, every, parsurf.KeepReplicas())
+	e1, err := parsurf.RunEnsemble(ctx, spec, replicas, 1, until, every)
 	if err != nil {
 		t.Fatal(err)
 	}
-	e4, err := parsurf.RunEnsemble(ctx, spec, replicas, 4, until, every, parsurf.KeepReplicas())
+	e4, err := parsurf.RunEnsemble(ctx, spec, replicas, 4, until, every)
 	if err != nil {
 		t.Fatal(err)
 	}
-	for i := range e1.Replicas {
-		if !seriesEqual(e1.Replicas[i].Coverage, e4.Replicas[i].Coverage) {
+	r1 := replicaRows(t, spec, replicas, 1, until, every)
+	r4 := replicaRows(t, spec, replicas, 4, until, every)
+	for i := range r1 {
+		if !rowsEqual(r1[i:i+1], r4[i:i+1]) {
 			t.Errorf("replica %d differs between 1 and 4 workers", i)
 		}
 	}
@@ -280,11 +282,12 @@ func TestEnsembleWorkerInvariance(t *testing.T) {
 // trajectories, and the merged mean lies within the replica envelope.
 func TestEnsembleReplicaIndependence(t *testing.T) {
 	spec := zgbEnsembleSpec(t)
-	ens, err := parsurf.RunEnsemble(context.Background(), spec, 4, 2, 10, 1, parsurf.KeepReplicas())
+	ens, err := parsurf.RunEnsemble(context.Background(), spec, 4, 2, 10, 1)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if seriesEqual(ens.Replicas[0].Coverage, ens.Replicas[1].Coverage) {
+	rows := replicaRows(t, spec, 4, 2, 10, 1)
+	if rowsEqual(rows[0:1], rows[1:2]) {
 		t.Error("replicas 0 and 1 produced identical trajectories")
 	}
 	// CO coverage mean at the final grid point must lie within the
@@ -292,8 +295,8 @@ func TestEnsembleReplicaIndependence(t *testing.T) {
 	co := 1
 	last := len(ens.Mean[co].X) - 1
 	lo, hi := 1.0, 0.0
-	for _, r := range ens.Replicas {
-		v := r.Coverage[co].At(ens.Mean[co].T[last])
+	for _, row := range rows {
+		v := row[co][last]
 		if v < lo {
 			lo = v
 		}

@@ -6,7 +6,6 @@ import (
 	"sync"
 
 	"parsurf/internal/ensemble"
-	"parsurf/internal/rng"
 	"parsurf/internal/sim"
 )
 
@@ -26,33 +25,15 @@ func NewTimeGrid(until, every float64) (TimeGrid, error) {
 	return ensemble.NewTimeGrid(until, every)
 }
 
-// Replica is the outcome of one ensemble member, retained only when
-// KeepReplicas is passed: its final session state and the per-species
-// coverage series it recorded on the ensemble grid.
-type Replica struct {
-	// Session is the replica's session after the run (final
-	// configuration, engine counters).
-	Session *Session
-	// Coverage holds one series per species, indexed like the model's
-	// species domain, sampled exactly at the ensemble TimeGrid points.
-	// A replica that hit an absorbing state holds its frozen coverage
-	// for every remaining grid point.
-	Coverage []*Series
-	// Stats summarises the replica's run.
-	Stats RunStats
-}
-
 // Ensemble is the merged outcome of RunEnsemble (or one variant of
-// RunSweep).
+// RunSweep). Replicas stream through the merge and are released, so
+// only the O(species × grid) moments are retained; RunReplicaRange
+// returns raw per-replica rows, and ObserveReplicas reaches each
+// replica's live session.
 type Ensemble struct {
 	// Grid is the time grid every replica sampled on and Mean/Std are
 	// defined over.
 	Grid TimeGrid
-	// Replicas are the members in replica order (independent of the
-	// worker count). Nil unless KeepReplicas was passed: by default
-	// replicas stream through the merge and only the O(species × grid)
-	// moments are retained.
-	Replicas []*Replica
 	// Mean and Std are the per-species pointwise mean and sample
 	// standard deviation across replicas, on the Grid points.
 	Mean []*Series
@@ -88,22 +69,13 @@ type ReplicaCheckpoint func(variant, replica, k int, sess *Session, values [][]f
 // Replica observers do not re-fire for the skipped points.
 type ReplicaResume func(variant, replica int) (sess *Session, nextK int, rows [][]float64, ok bool)
 
-// EnsembleOption configures RunEnsemble / RunSweep.
+// EnsembleOption configures RunEnsemble / RunSweep / RunReplicaRange.
 type EnsembleOption func(*ensembleConfig)
 
 type ensembleConfig struct {
-	keep       bool
 	observers  []ReplicaObserver
 	checkpoint ReplicaCheckpoint
 	resume     ReplicaResume
-}
-
-// KeepReplicas retains every replica's session and coverage series on
-// the Ensemble. Without it the runner streams: each replica's samples
-// merge into the running moments and the replica is released, keeping
-// memory O(species × grid) regardless of the replica count.
-func KeepReplicas() EnsembleOption {
-	return func(c *ensembleConfig) { c.keep = true }
 }
 
 // ObserveReplicas registers a per-replica observer (see
@@ -114,19 +86,12 @@ func ObserveReplicas(obs ReplicaObserver) EnsembleOption {
 	return func(c *ensembleConfig) { c.observers = append(c.observers, obs) }
 }
 
-// CheckpointReplicas registers the per-replica checkpoint hook (see
-// ReplicaCheckpoint). At most one hook is active; later options win.
-func CheckpointReplicas(fn ReplicaCheckpoint) EnsembleOption {
-	return func(c *ensembleConfig) { c.checkpoint = fn }
-}
-
-// ResumeReplicas registers the per-replica resume provider (see
-// ReplicaResume). The provider is only consulted on the streaming
-// (default) path; under KeepReplicas every member runs from scratch,
-// which is slower but produces identical results. At most one provider
-// is active; later options win.
-func ResumeReplicas(fn ReplicaResume) EnsembleOption {
-	return func(c *ensembleConfig) { c.resume = fn }
+// CheckpointReplicas registers the per-replica snapshot pair: save (see
+// ReplicaCheckpoint) runs after every recorded grid point, and resume
+// (see ReplicaResume) is consulted once before each replica starts.
+// Either may be nil. At most one pair is active; later options win.
+func CheckpointReplicas(save ReplicaCheckpoint, resume ReplicaResume) EnsembleOption {
+	return func(c *ensembleConfig) { c.checkpoint, c.resume = save, resume }
 }
 
 // replicaStreamID derives replica i's engine stream from the spec seed.
@@ -148,8 +113,8 @@ type replicaSlot struct {
 
 // slotPool hands replica slots to the ensemble workers. A plain
 // locked free list (not sync.Pool): slots must survive GC cycles for
-// the whole run, and the pool never outlives its RunSweep call. At
-// most `workers` slots exist per variant.
+// the whole run, and the pool never outlives its run. At most
+// `workers` slots exist per variant.
 type slotPool struct {
 	mu   sync.Mutex
 	free []*replicaSlot
@@ -221,9 +186,6 @@ func (p *valuesPool) put(v [][]float64) {
 // within one engine step) and is returned as-is; siblings' induced
 // context.Canceled errors are never reported in its place.
 func RunEnsemble(ctx context.Context, spec *SessionSpec, replicas, workers int, until, every float64, opts ...EnsembleOption) (*Ensemble, error) {
-	if spec == nil {
-		return nil, fmt.Errorf("parsurf: RunEnsemble needs a spec")
-	}
 	out, err := RunSweep(ctx, []*SessionSpec{spec}, replicas, workers, until, every, opts...)
 	if err != nil {
 		return nil, err
@@ -241,153 +203,205 @@ func RunEnsemble(ctx context.Context, spec *SessionSpec, replicas, workers int, 
 // cancels every remaining job, and the returned error is that
 // failure, not an induced cancellation.
 func RunSweep(ctx context.Context, specs []*SessionSpec, replicas, workers int, until, every float64, opts ...EnsembleOption) ([]*Ensemble, error) {
-	if len(specs) == 0 {
-		return nil, fmt.Errorf("parsurf: sweep needs at least one spec")
-	}
-	for v, spec := range specs {
-		if spec == nil {
-			return nil, fmt.Errorf("parsurf: sweep variant %d is a nil spec", v)
-		}
-	}
-	if replicas < 1 {
-		return nil, fmt.Errorf("parsurf: ensemble needs at least one replica, got %d", replicas)
-	}
-	if until <= 0 || every <= 0 {
-		return nil, fmt.Errorf("parsurf: ensemble needs positive until and every, got %v and %v", until, every)
-	}
-	var cfg ensembleConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	grid, err := ensemble.NewTimeGrid(until, every)
+	r, err := newReplicaRun(specs, 0, replicas, until, every, opts)
 	if err != nil {
-		return nil, fmt.Errorf("parsurf: %w", err)
+		return nil, err
 	}
-
-	out := make([]*Ensemble, len(specs))
 	accs := make([]*ensemble.Accumulator, len(specs))
-	slots := make([]*slotPool, len(specs))
-	bufs := make([]*valuesPool, len(specs))
 	for v, spec := range specs {
-		out[v] = &Ensemble{Grid: grid}
-		if cfg.keep {
-			out[v].Replicas = make([]*Replica, replicas)
-		}
 		// The reorder window bounds the streaming buffer at roughly the
 		// worker count even when one early replica far outlives its
-		// siblings.
-		accs[v] = ensemble.NewAccumulator(spec.NumSpecies(), grid.Len(), workers)
-		if !cfg.keep {
-			// Streaming mode pools both the sessions (built once per
-			// worker, rewound with Reset per replica) and the sample
-			// grids (released by the accumulator once a replica
-			// commits). KeepReplicas retains sessions and series on the
-			// result, so nothing can be recycled there.
-			slots[v] = &slotPool{}
-			pool := &valuesPool{vars: spec.NumSpecies(), points: grid.Len()}
-			bufs[v] = pool
-			accs[v].SetRelease(pool.put)
-		}
+		// siblings; committed sample grids go back to the pool.
+		accs[v] = ensemble.NewAccumulator(spec.NumSpecies(), r.grid.Len(), workers)
+		accs[v].SetRelease(r.bufs[v].put)
 	}
-	times := grid.Times() // one shared copy: Mean/Std/replica series all point at it
-	err = ensemble.Run(ctx, len(specs)*replicas, workers, func(ctx context.Context, job int) error {
-		v, i := job/replicas, job%replicas
-		var (
-			rep    *Replica
-			values [][]float64
-			err    error
-		)
-		if cfg.keep {
-			rep, values, err = runReplicaFresh(ctx, specs[v], v, i, grid, times, &cfg)
-		} else if sess, k0, rows, ok := resumeFor(&cfg, v, i); ok {
-			values, err = runReplicaResumed(ctx, specs[v], v, i, grid, k0, sess, rows, bufs[v], &cfg)
-		} else {
-			values, err = runReplicaPooled(ctx, specs[v], v, i, grid, slots[v], bufs[v], &cfg)
-		}
-		if err == nil {
-			err = accs[v].Add(ctx, i, values)
-		}
-		if err != nil {
-			if len(specs) > 1 {
-				return fmt.Errorf("parsurf: sweep variant %d replica %d: %w", v, i, err)
-			}
-			return fmt.Errorf("parsurf: replica %d: %w", i, err)
-		}
-		if cfg.keep {
-			out[v].Replicas[i] = rep
-		}
-		return nil
+	err = r.run(ctx, 0, workers, func(ctx context.Context, v, i int, values [][]float64) error {
+		return accs[v].Add(ctx, i, values)
 	})
 	if err != nil {
 		return nil, err
 	}
+	times := r.grid.Times() // one shared copy: every Mean/Std series points at it
+	out := make([]*Ensemble, len(specs))
 	for v := range out {
 		mean, std := accs[v].MeanStd()
-		out[v].Mean = seriesOnGrid(times, mean)
-		out[v].Std = seriesOnGrid(times, std)
+		out[v] = &Ensemble{Grid: r.grid, Mean: seriesOnGrid(times, mean), Std: seriesOnGrid(times, std)}
 	}
 	return out, nil
 }
 
 // RunReplicaRange runs replicas lo..hi-1 of one sweep variant — the
-// shard primitive of fleet mode. Each replica i draws exactly the
-// stream a full RunEnsemble would hand it (NewRNG(seed).Split(i+1)) and
-// samples on the same TimeGrid, so the rows it produces are
-// bit-identical to the rows the same replica produces inside a
-// single-node run: a coordinator that commits shard rows in
-// replica-index order merges a fleet run to the exact floats of a local
-// one, regardless of how the replica space was sliced.
+// shard primitive of fleet mode, and the way to read raw per-replica
+// rows. Each replica i draws exactly the stream a full RunEnsemble
+// would hand it (NewRNG(seed).Split(i+1)) and samples on the same
+// TimeGrid, so the rows it produces are bit-identical to the rows the
+// same replica produces inside a single-node run: a coordinator that
+// commits shard rows in replica-index order merges a fleet run to the
+// exact floats of a local one, regardless of how the replica space was
+// sliced.
 //
 // The returned rows are indexed i-lo, each a species × grid-points
-// matrix. Sessions pool through the zero-rebuild Reset path (one build
-// per worker, Reset per subsequent replica), and the
-// Observe/Checkpoint/Resume options apply with the given variant index
-// and absolute replica indices, so mid-shard snapshots interoperate
-// with the single-node checkpoint machinery.
+// matrix. Replicas run through the same pooled runner as RunSweep, and
+// the options apply with the given variant index and absolute replica
+// indices, so mid-shard snapshots interoperate with the single-node
+// checkpoint machinery.
 func RunReplicaRange(ctx context.Context, spec *SessionSpec, variant, lo, hi, workers int, until, every float64, opts ...EnsembleOption) ([][][]float64, error) {
-	if spec == nil {
-		return nil, fmt.Errorf("parsurf: RunReplicaRange needs a spec")
-	}
-	if lo < 0 || hi <= lo {
-		return nil, fmt.Errorf("parsurf: replica range [%d, %d) is empty or negative", lo, hi)
-	}
-	if until <= 0 || every <= 0 {
-		return nil, fmt.Errorf("parsurf: ensemble needs positive until and every, got %v and %v", until, every)
-	}
-	var cfg ensembleConfig
-	for _, opt := range opts {
-		opt(&cfg)
-	}
-	grid, err := ensemble.NewTimeGrid(until, every)
+	r, err := newReplicaRun([]*SessionSpec{spec}, lo, hi, until, every, opts)
 	if err != nil {
-		return nil, fmt.Errorf("parsurf: %w", err)
+		return nil, err
 	}
-	slots := &slotPool{}
-	// Every row survives on the result, so the pool only amortizes the
-	// error paths; nothing is released back mid-run.
-	bufs := &valuesPool{vars: spec.NumSpecies(), points: grid.Len()}
+	// Every row survives on the result, so nothing is released back to
+	// the sample-grid pool mid-run.
 	rows := make([][][]float64, hi-lo)
-	err = ensemble.Run(ctx, hi-lo, workers, func(ctx context.Context, k int) error {
-		i := lo + k
-		var (
-			values [][]float64
-			err    error
-		)
-		if sess, k0, prev, ok := resumeFor(&cfg, variant, i); ok {
-			values, err = runReplicaResumed(ctx, spec, variant, i, grid, k0, sess, prev, bufs, &cfg)
-		} else {
-			values, err = runReplicaPooled(ctx, spec, variant, i, grid, slots, bufs, &cfg)
-		}
-		if err != nil {
-			return fmt.Errorf("parsurf: replica %d: %w", i, err)
-		}
-		rows[k] = values
+	err = r.run(ctx, variant, workers, func(_ context.Context, _, i int, values [][]float64) error {
+		rows[i-lo] = values
 		return nil
 	})
 	if err != nil {
 		return nil, err
 	}
 	return rows, nil
+}
+
+// replicaRun is one validated RunSweep or RunReplicaRange call:
+// replicas lo..hi-1 of every spec, the shared grid, the options, and
+// the per-spec session and sample-grid pools.
+type replicaRun struct {
+	specs  []*SessionSpec
+	lo, hi int
+	grid   TimeGrid
+	cfg    ensembleConfig
+	slots  []slotPool
+	bufs   []valuesPool
+}
+
+// newReplicaRun validates the run shape shared by RunSweep and
+// RunReplicaRange.
+func newReplicaRun(specs []*SessionSpec, lo, hi int, until, every float64, opts []EnsembleOption) (*replicaRun, error) {
+	if len(specs) == 0 {
+		return nil, fmt.Errorf("parsurf: sweep needs at least one spec")
+	}
+	for v, spec := range specs {
+		if spec == nil {
+			return nil, fmt.Errorf("parsurf: variant %d is a nil spec", v)
+		}
+	}
+	if lo < 0 || hi <= lo {
+		return nil, fmt.Errorf("parsurf: ensemble needs at least one replica, got range [%d, %d)", lo, hi)
+	}
+	if until <= 0 || every <= 0 {
+		return nil, fmt.Errorf("parsurf: ensemble needs positive until and every, got %v and %v", until, every)
+	}
+	grid, err := ensemble.NewTimeGrid(until, every)
+	if err != nil {
+		return nil, fmt.Errorf("parsurf: %w", err)
+	}
+	r := &replicaRun{specs: specs, lo: lo, hi: hi, grid: grid,
+		slots: make([]slotPool, len(specs)), bufs: make([]valuesPool, len(specs))}
+	for _, opt := range opts {
+		opt(&r.cfg)
+	}
+	for v, spec := range specs {
+		r.bufs[v].vars, r.bufs[v].points = spec.NumSpecies(), grid.Len()
+	}
+	return r, nil
+}
+
+// run executes every (spec, replica) job over one worker pool — spec s
+// runs as variant base+s in the hooks and errors — and hands each
+// finished replica's sample matrix to commit, with the pool's context.
+// The first failure cancels every remaining job.
+func (r *replicaRun) run(ctx context.Context, base, workers int, commit func(ctx context.Context, s, i int, values [][]float64) error) error {
+	n := r.hi - r.lo
+	return ensemble.Run(ctx, len(r.specs)*n, workers, func(ctx context.Context, job int) error {
+		s, i := job/n, r.lo+job%n
+		values, err := r.replica(ctx, s, base+s, i)
+		if err == nil {
+			err = commit(ctx, s, i, values)
+		}
+		if err != nil {
+			if len(r.specs) > 1 {
+				return fmt.Errorf("parsurf: sweep variant %d replica %d: %w", base+s, i, err)
+			}
+			return fmt.Errorf("parsurf: replica %d: %w", i, err)
+		}
+		return nil
+	})
+}
+
+// replica runs member i of spec s (hook variant index variant) through
+// a pooled slot and returns its sample matrix. The member starts from
+// the resume provider's snapshot when it offers one; otherwise the
+// slot's session is built on first use and rewound with Session.Reset
+// after that (configuration re-init plus engine rewind over the
+// retained buffers). Replica i's stream is NewRNG(seed).Split(i+1),
+// rebuilt in place in the slot's stable storage, so a pooled
+// trajectory is bit-identical to a fresh build whichever slot runs it.
+func (r *replicaRun) replica(ctx context.Context, s, variant, i int) ([][]float64, error) {
+	spec, grid := r.specs[s], r.grid
+	slot, values := r.slots[s].get(), r.bufs[s].get()
+	if slot.counts == nil {
+		slot.counts = make([]int, spec.NumSpecies())
+	}
+	sess, k0, err := r.start(spec, slot, variant, i, values)
+	if err == nil {
+		n := float64(sess.Lattice().N())
+		_, err = sim.RunGridFrom(ctx, sess.Engine(), grid, k0, func(k int, c *Config) {
+			slot.counts = c.CountInto(slot.counts)
+			for sp := range values {
+				values[sp][k] = float64(slot.counts[sp]) / n
+			}
+			for _, obs := range r.cfg.observers {
+				obs(variant, i, grid.At(k), sess)
+			}
+			if r.cfg.checkpoint != nil {
+				r.cfg.checkpoint(variant, i, k, sess, values)
+			}
+		})
+	}
+	if err != nil {
+		// The slot is not returned: a failing run is about to cancel the
+		// whole pool anyway.
+		r.bufs[s].put(values)
+		return nil, err
+	}
+	r.slots[s].put(slot)
+	return values, nil
+}
+
+// start positions replica i for sampling: a resumed session continues
+// from grid index k0 with the recorded columns 0..k0-1 copied into
+// values (the session is a one-off, never pooled); otherwise the slot's
+// own session starts the trajectory from grid index 0.
+func (r *replicaRun) start(spec *SessionSpec, slot *replicaSlot, variant, i int, values [][]float64) (sess *Session, k0 int, err error) {
+	if r.cfg.resume != nil {
+		if sess, k0, rows, ok := r.cfg.resume(variant, i); ok {
+			if k0 < 0 || k0 > r.grid.Len() {
+				return nil, 0, fmt.Errorf("parsurf: resume index %d outside grid of %d points", k0, r.grid.Len())
+			}
+			if len(rows) != len(values) {
+				return nil, 0, fmt.Errorf("parsurf: resume rows cover %d species, spec has %d", len(rows), len(values))
+			}
+			for sp := range values {
+				if len(rows[sp]) < k0 {
+					return nil, 0, fmt.Errorf("parsurf: resume rows hold %d samples, need %d", len(rows[sp]), k0)
+				}
+				copy(values[sp][:k0], rows[sp][:k0])
+			}
+			return sess, k0, nil
+		}
+	}
+	var root RNG
+	root.Seed(spec.seed)
+	root.SplitInto(&slot.stream, replicaStreamID(i))
+	if slot.sess == nil {
+		if slot.sess, err = spec.build(&slot.stream); err != nil {
+			return nil, 0, err
+		}
+	} else {
+		slot.sess.Reset(&slot.stream)
+	}
+	return slot.sess, 0, nil
 }
 
 // seriesOnGrid wraps per-species sample rows and their shared grid
@@ -398,129 +412,4 @@ func seriesOnGrid(times []float64, rows [][]float64) []*Series {
 		out[i] = &Series{T: times, X: row}
 	}
 	return out
-}
-
-// sampleOnGrid runs the session through the grid, recording per-species
-// coverages into values (species × grid points, fully overwritten) and
-// firing the replica observers. counts is the occupancy scratch; the
-// possibly-grown slice is returned for reuse.
-func sampleOnGrid(ctx context.Context, sess *Session, variant, i int, grid TimeGrid, values [][]float64, counts []int, cfg *ensembleConfig) (scratch []int, steps int, err error) {
-	return sampleOnGridFrom(ctx, sess, variant, i, grid, 0, values, counts, cfg)
-}
-
-// sampleOnGridFrom is sampleOnGrid starting at grid index k0 — the
-// resume path, where columns before k0 were recorded by the interrupted
-// run and arrive pre-filled.
-func sampleOnGridFrom(ctx context.Context, sess *Session, variant, i int, grid TimeGrid, k0 int, values [][]float64, counts []int, cfg *ensembleConfig) (scratch []int, steps int, err error) {
-	n := float64(sess.Lattice().N())
-	steps, err = sim.RunGridFrom(ctx, sess.Engine(), grid, k0, func(k int, c *Config) {
-		counts = c.CountInto(counts)
-		for sp := range values {
-			values[sp][k] = float64(counts[sp]) / n
-		}
-		for _, obs := range cfg.observers {
-			obs(variant, i, grid.At(k), sess)
-		}
-		if cfg.checkpoint != nil {
-			cfg.checkpoint(variant, i, k, sess, values)
-		}
-	})
-	return counts, steps, err
-}
-
-// resumeFor consults the resume provider, if any.
-func resumeFor(cfg *ensembleConfig, variant, i int) (*Session, int, [][]float64, bool) {
-	if cfg.resume == nil {
-		return nil, 0, nil, false
-	}
-	return cfg.resume(variant, i)
-}
-
-// runReplicaResumed continues ensemble member i from a checkpoint: the
-// provider's session is already positioned mid-trajectory, the recorded
-// rows pre-fill the sample matrix up to (excluding) grid index k0, and
-// sampling continues from k0. The session is not pooled — it was built
-// by the provider, and a resumed replica is a one-off.
-func runReplicaResumed(ctx context.Context, spec *SessionSpec, variant, i int, grid TimeGrid, k0 int, sess *Session, rows [][]float64, bufs *valuesPool, cfg *ensembleConfig) ([][]float64, error) {
-	if k0 < 0 || k0 > grid.Len() {
-		return nil, fmt.Errorf("parsurf: resume index %d outside grid of %d points", k0, grid.Len())
-	}
-	if len(rows) != spec.NumSpecies() {
-		return nil, fmt.Errorf("parsurf: resume rows cover %d species, spec has %d", len(rows), spec.NumSpecies())
-	}
-	values := bufs.get()
-	for sp := range values {
-		if len(rows[sp]) < k0 {
-			bufs.put(values)
-			return nil, fmt.Errorf("parsurf: resume rows hold %d samples, need %d", len(rows[sp]), k0)
-		}
-		copy(values[sp][:k0], rows[sp][:k0])
-	}
-	_, _, err := sampleOnGridFrom(ctx, sess, variant, i, grid, k0, values, make([]int, spec.NumSpecies()), cfg)
-	if err != nil {
-		bufs.put(values)
-		return nil, err
-	}
-	return values, nil
-}
-
-// runReplicaFresh builds and runs ensemble member i of variant spec
-// from scratch — the KeepReplicas path, where the session and coverage
-// series survive on the result and cannot be recycled.
-func runReplicaFresh(ctx context.Context, spec *SessionSpec, variant, i int, grid TimeGrid, times []float64, cfg *ensembleConfig) (*Replica, [][]float64, error) {
-	sess, err := spec.build(rng.New(spec.seed).Split(replicaStreamID(i)))
-	if err != nil {
-		return nil, nil, err
-	}
-	numSpecies := sess.NumSpecies()
-	values := make([][]float64, numSpecies)
-	for sp := range values {
-		values[sp] = make([]float64, grid.Len())
-	}
-	_, steps, err := sampleOnGrid(ctx, sess, variant, i, grid, values, make([]int, numSpecies), cfg)
-	if err != nil {
-		return nil, nil, err
-	}
-	rep := &Replica{
-		Session:  sess,
-		Coverage: seriesOnGrid(times, values),
-		Stats:    RunStats{Steps: steps, Samples: grid.Len(), Time: sess.Engine().Time()},
-	}
-	return rep, values, nil
-}
-
-// runReplicaPooled runs ensemble member i through a pooled session:
-// the first replica a slot serves pays the full session build, every
-// later one only a Reset (configuration re-init plus engine rewind
-// over the retained buffers). Replica i's stream is derived exactly as
-// the fresh path derives it — NewRNG(seed).Split(i+1), rebuilt in
-// place in the slot's stable storage — so pooled trajectories are
-// bit-identical to fresh builds, whichever slot runs them.
-func runReplicaPooled(ctx context.Context, spec *SessionSpec, variant, i int, grid TimeGrid, slots *slotPool, bufs *valuesPool, cfg *ensembleConfig) ([][]float64, error) {
-	slot := slots.get()
-	var root RNG
-	root.Seed(spec.seed)
-	root.SplitInto(&slot.stream, replicaStreamID(i))
-	if slot.sess == nil {
-		sess, err := spec.build(&slot.stream)
-		if err != nil {
-			return nil, err
-		}
-		slot.sess = sess
-		slot.counts = make([]int, spec.NumSpecies())
-	} else {
-		slot.sess.Reset(&slot.stream)
-	}
-	values := bufs.get()
-	counts, _, err := sampleOnGrid(ctx, slot.sess, variant, i, grid, values, slot.counts, cfg)
-	slot.counts = counts
-	if err != nil {
-		// The slot is not returned: a failed or cancelled run leaves
-		// the engine mid-trajectory, and the pool only holds sessions
-		// that are safe to Reset. (They are safe either way, but a
-		// failing run is about to cancel the whole sweep anyway.)
-		return nil, err
-	}
-	slots.put(slot)
-	return values, nil
 }

@@ -12,15 +12,82 @@ import (
 	"parsurf/internal/ziff"
 )
 
+// replicaRows runs replicas [0, replicas) of spec through
+// RunReplicaRange: the raw per-replica sample rows a RunEnsemble of the
+// same shape merges.
+func replicaRows(t testing.TB, spec *parsurf.SessionSpec, replicas, workers int, until, every float64) [][][]float64 {
+	t.Helper()
+	rows, err := parsurf.RunReplicaRange(context.Background(), spec, 0, 0, replicas, workers, until, every)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return rows
+}
+
+// freshRows is the fresh-build reference: each replica runs in its own
+// width-1 RunReplicaRange call, so its session is built from scratch
+// rather than rewound from a pooled predecessor.
+func freshRows(t testing.TB, spec *parsurf.SessionSpec, replicas int, until, every float64) [][][]float64 {
+	t.Helper()
+	rows := make([][][]float64, replicas)
+	for i := range rows {
+		r, err := parsurf.RunReplicaRange(context.Background(), spec, 0, i, i+1, 1, until, every)
+		if err != nil {
+			t.Fatal(err)
+		}
+		rows[i] = r[0]
+	}
+	return rows
+}
+
+// rowsEqual reports whether two replica row sets are bit-identical.
+func rowsEqual(a, b [][][]float64) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for sp := range a[i] {
+			if len(a[i][sp]) != len(b[i][sp]) {
+				return false
+			}
+			for k := range a[i][sp] {
+				if a[i][sp][k] != b[i][sp][k] {
+					return false
+				}
+			}
+		}
+	}
+	return true
+}
+
+// matchesWelford reports whether the ensemble's Mean/Std are exactly
+// the per-point Welford moments of rows, merged in replica order.
+func matchesWelford(ens *parsurf.Ensemble, rows [][][]float64) bool {
+	for sp := range ens.Mean {
+		for k := range ens.Mean[sp].X {
+			var w stats.Welford
+			for _, row := range rows {
+				w.Add(row[sp][k])
+			}
+			if ens.Mean[sp].X[k] != w.Mean() || ens.Std[sp].X[k] != w.Std() {
+				return false
+			}
+		}
+	}
+	return true
+}
+
 // The ROADMAP grid-truncation bug, fixed: for until=1.0, every=0.1 the
 // Mean/Std grid has exactly 11 points, every point is the index-derived
-// i·0.1 (1.0 at the end), and the replica coverage series sample on the
-// very same grid — alignment is exact, no interpolation anywhere.
+// i·0.1 (1.0 at the end), and the replicas sample on the very same grid
+// — alignment is exact, no interpolation anywhere.
 func TestEnsembleGridAlignment(t *testing.T) {
 	spec := zgbEnsembleSpec(t)
 	const replicas = 3
-	ens, err := parsurf.RunEnsemble(context.Background(), spec, replicas, 2, 1.0, 0.1,
-		parsurf.KeepReplicas())
+	ens, err := parsurf.RunEnsemble(context.Background(), spec, replicas, 2, 1.0, 0.1)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -40,33 +107,25 @@ func TestEnsembleGridAlignment(t *testing.T) {
 	if ens.Mean[0].T[10] != 1.0 {
 		t.Errorf("final Mean grid point is %v, want exactly 1.0", ens.Mean[0].T[10])
 	}
-	// Exact alignment: replica sample times ARE the merge grid times.
-	for r, rep := range ens.Replicas {
-		for sp, cov := range rep.Coverage {
-			if cov.Len() != 11 {
-				t.Fatalf("replica %d species %d sampled %d points, want 11", r, sp, cov.Len())
+	// Exact alignment: every replica records one sample per grid point,
+	// and the merge grid's times are the grid's own points.
+	rows := replicaRows(t, spec, replicas, 2, 1.0, 0.1)
+	for r, row := range rows {
+		for sp := range row {
+			if len(row[sp]) != 11 {
+				t.Fatalf("replica %d species %d sampled %d points, want 11", r, sp, len(row[sp]))
 			}
-			for i := range cov.T {
-				if cov.T[i] != ens.Mean[sp].T[i] {
-					t.Fatalf("replica %d species %d sample time %d (%v) differs from merge grid (%v)",
-						r, sp, i, cov.T[i], ens.Mean[sp].T[i])
-				}
-			}
+		}
+	}
+	for i := range ens.Mean[0].T {
+		if ens.Mean[0].T[i] != ens.Grid.At(i) {
+			t.Fatalf("merge time %d (%v) is not grid point %v", i, ens.Mean[0].T[i], ens.Grid.At(i))
 		}
 	}
 	// And the merge is the plain per-point Welford over replica values —
 	// no resampling in between.
-	for sp := range ens.Mean {
-		for i := range ens.Mean[sp].X {
-			var w stats.Welford
-			for _, rep := range ens.Replicas {
-				w.Add(rep.Coverage[sp].X[i])
-			}
-			if ens.Mean[sp].X[i] != w.Mean() || ens.Std[sp].X[i] != w.Std() {
-				t.Fatalf("species %d point %d: Mean/Std %v/%v, want the direct Welford %v/%v",
-					sp, i, ens.Mean[sp].X[i], ens.Std[sp].X[i], w.Mean(), w.Std())
-			}
-		}
+	if !matchesWelford(ens, rows) {
+		t.Fatal("Mean/Std differ from the direct Welford over the replica rows")
 	}
 }
 
@@ -76,38 +135,35 @@ func TestEnsembleGridAlignment(t *testing.T) {
 func TestEnsembleWorkerDeterminism(t *testing.T) {
 	spec := zgbEnsembleSpec(t)
 	const replicas, until, every = 6, 5, 0.5
-	var ref *parsurf.Ensemble
+	var (
+		ref     *parsurf.Ensemble
+		refRows [][][]float64
+	)
 	for _, workers := range []int{1, 4, replicas} {
-		ens, err := parsurf.RunEnsemble(context.Background(), spec, replicas, workers, until, every,
-			parsurf.KeepReplicas())
+		ens, err := parsurf.RunEnsemble(context.Background(), spec, replicas, workers, until, every)
 		if err != nil {
 			t.Fatal(err)
 		}
+		rows := replicaRows(t, spec, replicas, workers, until, every)
 		if ref == nil {
-			ref = ens
+			ref, refRows = ens, rows
 			continue
 		}
 		if !seriesEqual(ref.Mean, ens.Mean) || !seriesEqual(ref.Std, ens.Std) {
 			t.Fatalf("Mean/Std differ between 1 and %d workers", workers)
 		}
-		for i := range ens.Replicas {
-			if !seriesEqual(ref.Replicas[i].Coverage, ens.Replicas[i].Coverage) {
-				t.Fatalf("replica %d trajectory differs between 1 and %d workers", i, workers)
-			}
+		if !rowsEqual(refRows, rows) {
+			t.Fatalf("replica trajectories differ between 1 and %d workers", workers)
 		}
 	}
 }
 
-// Without KeepReplicas the runner streams: no members are retained,
-// only the merged moments come back.
+// The runner streams: only the merged moments come back.
 func TestEnsembleStreamsByDefault(t *testing.T) {
 	spec := zgbEnsembleSpec(t)
 	ens, err := parsurf.RunEnsemble(context.Background(), spec, 4, 2, 5, 1)
 	if err != nil {
 		t.Fatal(err)
-	}
-	if ens.Replicas != nil {
-		t.Fatalf("replicas retained without KeepReplicas: %d", len(ens.Replicas))
 	}
 	if len(ens.Mean) != spec.NumSpecies() || len(ens.Std) != spec.NumSpecies() {
 		t.Fatalf("got %d/%d Mean/Std series, want %d", len(ens.Mean), len(ens.Std), spec.NumSpecies())
@@ -129,7 +185,12 @@ func TestEnsembleAbsorbedReplicaFillsGrid(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	ens, err := parsurf.RunEnsemble(context.Background(), spec, 3, 2, 50, 1, parsurf.KeepReplicas())
+	const replicas = 3
+	poisoned := make([]bool, replicas)
+	ens, err := parsurf.RunEnsemble(context.Background(), spec, replicas, 2, 50, 1,
+		parsurf.ObserveReplicas(func(_, replica int, _ float64, sess *parsurf.Session) {
+			poisoned[replica] = sess.Engine().(*parsurf.ZiffZGB).Poisoned()
+		}))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -140,12 +201,15 @@ func TestEnsembleAbsorbedReplicaFillsGrid(t *testing.T) {
 	if last := ens.Mean[co].X[50]; last != 1.0 {
 		t.Fatalf("mean CO coverage at the horizon is %v, want 1.0 (all replicas poisoned)", last)
 	}
-	for r, rep := range ens.Replicas {
-		if !rep.Session.Engine().(*parsurf.ZiffZGB).Poisoned() {
+	for r, p := range poisoned {
+		if !p {
 			t.Fatalf("replica %d not poisoned at y=1", r)
 		}
-		if rep.Coverage[co].Len() != 51 {
-			t.Fatalf("replica %d coverage has %d points, want the full grid", r, rep.Coverage[co].Len())
+	}
+	for r, row := range replicaRows(t, spec, replicas, 2, 50, 1) {
+		if len(row[co]) != 51 || row[co][50] != 1.0 {
+			t.Fatalf("replica %d coverage has %d points ending at %v, want the full grid frozen at 1.0",
+				r, len(row[co]), row[co][len(row[co])-1])
 		}
 	}
 }
@@ -263,7 +327,6 @@ func TestSweepMatchesStandaloneEnsembles(t *testing.T) {
 	}
 }
 
-// Validation errors for the sweep entry point.
 // RunReplicaRange is the fleet shard primitive: a slice [lo, hi) of the
 // replica space must reproduce, bit for bit, the rows the same replicas
 // record inside a full single-node ensemble — whatever worker count runs
@@ -271,10 +334,14 @@ func TestSweepMatchesStandaloneEnsembles(t *testing.T) {
 func TestRunReplicaRangeMatchesEnsemble(t *testing.T) {
 	spec := zgbEnsembleSpec(t)
 	const replicas = 6
-	ens, err := parsurf.RunEnsemble(context.Background(), spec, replicas, 2, 1.0, 0.1,
-		parsurf.KeepReplicas())
+	ens, err := parsurf.RunEnsemble(context.Background(), spec, replicas, 2, 1.0, 0.1)
 	if err != nil {
 		t.Fatal(err)
+	}
+	// The full range is exactly what the ensemble merged.
+	full := replicaRows(t, spec, replicas, 2, 1.0, 0.1)
+	if !matchesWelford(ens, full) {
+		t.Fatal("full-range rows do not merge to the ensemble's Mean/Std")
 	}
 	for _, workers := range []int{1, 3} {
 		rows, err := parsurf.RunReplicaRange(context.Background(), spec, 0, 2, 5, workers, 1.0, 0.1)
@@ -284,19 +351,8 @@ func TestRunReplicaRangeMatchesEnsemble(t *testing.T) {
 		if len(rows) != 3 {
 			t.Fatalf("range [2,5) returned %d replicas, want 3", len(rows))
 		}
-		for k, row := range rows {
-			rep := ens.Replicas[2+k]
-			if len(row) != len(rep.Coverage) {
-				t.Fatalf("replica %d: %d species rows, want %d", 2+k, len(row), len(rep.Coverage))
-			}
-			for sp := range row {
-				for p, x := range row[sp] {
-					if x != rep.Coverage[sp].X[p] {
-						t.Fatalf("workers=%d replica %d species %d point %d: shard %v, ensemble %v",
-							workers, 2+k, sp, p, x, rep.Coverage[sp].X[p])
-					}
-				}
-			}
+		if !rowsEqual(rows, full[2:5]) {
+			t.Fatalf("workers=%d: shard [2,5) rows differ from the ensemble's replicas 2..4", workers)
 		}
 	}
 }
@@ -318,6 +374,7 @@ func TestRunReplicaRangeValidation(t *testing.T) {
 	}
 }
 
+// Validation errors for the sweep entry point.
 func TestSweepValidation(t *testing.T) {
 	ctx := context.Background()
 	spec := zgbEnsembleSpec(t)

@@ -261,10 +261,17 @@ func TestAccumulatorReleaseFiresOnCommit(t *testing.T) {
 func TestRunPanicContained(t *testing.T) {
 	const jobs, panicking = 8, 2
 	var cancelled atomic.Int32
+	// The panic waits for a sibling to be running: job 0 is dequeued
+	// before job 2, so it is in flight and must observe the abort
+	// (otherwise every sibling could be skipped unrun).
+	siblingRunning := make(chan struct{})
+	var once sync.Once
 	err := Run(context.Background(), jobs, 4, func(ctx context.Context, i int) error {
 		if i == panicking {
+			<-siblingRunning
 			panic("engine bug")
 		}
+		once.Do(func() { close(siblingRunning) })
 		select {
 		case <-ctx.Done():
 			cancelled.Add(1)

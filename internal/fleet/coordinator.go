@@ -131,10 +131,10 @@ type fleetJob struct {
 	finished chan struct{}
 }
 
-// Coordinator owns the fleet shard queue. It implements job.Executor
-// (jobs route through Execute), job.ShardLister (statuses carry
-// shards), and job.JobDropper (terminal jobs drop their shard state).
-// All methods are safe for concurrent use.
+// Coordinator owns the fleet shard queue. It is a job.Executor: jobs
+// route through Execute, statuses carry its JobShards, and terminal
+// jobs drop their shard state through DropJob. All methods are safe
+// for concurrent use.
 type Coordinator struct {
 	st          store.Store
 	shardSize   int
@@ -676,7 +676,7 @@ func (c *Coordinator) Fail(jobID, shardID, worker, reason string) error {
 	return nil
 }
 
-// JobShards implements job.ShardLister: the job's shard statuses in
+// JobShards implements job.Executor: the job's shard statuses in
 // deterministic (variant-major) order, or nil for jobs the coordinator
 // is not executing.
 func (c *Coordinator) JobShards(jobID string) []job.ShardStatus {
@@ -704,7 +704,7 @@ func (c *Coordinator) JobShards(jobID string) []job.ShardStatus {
 	return out
 }
 
-// DropJob implements job.JobDropper: a terminally finished job's shard
+// DropJob implements job.Executor: a terminally finished job's shard
 // records and payload blobs leave the store (best-effort — leftovers
 // are dead weight, not corruption).
 func (c *Coordinator) DropJob(jobID string) {

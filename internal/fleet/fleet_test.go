@@ -3,8 +3,11 @@ package fleet
 import (
 	"context"
 	"encoding/json"
+	"errors"
+	"net/http"
 	"net/http/httptest"
 	"strings"
+	"sync/atomic"
 	"testing"
 	"time"
 
@@ -391,10 +394,11 @@ func TestShardQuarantineFailsJob(t *testing.T) {
 
 // Results are accepted from any worker (the payload is a pure function
 // of the spec), duplicate uploads are idempotent, and a late failure
-// report for a done shard is a no-op.
+// report for a done shard is a no-op. Two shards, so the job is still
+// executing while the duplicate and the late failure arrive.
 func TestResultFromAnyWorkerAndIdempotence(t *testing.T) {
 	st := store.NewMem()
-	coord, err := New(st, ShardSize(4), LeaseTTL(10*time.Second))
+	coord, err := New(st, ShardSize(2), LeaseTTL(10*time.Second))
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -430,6 +434,14 @@ func TestResultFromAnyWorkerAndIdempotence(t *testing.T) {
 	// A failure report racing in after the result loses quietly.
 	if err := coord.Fail(jobID, shardID, "w-original", "too late"); err != nil {
 		t.Fatalf("fail after done: %v", err)
+	}
+	g2 := waitLease(t, coord, "w-original", 10*time.Second)
+	_, shardID2, err := SplitShardID(g2.Shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if err := coord.Result(jobID, shardID2, "w-original", runGrant(t, g2)); err != nil {
+		t.Fatal(err)
 	}
 	if st := waitTerminal(t, j, 30*time.Second); st.State != job.StateDone {
 		t.Fatalf("job: %s (%s)", st.State, st.Error)
@@ -561,5 +573,105 @@ func TestCoordinatorRecoveryReplaysDoneShards(t *testing.T) {
 	}
 	if string(got) != want {
 		t.Fatal("recovered fleet result differs from the single-node run")
+	}
+}
+
+// heartbeatGate is a worker transport that fails heartbeat calls while
+// blocked, so the coordinator expires the worker's lease mid-shard.
+type heartbeatGate struct {
+	blocked atomic.Bool
+}
+
+func (g *heartbeatGate) RoundTrip(req *http.Request) (*http.Response, error) {
+	if g.blocked.Load() && strings.HasSuffix(req.URL.Path, "/heartbeat") {
+		return nil, errors.New("heartbeat blocked")
+	}
+	return http.DefaultTransport.RoundTrip(req)
+}
+
+// A worker that loses its lease mid-shard keeps its local replica
+// snapshots; its next lease of the same shard resumes replicas from
+// them instead of re-running from zero, and the merged result is
+// byte-identical to the single-node run.
+func TestWorkerResumesShardAfterLostLease(t *testing.T) {
+	mkReq := func() job.Request {
+		spec, err := parsurf.NewSpec(
+			parsurf.WithLattice(32, 32),
+			parsurf.WithEngine("ziff", parsurf.COFraction(0.5)),
+			parsurf.WithSeed(3),
+		)
+		if err != nil {
+			t.Fatal(err)
+		}
+		// About a third of a second per replica: several lease TTLs.
+		return job.Request{Specs: []*parsurf.SessionSpec{spec}, Replicas: 2, Workers: 2, Until: 4000, Every: 5}
+	}
+	want := controlJSON(t, mkReq())
+
+	st := store.NewMem()
+	// A short TTL so the lease expires mid-shard; a generous attempt
+	// budget because a slow (race-instrumented) run may lose the lease
+	// again later, and every loss must resume rather than quarantine.
+	coord, err := New(st, ShardSize(2), LeaseTTL(60*time.Millisecond), MaxShardAttempts(100))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coord.Close()
+	m := fleetManager(t, st, coord, 1)
+	defer m.Close()
+	srv := httptest.NewServer(NewHandler(coord))
+	defer srv.Close()
+
+	gate := &heartbeatGate{}
+	gate.blocked.Store(true)
+	var resumed atomic.Int64
+	w := &Worker{ID: "w1", Coordinator: srv.URL, Workers: 2, Poll: 5 * time.Millisecond,
+		Store: store.NewMem(), CheckpointEvery: time.Millisecond,
+		Client: &http.Client{Transport: gate, Timeout: time.Minute},
+		Logf: func(format string, args ...any) {
+			if strings.HasPrefix(format, "worker %s: resuming replica") {
+				resumed.Add(1)
+			}
+		}}
+	ctx, cancel := context.WithCancel(context.Background())
+	wDone := make(chan struct{})
+	go func() { w.Run(ctx); close(wDone) }()
+	defer func() { cancel(); <-wDone }()
+
+	j, err := m.Submit(mkReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	// With its heartbeats failing, the worker's lease expires while its
+	// replicas run and snapshot.
+	deadline := time.Now().Add(30 * time.Second)
+	for coord.Counters().Expiries == 0 {
+		if j.Status().State.Terminal() {
+			t.Fatal("job finished before the worker lost its lease")
+		}
+		if time.Now().After(deadline) {
+			t.Fatal("the worker's lease never expired")
+		}
+		time.Sleep(2 * time.Millisecond)
+	}
+	// The next heartbeat gets 410: the worker abandons the shard, leases
+	// it again and resumes from its snapshots.
+	gate.blocked.Store(false)
+	if st := waitTerminal(t, j, 60*time.Second); st.State != job.StateDone {
+		t.Fatalf("fleet job: %s (%s)", st.State, st.Error)
+	}
+	if resumed.Load() == 0 {
+		t.Fatal("the re-leased shard resumed no replica from the worker's snapshots")
+	}
+	res, err := j.ResultData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatal("result after a lost lease and resume differs from the single-node run")
 	}
 }

@@ -8,7 +8,6 @@ import (
 	"io"
 	"math"
 	"net/http"
-	"strconv"
 	"sync/atomic"
 	"time"
 
@@ -31,7 +30,8 @@ var defaultClient = &http.Client{Timeout: 2 * time.Minute}
 // with absolute replica indices), so the rows it uploads are the exact
 // rows a single-node run computes. A worker given a local store
 // snapshots its running replicas mid-shard and resumes them after a
-// restart, exactly like the single-node checkpoint machinery.
+// restart through the same snapshot implementation as the single-node
+// manager (job.ReplicaSnapshots).
 type Worker struct {
 	// ID names the worker in leases and heartbeats.
 	ID string
@@ -45,7 +45,8 @@ type Worker struct {
 	// Store, when set, holds mid-shard replica checkpoints keyed by
 	// (job hash, shard), written at most every CheckpointEvery.
 	Store store.Store
-	// CheckpointEvery rate-limits mid-shard snapshots (0 disables).
+	// CheckpointEvery rate-limits mid-shard snapshots (0 disables new
+	// ones; a Store's existing snapshots still resume).
 	CheckpointEvery time.Duration
 	// Client is the HTTP client (default: a shared client with a
 	// 2-minute timeout — never the timeout-less http.DefaultClient).
@@ -222,20 +223,29 @@ func (w *Worker) runShard(ctx context.Context, grant *Grant) {
 	hbDone := make(chan struct{})
 	go w.heartbeats(shardCtx, cancelShard, grant, steps, times, hbDone)
 
+	publish := func(k int, eng parsurf.Engine) {
+		steps[k].Store(eng.Steps())
+		times[k].Store(math.Float64bits(eng.Time()))
+	}
+	// Snapshot slots are shard-relative replica indices under the
+	// shard's key, so a later lease of the same shard finds them.
+	key := ckptKey(grant)
+	slot := func(variant, replica int) int {
+		if variant != grant.Variant || replica < grant.Lo || replica >= grant.Hi {
+			return -1
+		}
+		return replica - grant.Lo
+	}
 	opts := []parsurf.EnsembleOption{
 		parsurf.ObserveReplicas(func(variant, replica int, t float64, sess *parsurf.Session) {
-			k := replica - grant.Lo
-			eng := sess.Engine()
-			steps[k].Store(eng.Steps())
-			times[k].Store(math.Float64bits(eng.Time()))
+			publish(replica-grant.Lo, sess.Engine())
 		}),
-	}
-	key := ckptKey(grant)
-	if w.Store != nil && w.CheckpointEvery > 0 && key != "" {
-		opts = append(opts, parsurf.CheckpointReplicas(w.checkpointHook(key, grant)))
-		if rp := w.resumeProvider(key, grant, spec, grid.Len(), steps, times); rp != nil {
-			opts = append(opts, parsurf.ResumeReplicas(rp))
-		}
+		job.ReplicaSnapshots(w.Store, key, w.CheckpointEvery, n, slot,
+			func(int) *parsurf.SessionSpec { return spec }, grid.Len(),
+			func(k, nextK int, sess *parsurf.Session) {
+				publish(k, sess.Engine())
+				w.logf("worker %s: resuming replica %d of %s at grid point %d", w.ID, grant.Lo+k, grant.Shard, nextK)
+			}),
 	}
 
 	w.logf("worker %s: running %s (variant %d replicas [%d, %d))",
@@ -370,73 +380,4 @@ func (w *Worker) upload(ctx context.Context, grant *Grant, data []byte) bool {
 func (w *Worker) fail(ctx context.Context, grant *Grant, reason string) {
 	w.logf("worker %s: shard %s failed: %s", w.ID, grant.Shard, reason)
 	_, _ = w.post(ctx, "/fleet/shards/"+grant.Shard+"/fail", failRequest{Worker: w.ID, Error: reason})
-}
-
-// checkpointHook is the worker-side parsurf.ReplicaCheckpoint: the
-// same rate-limited snapshot discipline as the single-node manager,
-// keyed in the worker's local store. Each replica's lastSnap entry is
-// touched only by its own goroutine.
-func (w *Worker) checkpointHook(key string, grant *Grant) parsurf.ReplicaCheckpoint {
-	last := make([]time.Time, grant.Hi-grant.Lo)
-	now := time.Now()
-	for i := range last {
-		last[i] = now
-	}
-	return func(variant, replica, k int, sess *parsurf.Session, values [][]float64) {
-		slot := replica - grant.Lo
-		if slot < 0 || slot >= len(last) || time.Since(last[slot]) < w.CheckpointEvery {
-			return
-		}
-		last[slot] = time.Now()
-		blob, err := job.EncodeReplicaCheckpoint(variant, replica, k+1, sess, values)
-		if err != nil {
-			return
-		}
-		_ = w.Store.PutCheckpoint(key, strconv.Itoa(replica), blob)
-	}
-}
-
-// resumeProvider loads whatever mid-shard snapshots the local store
-// holds under the shard's key, validating each lazily like the
-// single-node resume path: anything stale or corrupt is skipped and
-// the replica re-runs from zero.
-func (w *Worker) resumeProvider(key string, grant *Grant, spec *parsurf.SessionSpec,
-	gridLen int, steps, times []atomic.Uint64) parsurf.ReplicaResume {
-	slots, err := w.Store.Checkpoints(key)
-	if err != nil || len(slots) == 0 {
-		return nil
-	}
-	blobs := make(map[int][]byte, len(slots))
-	for _, s := range slots {
-		i, err := strconv.Atoi(s)
-		if err != nil || i < grant.Lo || i >= grant.Hi {
-			continue
-		}
-		if data, err := w.Store.GetCheckpoint(key, s); err == nil {
-			blobs[i] = data
-		}
-	}
-	if len(blobs) == 0 {
-		return nil
-	}
-	return func(variant, replica int) (*parsurf.Session, int, [][]float64, bool) {
-		data, ok := blobs[replica]
-		if !ok {
-			return nil, 0, nil, false
-		}
-		v, r, nextK, rows, cpBytes, err := job.DecodeReplicaCheckpoint(data)
-		if err != nil || v != grant.Variant || r != replica || nextK > gridLen ||
-			len(rows) != spec.NumSpecies() {
-			return nil, 0, nil, false
-		}
-		sess, err := parsurf.ResumeSession(spec, bytes.NewReader(cpBytes))
-		if err != nil {
-			return nil, 0, nil, false
-		}
-		k := replica - grant.Lo
-		steps[k].Store(sess.Engine().Steps())
-		times[k].Store(math.Float64bits(sess.Engine().Time()))
-		w.logf("worker %s: resuming replica %d of %s at grid point %d", w.ID, replica, grant.Shard, nextK)
-		return sess, nextK, rows, true
-	}
 }

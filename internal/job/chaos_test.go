@@ -4,10 +4,12 @@ import (
 	"bytes"
 	"encoding/json"
 	"math/rand"
+	"runtime"
 	"testing"
 	"time"
 
 	"parsurf"
+	"parsurf/internal/persist"
 	"parsurf/internal/store"
 )
 
@@ -326,7 +328,7 @@ func TestCrashLoopQuarantine(t *testing.T) {
 	if status.State != StateQuarantined {
 		t.Fatalf("state %s after %d crashes, want quarantined", status.State, DefaultMaxAttempts)
 	}
-	if _, err := j2.Result(); err == nil {
+	if _, err := j2.ResultData(); err == nil {
 		t.Fatal("quarantined job served a result")
 	}
 	if m2.RunsStarted() != 0 {
@@ -392,5 +394,31 @@ func TestReplicaCheckpointCodec(t *testing.T) {
 		if _, _, _, _, _, err := decodeReplicaCheckpoint(tc.data); err == nil {
 			t.Errorf("%s: accepted", tc.name)
 		}
+	}
+}
+
+// A short blob whose header claims a large row matrix is rejected
+// before any row is allocated: decoding costs memory in proportion to
+// the blob's bytes, never to its header's claims.
+func TestReplicaCheckpointDecodeBoundedByBlob(t *testing.T) {
+	var buf bytes.Buffer
+	e := persist.NewWriter(&buf)
+	e.U32(replicaCkptVersion)
+	e.U32(0)       // variant
+	e.U32(0)       // replica
+	e.U32(1 << 20) // grid points claimed
+	e.U32(8)       // species claimed: 64 MiB of rows behind a 20-byte blob
+	blob := buf.Bytes()
+
+	var before, after runtime.MemStats
+	runtime.GC()
+	runtime.ReadMemStats(&before)
+	_, _, _, _, _, err := decodeReplicaCheckpoint(blob)
+	runtime.ReadMemStats(&after)
+	if err == nil {
+		t.Fatal("decoder accepted a blob with no rows behind its claim")
+	}
+	if grown := after.TotalAlloc - before.TotalAlloc; grown > 1<<20 {
+		t.Fatalf("decoding a %d-byte blob allocated %d bytes", len(blob), grown)
 	}
 }

@@ -1,13 +1,14 @@
-// Replica checkpointing: the durable manager's preemption layer. While
-// a job runs, each replica periodically snapshots itself into the store
-// — the engine-exact session checkpoint plus the sample rows already
-// recorded on the grid — keyed by the job's content hash and the
-// replica's slot index. After a crash or kill, recovery re-queues the
-// job and its replicas resume from their latest valid snapshots,
-// continuing the trajectory bit for bit; the merged result is
-// byte-identical to an uninterrupted run. Invalid or stale snapshots
-// are skipped silently (the replica just re-runs from zero): a
-// checkpoint is an optimization, never a correctness dependency.
+// Replica checkpointing: the preemption layer of the manager and of
+// fleet workers. While a run executes, each replica periodically
+// snapshots itself into a store — the engine-exact session checkpoint
+// plus the sample rows already recorded on the grid — under the run's
+// key namespace and the replica's slot index. After a crash, kill or
+// lost lease, the next run of the same work resumes each replica from
+// its latest valid snapshot, continuing the trajectory bit for bit; the
+// merged result is byte-identical to an uninterrupted run. Invalid or
+// stale snapshots are skipped silently (the replica just re-runs from
+// zero): a checkpoint is an optimization, never a correctness
+// dependency.
 
 package job
 
@@ -19,6 +20,7 @@ import (
 
 	"parsurf"
 	"parsurf/internal/persist"
+	"parsurf/internal/store"
 )
 
 const (
@@ -59,9 +61,13 @@ func encodeReplicaCheckpoint(variant, replica, nextK int, sess *parsurf.Session,
 }
 
 // decodeReplicaCheckpoint parses a blob written by
-// encodeReplicaCheckpoint.
+// encodeReplicaCheckpoint. The header's row shape is untrusted: it is
+// checked against the bytes actually left in the blob before any row
+// is allocated, so a short blob with an inflated claim allocates
+// nothing.
 func decodeReplicaCheckpoint(data []byte) (variant, replica, nextK int, rows [][]float64, session []byte, err error) {
-	d := persist.NewReader(bytes.NewReader(data))
+	br := bytes.NewReader(data)
+	d := persist.NewReader(br)
 	if v := d.U32(); d.Err() == nil && v != replicaCkptVersion {
 		d.Failf("job: replica checkpoint version %d, want %d", v, replicaCkptVersion)
 	}
@@ -75,6 +81,9 @@ func decodeReplicaCheckpoint(data []byte) (variant, replica, nextK int, rows [][
 	if d.Err() == nil && (species < 1 || species > 256) {
 		d.Failf("job: replica checkpoint carries %d species", species)
 	}
+	if need := uint64(k) * uint64(species) * 8; d.Err() == nil && need > uint64(br.Len()) {
+		d.Failf("job: replica checkpoint claims %d row bytes, %d remain", need, br.Len())
+	}
 	if d.Err() != nil {
 		return 0, 0, 0, nil, nil, d.Err()
 	}
@@ -82,7 +91,9 @@ func decodeReplicaCheckpoint(data []byte) (variant, replica, nextK int, rows [][
 	for sp := range rows {
 		rows[sp] = make([]float64, k)
 		for i := range rows[sp] {
-			rows[sp][i] = d.F64()
+			if rows[sp][i] = d.F64(); d.Err() != nil {
+				return 0, 0, 0, nil, nil, d.Err()
+			}
 		}
 	}
 	session = d.Block(maxCkptSession)
@@ -92,82 +103,80 @@ func decodeReplicaCheckpoint(data []byte) (variant, replica, nextK int, rows [][
 	return variant, replica, int(k), rows, session, nil
 }
 
-// EncodeReplicaCheckpoint exposes the replica snapshot codec: fleet
-// workers write the same blobs for their mid-shard snapshots, keyed in
-// their own local stores.
-func EncodeReplicaCheckpoint(variant, replica, nextK int, sess *parsurf.Session, values [][]float64) ([]byte, error) {
-	return encodeReplicaCheckpoint(variant, replica, nextK, sess, values)
-}
-
-// DecodeReplicaCheckpoint parses a blob written by
-// EncodeReplicaCheckpoint.
-func DecodeReplicaCheckpoint(data []byte) (variant, replica, nextK int, rows [][]float64, session []byte, err error) {
-	return decodeReplicaCheckpoint(data)
-}
-
-// checkpointer rate-limits and writes replica snapshots for one job
-// run. Each slot's lastSnap entry is touched only by the goroutine
-// driving that replica (the ensemble runner pins a replica to one
-// worker for its whole duration), so no locking is needed.
-type checkpointer struct {
-	j        *Job
-	interval time.Duration
-	lastSnap []time.Time
-}
-
-// newCheckpointer returns the job's checkpoint hook carrier, or nil
-// when checkpointing is off (no store, no hash, or a zero interval).
-func (j *Job) newCheckpointer() *checkpointer {
-	if j.mgr.st == nil || j.hash == "" || j.mgr.ckptEvery <= 0 {
-		return nil
+// ReplicaSnapshots returns the ensemble option that checkpoints a run's
+// replicas into st and resumes them from it — the one replica-snapshot
+// implementation, shared by the manager (key: the job hash, one slot
+// per variant × replica) and fleet workers (key: the shard, one slot
+// per replica of the range).
+//
+// slot maps a replica to its slot in [0, slots), or -1 when the replica
+// is not part of the run; a snapshot lives under (key, slot). With
+// every > 0 each replica snapshots at most once per interval, checked
+// at its grid points; write failures are swallowed — a missed snapshot
+// only widens the window a crash can lose. Resume loads whatever
+// snapshots st already holds under key and validates each lazily, per
+// replica: a blob that fails to decode, names another replica, does not
+// fit the grid of gridLen points, or no longer matches spec(variant) is
+// skipped and the replica runs from zero. resumed is called on the
+// replica's goroutine for every replica that does resume, so the
+// caller's progress counters can start from the carried-over work.
+//
+// A nil st or empty key gives a no-op option.
+func ReplicaSnapshots(st store.Store, key string, every time.Duration, slots int,
+	slot func(variant, replica int) int, spec func(variant int) *parsurf.SessionSpec, gridLen int,
+	resumed func(slot, nextK int, sess *parsurf.Session)) parsurf.EnsembleOption {
+	if st == nil || key == "" {
+		return parsurf.CheckpointReplicas(nil, nil)
 	}
-	slots := len(j.req.Specs) * j.req.Replicas
-	last := make([]time.Time, slots)
+	var save parsurf.ReplicaCheckpoint
+	if every > 0 {
+		save = snapshotHook(st, key, every, slots, slot)
+	}
+	return parsurf.CheckpointReplicas(save, resumeProvider(st, key, slots, slot, spec, gridLen, resumed))
+}
+
+// snapshotHook is the rate-limited parsurf.ReplicaCheckpoint. Each
+// slot's lastSnap entry is touched only by the goroutine driving that
+// replica (the ensemble runner pins a replica to one worker for its
+// whole duration), so no locking is needed.
+func snapshotHook(st store.Store, key string, every time.Duration, slots int,
+	slot func(variant, replica int) int) parsurf.ReplicaCheckpoint {
+	lastSnap := make([]time.Time, slots)
 	now := time.Now()
-	for i := range last {
-		last[i] = now // first snapshot comes one interval into the run
+	for i := range lastSnap {
+		lastSnap[i] = now // first snapshot comes one interval into the run
 	}
-	return &checkpointer{j: j, interval: j.mgr.ckptEvery, lastSnap: last}
+	return func(variant, replica, k int, sess *parsurf.Session, values [][]float64) {
+		s := slot(variant, replica)
+		if s < 0 || s >= slots || time.Since(lastSnap[s]) < every {
+			return
+		}
+		lastSnap[s] = time.Now()
+		blob, err := encodeReplicaCheckpoint(variant, replica, k+1, sess, values)
+		if err != nil {
+			return
+		}
+		_ = st.PutCheckpoint(key, strconv.Itoa(s), blob)
+	}
 }
 
-// hook is the parsurf.ReplicaCheckpoint: called after every grid point,
-// it snapshots the replica when its interval has elapsed. Failures are
-// swallowed — a missed snapshot only widens the window a crash can lose.
-func (c *checkpointer) hook(variant, replica, k int, sess *parsurf.Session, values [][]float64) {
-	slot := variant*c.j.req.Replicas + replica
-	if time.Since(c.lastSnap[slot]) < c.interval {
-		return
-	}
-	c.lastSnap[slot] = time.Now()
-	blob, err := encodeReplicaCheckpoint(variant, replica, k+1, sess, values)
-	if err != nil {
-		return
-	}
-	_ = c.j.mgr.st.PutCheckpoint(c.j.hash, strconv.Itoa(slot), blob)
-}
-
-// resumeProvider returns the parsurf.ReplicaResume for this run, or nil
-// when there is nothing to resume from. It loads whatever snapshots the
-// store holds under the job's hash up front (the blobs are about to be
-// consumed by the run's own replicas) and validates each lazily, per
-// replica: any snapshot that fails to decode, names the wrong slot, or
-// no longer matches the spec is skipped and the replica runs from zero.
-func (j *Job) resumeProvider() parsurf.ReplicaResume {
-	st := j.mgr.st
-	if st == nil || j.hash == "" {
+// resumeProvider is the lazily validating parsurf.ReplicaResume, or nil
+// when st holds nothing under key. It loads the blobs up front (they
+// are about to be consumed by the run's own replicas).
+func resumeProvider(st store.Store, key string, slots int, slot func(variant, replica int) int,
+	spec func(variant int) *parsurf.SessionSpec, gridLen int,
+	resumed func(slot, nextK int, sess *parsurf.Session)) parsurf.ReplicaResume {
+	names, err := st.Checkpoints(key)
+	if err != nil || len(names) == 0 {
 		return nil
 	}
-	slots, err := st.Checkpoints(j.hash)
-	if err != nil || len(slots) == 0 {
-		return nil
-	}
-	blobs := make(map[int][]byte, len(slots))
-	for _, s := range slots {
-		n, err := strconv.Atoi(s)
-		if err != nil || n < 0 {
+	blobs := make(map[int][]byte, len(names))
+	for _, name := range names {
+		n, err := strconv.Atoi(name)
+		if err != nil || n < 0 || n >= slots {
 			continue
 		}
-		if data, err := st.GetCheckpoint(j.hash, s); err == nil {
+		if data, err := st.GetCheckpoint(key, name); err == nil {
 			blobs[n] = data
 		}
 	}
@@ -175,26 +184,37 @@ func (j *Job) resumeProvider() parsurf.ReplicaResume {
 		return nil
 	}
 	return func(variant, replica int) (*parsurf.Session, int, [][]float64, bool) {
-		slot := variant*j.req.Replicas + replica
-		data, ok := blobs[slot]
+		s := slot(variant, replica)
+		data, ok := blobs[s]
 		if !ok {
 			return nil, 0, nil, false
 		}
+		sp := spec(variant)
 		v, r, nextK, rows, cpBytes, err := decodeReplicaCheckpoint(data)
-		if err != nil || v != variant || r != replica || nextK > j.gridLen ||
-			len(rows) != j.req.Specs[variant].NumSpecies() {
+		if err != nil || v != variant || r != replica || nextK > gridLen || len(rows) != sp.NumSpecies() {
 			return nil, 0, nil, false
 		}
-		sess, err := parsurf.ResumeSession(j.req.Specs[variant], bytes.NewReader(cpBytes))
+		sess, err := parsurf.ResumeSession(sp, bytes.NewReader(cpBytes))
 		if err != nil {
 			return nil, 0, nil, false
 		}
-		// Pre-fill the progress slots with the resumed position so the
-		// first status snapshot already reflects the carried-over work.
-		j.slotSteps[slot].Store(sess.Engine().Steps())
-		j.slotTime[slot].Store(math.Float64bits(sess.Engine().Time()))
-		j.merged.Add(int64(nextK))
-		j.resumed.Add(1)
+		resumed(s, nextK, sess)
 		return sess, nextK, rows, true
 	}
+}
+
+// snapshots is the job's replica-snapshot option: keyed by the job's
+// content hash with one slot per (variant, replica), writing at the
+// manager's checkpoint interval. Resumed replicas pre-fill their
+// progress slots so the first status snapshot already reflects the
+// carried-over work.
+func (j *Job) snapshots() parsurf.EnsembleOption {
+	return ReplicaSnapshots(j.mgr.st, j.hash, j.mgr.ckptEvery, len(j.slotSteps), j.slot,
+		func(variant int) *parsurf.SessionSpec { return j.req.Specs[variant] }, j.gridLen,
+		func(slot, nextK int, sess *parsurf.Session) {
+			j.slotSteps[slot].Store(sess.Engine().Steps())
+			j.slotTime[slot].Store(math.Float64bits(sess.Engine().Time()))
+			j.merged.Add(int64(nextK))
+			j.resumed.Add(1)
+		})
 }

@@ -166,12 +166,12 @@ type Status struct {
 	Deadline int64    `json:"deadline,omitempty"`
 	Progress Progress `json:"progress"`
 	// Shards lists the job's fleet shards when the manager runs jobs
-	// through a sharding executor; nil otherwise.
+	// through a sharding executor; nil for the local sweep.
 	Shards []ShardStatus `json:"shards,omitempty"`
 }
 
 // ShardStatus is one fleet shard's public snapshot, surfaced in Status
-// when the manager executes jobs through a ShardLister executor.
+// when the manager executes jobs through a sharding executor.
 type ShardStatus struct {
 	// ID is the shard id, unique within the job (e.g. "v0-8-16").
 	ID string `json:"id"`
@@ -193,28 +193,45 @@ type ShardStatus struct {
 	Error string `json:"error,omitempty"`
 }
 
-// Executor runs a job's workload somewhere other than the local sweep
-// runner — the fleet coordinator implements it to shard the ensemble
-// across worker nodes. Execute runs on the job's runner goroutine,
-// observes ctx for cancellation, and returns the merged result (which
-// must be bit-identical to what the local runner would compute).
+// Executor runs jobs' workloads. The manager's default is the local
+// sweep (every replica in this process, through parsurf.RunSweep); the
+// fleet coordinator implements it to shard the ensemble across worker
+// nodes.
 type Executor interface {
+	// Execute runs on the job's runner goroutine, observes ctx for
+	// cancellation and deadline, and returns the merged result, which is
+	// bit-identical whichever executor computed it.
 	Execute(ctx context.Context, j *Job) (*store.Result, error)
-}
-
-// ShardLister is an optional Executor refinement: executors that track
-// per-job shards implement it so Status can surface them.
-type ShardLister interface {
+	// JobShards lists the job's shards for Status (nil when the executor
+	// does not shard, or is not executing the job).
 	JobShards(jobID string) []ShardStatus
-}
-
-// JobDropper is an optional Executor refinement: executors that keep
-// per-job state (shard tables, result blobs) implement it to discard
-// that state when a job reaches a terminal state that will never
-// resume (done, failed, or user-cancelled).
-type JobDropper interface {
+	// DropJob discards the executor's per-job state (shard tables,
+	// result blobs) once the job reaches a terminal state that will
+	// never resume: done, failed, or user-cancelled.
 	DropJob(jobID string)
 }
+
+// localSweep is the default Executor: the job's whole sweep runs in
+// this process through parsurf.RunSweep, observed by the job's progress
+// slots and snapshotted into the manager's store.
+type localSweep struct{}
+
+func (localSweep) Execute(ctx context.Context, j *Job) (*store.Result, error) {
+	opts := []parsurf.EnsembleOption{parsurf.ObserveReplicas(j.observe), j.snapshots()}
+	if obs := j.mgr.chaosObserver(j); obs != nil {
+		opts = append(opts, parsurf.ObserveReplicas(obs))
+	}
+	ens, err := parsurf.RunSweep(ctx, j.req.Specs, j.req.Replicas, j.req.Workers,
+		j.req.Until, j.req.Every, opts...)
+	if err != nil {
+		return nil, err
+	}
+	return resultData(j.req.Specs, ens), nil
+}
+
+func (localSweep) JobShards(string) []ShardStatus { return nil }
+
+func (localSweep) DropJob(string) {}
 
 // Job is one submitted workload. All methods are safe for concurrent
 // use.
@@ -265,11 +282,10 @@ type Job struct {
 	slotTime  []atomic.Uint64 // Float64bits; zero = not yet observed
 	merged    atomic.Int64
 
-	mu     sync.Mutex
-	state  State
-	err    error
-	result []*parsurf.Ensemble
-	res    *store.Result // serializable result; lazily loaded for recovered jobs
+	mu    sync.Mutex
+	state State
+	err   error
+	res   *store.Result // lazily loaded for recovered jobs
 
 	done chan struct{}
 }
@@ -299,10 +315,7 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 func (j *Job) Cancel() {
 	j.userCancel.Store(true)
 	j.cancel()
-	if j.setState(StateCancelled, context.Canceled, nil) {
-		j.persist(StateCancelled, context.Canceled)
-		j.dropCheckpoints()
-	}
+	j.finish(StateCancelled, context.Canceled)
 }
 
 // Status returns a snapshot of the job.
@@ -316,39 +329,14 @@ func (j *Job) Status() Status {
 	if err != nil {
 		st.Error = err.Error()
 	}
-	if sl, ok := j.mgr.exec.(ShardLister); ok {
-		st.Shards = sl.JobShards(j.id)
-	}
+	st.Shards = j.mgr.exec.JobShards(j.id)
 	return st
 }
 
-// Result returns the per-variant ensembles of a completed job. It
-// errors until the job is done (poll Status or wait on Done first).
-// Jobs that did not run in this process — recovered from the store or
-// answered from the result cache — hold their result as data only; use
-// ResultData for those.
-func (j *Job) Result() ([]*parsurf.Ensemble, error) {
-	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
-	case StateDone:
-		if j.result == nil {
-			return nil, fmt.Errorf("job: %s holds a stored result, not live ensembles; use ResultData", j.id)
-		}
-		return j.result, nil
-	case StateFailed:
-		return nil, j.err
-	case StateCancelled:
-		return nil, fmt.Errorf("job: %s was cancelled", j.id)
-	default:
-		return nil, fmt.Errorf("job: %s is %s; no result yet", j.id, j.state)
-	}
-}
-
-// ResultData returns the serializable result of a done job — the form
-// the store persists and the HTTP server serves. Jobs that ran in this
-// process return it from memory; recovered jobs load it from the store
-// on first call.
+// ResultData returns the result of a done job — the form the store
+// persists and the HTTP server serves — and errors until then (poll
+// Status or wait on Done first). Jobs that ran in this process return
+// it from memory; recovered jobs load it from the store on first call.
 func (j *Job) ResultData() (*store.Result, error) {
 	j.mu.Lock()
 	defer j.mu.Unlock()
@@ -408,11 +396,20 @@ func (j *Job) ReplicaTimes() []float64 {
 	return out
 }
 
+// slot is replica (variant, replica)'s index in the job's per-replica
+// progress and snapshot slots, or -1 for a replica outside the job.
+func (j *Job) slot(variant, replica int) int {
+	if variant < 0 || variant >= len(j.req.Specs) || replica < 0 || replica >= j.req.Replicas {
+		return -1
+	}
+	return variant*j.req.Replicas + replica
+}
+
 // observe is the per-replica grid-point hook: it publishes the
 // replica's engine counters. Each (variant, replica) slot is written
 // only from that replica's goroutine.
 func (j *Job) observe(variant, replica int, t float64, sess *parsurf.Session) {
-	slot := variant*j.req.Replicas + replica
+	slot := j.slot(variant, replica)
 	eng := sess.Engine()
 	j.slotSteps[slot].Store(eng.Steps())
 	j.slotTime[slot].Store(math.Float64bits(eng.Time()))
@@ -425,8 +422,8 @@ func (j *Job) observe(variant, replica int, t float64, sess *parsurf.Session) {
 // progress slots (and SSE stream) as local ones. Out-of-range slots are
 // ignored rather than trusted.
 func (j *Job) SetReplicaProgress(variant, replica int, steps uint64, t float64) {
-	slot := variant*j.req.Replicas + replica
-	if slot < 0 || slot >= len(j.slotSteps) {
+	slot := j.slot(variant, replica)
+	if slot < 0 {
 		return
 	}
 	j.slotSteps[slot].Store(steps)
@@ -441,11 +438,12 @@ func (j *Job) AddMerged(n int64) { j.merged.Add(n) }
 func (j *Job) GridLen() int { return j.gridLen }
 
 // setState transitions the job, reporting whether the transition took
-// effect (a terminal job never changes again); terminal states close
-// Done and cancel the job context, releasing its registration under
-// the manager context (a completed job would otherwise pin a child
-// context for the life of the server).
-func (j *Job) setState(s State, err error, result []*parsurf.Ensemble) bool {
+// effect (a terminal job never changes again); terminal states cancel
+// the job context, releasing its registration under the manager
+// context (a completed job would otherwise pin a child context for the
+// life of the server). Whoever makes the job terminal closes Done once
+// the transition is durable (see finish).
+func (j *Job) setState(s State, err error) bool {
 	j.mu.Lock()
 	defer j.mu.Unlock()
 	if j.state.Terminal() {
@@ -453,9 +451,7 @@ func (j *Job) setState(s State, err error, result []*parsurf.Ensemble) bool {
 	}
 	j.state = s
 	j.err = err
-	j.result = result
 	if s.Terminal() {
-		close(j.done)
 		j.cancel()
 		// Give the admission budget back exactly once. Atomic on
 		// purpose: Submit calls setState while holding the manager
@@ -474,14 +470,14 @@ func (j *Job) releaseCost() {
 }
 
 // persist writes the job's record with the given state. Mid-flight
-// persistence is best-effort: a transition that cannot be recorded
+// callers ignore the error: a transition that cannot be recorded
 // leaves the previous record in place, which recovery treats as
 // resumable — re-running a job is safe (results are deterministic),
-// losing one is not. Submit surfaces its own persistence errors.
-func (j *Job) persist(s State, err error) {
+// losing one is not. Submit surfaces it instead.
+func (j *Job) persist(s State, jobErr error) error {
 	st := j.mgr.st
 	if st == nil {
-		return
+		return nil
 	}
 	rec := &store.JobRecord{
 		ID:        j.id,
@@ -494,24 +490,25 @@ func (j *Job) persist(s State, err error) {
 		Deadline:  j.deadlineNS.Load(),
 		Request:   j.rawReq,
 	}
-	if err != nil {
-		rec.Error = err.Error()
+	if jobErr != nil {
+		rec.Error = jobErr.Error()
 	}
-	_ = st.PutJob(rec)
+	if err := st.PutJob(rec); err != nil {
+		return fmt.Errorf("job: persisting %s: %w", j.id, err)
+	}
+	return nil
 }
 
 // dropCheckpoints discards the job's stored replica checkpoints — a
 // terminal job no longer resumes. Best-effort: leftover checkpoints are
 // only dead weight (a later run with the same hash validates against
-// them and either resumes correctly or starts over). An executor that
-// keeps per-job state (the fleet shard table) is told to drop it too.
+// them and either resumes correctly or starts over). The executor drops
+// its per-job state (the fleet shard table) too.
 func (j *Job) dropCheckpoints() {
 	if st := j.mgr.st; st != nil && j.hash != "" {
 		_ = st.DeleteCheckpoints(j.hash)
 	}
-	if d, ok := j.mgr.exec.(JobDropper); ok {
-		d.DropJob(j.id)
-	}
+	j.mgr.exec.DropJob(j.id)
 }
 
 // run executes the job on the calling runner goroutine.
@@ -533,7 +530,7 @@ func (j *Job) run() {
 		case <-t.C:
 		}
 	}
-	if j.setState(StateRunning, nil, nil) {
+	if j.setState(StateRunning, nil) {
 		j.mgr.started.Add(1)
 		// Arm the deadline before the running record persists, so the
 		// stored record always carries the absolute budget a recovery
@@ -553,64 +550,15 @@ func (j *Job) run() {
 		runCtx, cancel = context.WithDeadline(j.ctx, time.Unix(0, dl))
 		defer cancel()
 	}
-	if ex := j.mgr.exec; ex != nil {
-		// Executor-backed manager: the workload runs elsewhere (fleet
-		// shards on worker nodes); the local checkpointer and resume
-		// provider stay out of the way — workers checkpoint their own
-		// shards. The executor's merged result commits through the same
-		// blob-before-record path as a local run.
-		res, err := ex.Execute(runCtx, j)
-		if err != nil {
-			j.finishErr(err)
-			return
-		}
-		j.mu.Lock()
-		j.res = res
-		j.mu.Unlock()
-		if j.setState(StateDone, nil, nil) {
-			if st := j.mgr.st; st != nil {
-				if err := st.PutResult(j.hash, res); err != nil {
-					return
-				}
-			}
-			j.persist(StateDone, nil)
-			j.dropCheckpoints()
-		}
-		return
-	}
-	runOpts := []parsurf.EnsembleOption{parsurf.ObserveReplicas(j.observe)}
-	if obs := j.mgr.chaosObserver(j); obs != nil {
-		runOpts = append(runOpts, parsurf.ObserveReplicas(obs))
-	}
-	if ck := j.newCheckpointer(); ck != nil {
-		runOpts = append(runOpts, parsurf.CheckpointReplicas(ck.hook))
-	}
-	if rp := j.resumeProvider(); rp != nil {
-		runOpts = append(runOpts, parsurf.ResumeReplicas(rp))
-	}
-	ens, err := parsurf.RunSweep(runCtx, j.req.Specs, j.req.Replicas, j.req.Workers,
-		j.req.Until, j.req.Every, runOpts...)
+	res, err := j.mgr.exec.Execute(runCtx, j)
 	if err != nil {
 		j.finishErr(err)
 		return
 	}
-	res := resultData(j.req.Specs, ens)
 	j.mu.Lock()
 	j.res = res
 	j.mu.Unlock()
-	if j.setState(StateDone, nil, ens) {
-		if st := j.mgr.st; st != nil {
-			// Blob before record: a record marked done must find its
-			// blob. If the blob write fails the record stays at
-			// "running", so a restart re-runs the job instead of
-			// serving a done status with no result behind it.
-			if err := st.PutResult(j.hash, res); err != nil {
-				return
-			}
-		}
-		j.persist(StateDone, nil)
-		j.dropCheckpoints()
-	}
+	j.finish(StateDone, nil)
 }
 
 // armDeadline fixes the job's absolute run deadline when it first
@@ -643,35 +591,47 @@ func (j *Job) armDeadline() {
 // the stored record stays diagnosable — and, being failed, is terminal
 // rather than crash-loop re-queued.
 func (j *Job) finishErr(err error) {
-	if errors.Is(err, context.DeadlineExceeded) {
+	switch {
+	case errors.Is(err, context.DeadlineExceeded):
 		// The run context is the only deadline-carrying context in the
 		// chain (the manager context is cancel-only), so this is the
 		// job's own budget expiring.
-		err = fmt.Errorf("job: exceeded its run deadline: %w", err)
-		if j.setState(StateDeadlineExceeded, err, nil) {
-			j.persist(StateDeadlineExceeded, err)
-			j.dropCheckpoints()
-		}
+		j.finish(StateDeadlineExceeded, fmt.Errorf("job: exceeded its run deadline: %w", err))
+	case errors.Is(err, context.Canceled):
+		j.finish(StateCancelled, err)
+	default:
+		j.finish(StateFailed, err)
+	}
+}
+
+// finish makes the job terminal in state s, unless it already is. The
+// durable side lands before Done closes, so whoever waits on Done finds
+// it in place:
+//   - a done job writes its result blob, then its record — blob before
+//     record, because a record marked done must find its blob. If the
+//     blob write fails the record stays at running, so a restart
+//     re-runs the job instead of serving a done status with no result;
+//   - a shutdown-induced cancellation persists as queued and keeps its
+//     replica checkpoints, so the next boot continues the job from its
+//     last snapshots;
+//   - every other terminal state persists as itself, and the job's
+//     checkpoints drop.
+func (j *Job) finish(s State, err error) {
+	if !j.setState(s, err) {
 		return
 	}
-	if errors.Is(err, context.Canceled) {
-		if j.setState(StateCancelled, err, nil) {
-			if j.userCancel.Load() {
-				j.persist(StateCancelled, err)
-				j.dropCheckpoints()
-			} else {
-				// Shutdown-induced: the stored record stays resumable and
-				// the replica checkpoints stay in place, so the next boot
-				// continues the job from its last snapshots.
-				j.persist(StateQueued, nil)
-			}
-		}
+	defer close(j.done)
+	if s == StateCancelled && !j.userCancel.Load() {
+		j.persist(StateQueued, nil)
 		return
 	}
-	if j.setState(StateFailed, err, nil) {
-		j.persist(StateFailed, err)
-		j.dropCheckpoints()
+	if st := j.mgr.st; s == StateDone && st != nil {
+		if st.PutResult(j.hash, j.res) != nil {
+			return
+		}
 	}
+	j.persist(s, err)
+	j.dropCheckpoints()
 }
 
 // resultData flattens merged ensembles into the store's serializable
@@ -781,7 +741,7 @@ func contentHash(specs []json.RawMessage, replicas int, until, every float64) st
 type Manager struct {
 	st store.Store // nil: in-memory only
 
-	// exec, when set, runs every job instead of the local sweep runner.
+	// exec runs every job: localSweep unless WithExecutor replaced it.
 	exec Executor
 
 	// ckptEvery is the minimum wall-clock interval between replica
@@ -811,7 +771,7 @@ type Manager struct {
 	chaosPanicSet  bool
 	chaosPanicSeed uint64
 
-	// started counts jobs that actually executed (entered RunSweep) —
+	// started counts jobs that actually executed (reached the executor) —
 	// cache hits never increment it, which is what lets tests and the
 	// CI durability check assert "served from cache" without timing.
 	started atomic.Int64
@@ -900,12 +860,13 @@ func ChaosPanicSeed(seed uint64) ManagerOption {
 	return func(m *Manager) { m.chaosPanicSet, m.chaosPanicSeed = true, seed }
 }
 
-// WithExecutor routes every job through ex instead of the local sweep
-// runner — the fleet coordinator plugs in here. The manager still owns
-// the job lifecycle (queueing, persistence, the result cache, recovery);
-// only the replica execution moves. When ex also implements ShardLister
-// its shards appear in job statuses, and when it implements JobDropper
-// it is told to discard per-job state alongside checkpoint cleanup.
+// WithExecutor routes every job through ex instead of the local sweep —
+// the fleet coordinator plugs in here. The manager still owns the job
+// lifecycle (queueing, persistence, the result cache, recovery); only
+// the replica execution moves. ex's shards appear in job statuses, and
+// ex drops its per-job state alongside checkpoint cleanup. Replica
+// snapshots are then the executor's business: the fleet's workers
+// checkpoint their own shards.
 func WithExecutor(ex Executor) ManagerOption {
 	return func(m *Manager) { m.exec = ex }
 }
@@ -977,8 +938,14 @@ func NewManagerWithStore(runners, backlog int, st store.Store, opts ...ManagerOp
 // survivors with backoff), and anything undecodable or past its crash
 // budget is quarantined.
 func (m *Manager) recover(rec *store.JobRecord) (j *Job, active bool) {
+	// A quarantined job stays visible in listings with its error,
+	// terminal from birth, and never runs. It keeps qerr itself, not
+	// just its text, so the wrapped cause stays inspectable.
 	quarantine := func(qerr error) *Job {
-		j := m.rebuildStub(rec, qerr)
+		qrec := *rec
+		qrec.State, qrec.Error = string(StateQuarantined), qerr.Error()
+		j := m.rebuild(&qrec, Request{}, 0)
+		j.err = qerr
 		j.persist(StateQuarantined, qerr)
 		j.dropCheckpoints()
 		return j
@@ -1035,31 +1002,6 @@ func crashDelay(n int) time.Duration {
 	return crashRestartBackoff.Delay(n - 1)
 }
 
-// rebuildStub builds a quarantined placeholder for a record whose
-// request cannot run: visible in listings with its error, terminal from
-// birth.
-func (m *Manager) rebuildStub(rec *store.JobRecord, qerr error) *Job {
-	ctx, cancel := context.WithCancel(m.ctx)
-	j := &Job{
-		id:        rec.ID,
-		seq:       rec.Seq,
-		mgr:       m,
-		hash:      rec.Hash,
-		rawReq:    rec.Request,
-		cached:    rec.Cached,
-		attempts:  rec.Attempts,
-		submitted: time.Unix(0, rec.Submitted),
-		ctx:       ctx,
-		cancel:    cancel,
-		state:     StateQuarantined,
-		err:       qerr,
-		done:      make(chan struct{}),
-	}
-	close(j.done)
-	cancel()
-	return j
-}
-
 // rebuild constructs the in-memory job for a stored record. Recovered
 // terminal jobs start with their Done channel closed and zeroed
 // progress; their results load lazily from the store.
@@ -1114,6 +1056,7 @@ func newManager(runners, backlog int, st store.Store, opts ...ManagerOption) *Ma
 	ctx, cancel := context.WithCancel(context.Background())
 	m := &Manager{
 		st:          st,
+		exec:        localSweep{},
 		maxAttempts: DefaultMaxAttempts,
 		jobs:        make(map[string]*Job),
 		queue:       make(chan *Job, backlog),
@@ -1135,8 +1078,8 @@ func newManager(runners, backlog int, st store.Store, opts ...ManagerOption) *Ma
 	return m
 }
 
-// RunsStarted returns how many jobs actually executed (entered the
-// sweep runner) since the manager started. Cache hits and recovered
+// RunsStarted returns how many jobs actually executed (reached the
+// executor) since the manager started. Cache hits and recovered
 // terminal jobs never count, so the delta across a resubmission is the
 // cache-hit test.
 func (m *Manager) RunsStarted() int64 { return m.started.Load() }
@@ -1319,7 +1262,7 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 		j.res = cachedRes
 		close(j.done)
 		cancel()
-		if err := m.putJobRecord(j, StateDone, nil); err != nil {
+		if err := j.persist(StateDone, nil); err != nil {
 			m.nextID--
 			return nil, err
 		}
@@ -1351,41 +1294,20 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	// Persist before acknowledgment: a submission the client saw
 	// accepted must survive a restart. The job is already enqueued; if
 	// the record cannot be written, cancel it (the runner drains it as
-	// a no-op) and report the store failure instead of accepting.
-	if err := m.putJobRecord(j, StateQueued, nil); err != nil {
+	// a no-op) and report the store failure instead of accepting. A
+	// runner that already dequeued the job may see the cancellation and
+	// finish it first; only the transition's winner closes Done.
+	if err := j.persist(StateQueued, nil); err != nil {
 		j.userCancel.Store(true)
 		cancel()
-		j.setState(StateCancelled, context.Canceled, nil)
+		if j.setState(StateCancelled, context.Canceled) {
+			close(j.done)
+		}
 		m.nextID--
 		return nil, err
 	}
 	m.jobs[id] = j
 	return j, nil
-}
-
-// putJobRecord persists a record for j with the given state, surfacing
-// the error (unlike the best-effort mid-flight persists).
-func (m *Manager) putJobRecord(j *Job, s State, jobErr error) error {
-	if m.st == nil {
-		return nil
-	}
-	rec := &store.JobRecord{
-		ID:        j.id,
-		Seq:       j.seq,
-		Hash:      j.hash,
-		State:     string(s),
-		Cached:    j.cached,
-		Submitted: j.submitted.UnixNano(),
-		Deadline:  j.deadlineNS.Load(),
-		Request:   j.rawReq,
-	}
-	if jobErr != nil {
-		rec.Error = jobErr.Error()
-	}
-	if err := m.st.PutJob(rec); err != nil {
-		return fmt.Errorf("job: persisting %s: %w", j.id, err)
-	}
-	return nil
 }
 
 // Get returns the job with the given id.

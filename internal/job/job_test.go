@@ -68,20 +68,28 @@ func TestJobLifecycle(t *testing.T) {
 	if st.Progress.Steps == 0 {
 		t.Error("no engine steps recorded")
 	}
-	ens, err := j.Result()
+	res, err := j.ResultData()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ens) != 1 {
-		t.Fatalf("%d ensembles, want 1", len(ens))
+	if len(res.Variants) != 1 {
+		t.Fatalf("%d variants, want 1", len(res.Variants))
 	}
-	if got := ens[0].Mean[0].Len(); got != grid.Len() {
+	if got := len(res.Variants[0].Mean[0]); got != grid.Len() {
 		t.Fatalf("mean has %d points, want %d", got, grid.Len())
 	}
 	// The job result is exactly what a direct RunEnsemble computes:
 	// same spec, same replica streams, same merge.
-	if _, err := j.Result(); err != nil {
+	ens, err := parsurf.RunEnsemble(t.Context(), j.Request().Specs[0], replicas, 1, until, every)
+	if err != nil {
 		t.Fatal(err)
+	}
+	for sp, m := range ens.Mean {
+		for k, x := range m.X {
+			if res.Variants[0].Mean[sp][k] != x || res.Variants[0].Std[sp][k] != ens.Std[sp].X[k] {
+				t.Fatalf("species %d point %d differs from a direct RunEnsemble", sp, k)
+			}
+		}
 	}
 }
 
@@ -102,16 +110,16 @@ func TestJobSweepVariants(t *testing.T) {
 	if st := waitTerminal(t, j, 30*time.Second); st.State != StateDone {
 		t.Fatalf("state %s (err %q)", st.State, st.Error)
 	}
-	ens, err := j.Result()
+	res, err := j.ResultData()
 	if err != nil {
 		t.Fatal(err)
 	}
-	if len(ens) != 2 {
-		t.Fatalf("%d ensembles, want 2", len(ens))
+	if len(res.Variants) != 2 {
+		t.Fatalf("%d variants, want 2", len(res.Variants))
 	}
 	same := true
-	for i, x := range ens[0].Mean[1].X {
-		if ens[1].Mean[1].X[i] != x {
+	for i, x := range res.Variants[0].Mean[1] {
+		if res.Variants[1].Mean[1][i] != x {
 			same = false
 			break
 		}
@@ -149,7 +157,7 @@ func TestJobCancelStopsReplicas(t *testing.T) {
 	if st := waitTerminal(t, long, 10*time.Second); st.State != StateCancelled {
 		t.Fatalf("state %s, want cancelled", st.State)
 	}
-	if _, err := long.Result(); err == nil {
+	if _, err := long.ResultData(); err == nil {
 		t.Fatal("cancelled job returned a result")
 	}
 	// The single runner is only freed when the replicas stop.
@@ -261,7 +269,7 @@ func TestCancelAfterTerminalNoop(t *testing.T) {
 	if st := j.Status(); st.State != StateDone || st.Error != "" {
 		t.Fatalf("cancel after done mutated the job: %+v", st)
 	}
-	if _, err := j.Result(); err != nil {
+	if _, err := j.ResultData(); err != nil {
 		t.Fatalf("result lost after post-terminal cancel: %v", err)
 	}
 }

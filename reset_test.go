@@ -156,10 +156,10 @@ func TestSessionResetAllocationFree(t *testing.T) {
 	}
 }
 
-// The default (streaming) ensemble path runs replicas through pooled,
-// Reset sessions; KeepReplicas builds every replica fresh. Both must
-// produce bit-identical Mean/Std — the pooled replicas reproduce
-// fresh-build trajectories exactly.
+// The ensemble runner pools sessions and rewinds them with Reset; a
+// width-1 RunReplicaRange builds its one replica fresh. Both must
+// produce bit-identical rows and Mean/Std — the pooled replicas
+// reproduce fresh-build trajectories exactly.
 func TestEnsemblePooledMatchesFresh(t *testing.T) {
 	ctx := context.Background()
 	for _, engine := range []string{"vssm", "frm", "ziff"} {
@@ -187,12 +187,12 @@ func TestEnsemblePooledMatchesFresh(t *testing.T) {
 			if err != nil {
 				t.Fatal(err)
 			}
-			fresh, err := parsurf.RunEnsemble(ctx, spec, replicas, workers, until, every, parsurf.KeepReplicas())
-			if err != nil {
-				t.Fatal(err)
+			fresh := freshRows(t, spec, replicas, until, every)
+			if !rowsEqual(replicaRows(t, spec, replicas, workers, until, every), fresh) {
+				t.Error("pooled replica rows differ from fresh builds")
 			}
-			if !seriesEqual(pooled.Mean, fresh.Mean) || !seriesEqual(pooled.Std, fresh.Std) {
-				t.Error("pooled ensemble Mean/Std differ from fresh-build ensemble")
+			if !matchesWelford(pooled, fresh) {
+				t.Error("pooled ensemble Mean/Std differ from the fresh-build moments")
 			}
 		})
 	}
