@@ -155,10 +155,10 @@ func (cfg serverConfig) managerOptions() []job.ManagerOption {
 	return opts
 }
 
-func serve(cfg serverConfig) error {
-	if cfg.runners < 1 {
-		cfg.runners = max(1, runtime.NumCPU()/2)
-	}
+// newServer composes the job manager, the optional fleet coordinator and
+// the HTTP server for cfg. The returned shutdown ends the manager and the
+// coordinator; call it once the server has stopped.
+func newServer(cfg serverConfig) (*http.Server, func(), error) {
 	var (
 		mgr   *job.Manager
 		coord *fleet.Coordinator
@@ -166,23 +166,23 @@ func serve(cfg serverConfig) error {
 	if cfg.dataDir != "" {
 		st, err := store.OpenFS(cfg.dataDir)
 		if err != nil {
-			return err
+			return nil, nil, err
 		}
 		opts := cfg.managerOptions()
 		if cfg.fleet {
 			coord, err = fleet.New(st, fleet.ShardSize(cfg.shardSize), fleet.LeaseTTL(cfg.leaseTTL))
 			if err != nil {
-				return err
+				return nil, nil, err
 			}
 			opts = append(opts, job.WithExecutor(coord))
 		}
 		mgr, err = job.NewManagerWithStore(cfg.runners, cfg.backlog, st, opts...)
 		if err != nil {
-			return fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
+			return nil, nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
 		}
 	} else {
 		if cfg.fleet {
-			return fmt.Errorf("-fleet needs -data: the shard table is inherently durable")
+			return nil, nil, fmt.Errorf("-fleet needs -data: the shard table is inherently durable")
 		}
 		mgr = job.NewManager(cfg.runners, cfg.backlog, cfg.managerOptions()...)
 	}
@@ -226,22 +226,12 @@ func serve(cfg serverConfig) error {
 		ReadTimeout:       2 * time.Minute,
 		IdleTimeout:       2 * time.Minute,
 	}
-
-	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
-	defer stop()
-	errc := make(chan error, 1)
-	go func() {
-		durable := "in-memory"
-		if cfg.dataDir != "" {
-			durable = "data " + cfg.dataDir
-		}
-		if coord != nil {
-			durable += ", fleet"
-		}
-		fmt.Fprintf(os.Stderr, "surfd: listening on %s (%d runners, %s)\n", cfg.addr, cfg.runners, durable)
-		errc <- srv.ListenAndServe()
-	}()
-
+	if coord != nil {
+		// A worker parked in a waiting lease is an active request: release
+		// the parked leases as the graceful drain begins, or they would hold
+		// it until -shutdown-timeout.
+		srv.RegisterOnShutdown(coord.Close)
+	}
 	shutdown := func() {
 		// Close cancels running jobs (replicas abort within one engine
 		// step) and, in durable mode, leaves their stored records
@@ -254,6 +244,32 @@ func serve(cfg serverConfig) error {
 			coord.Close()
 		}
 	}
+	return srv, shutdown, nil
+}
+
+func serve(cfg serverConfig) error {
+	if cfg.runners < 1 {
+		cfg.runners = max(1, runtime.NumCPU()/2)
+	}
+	srv, shutdown, err := newServer(cfg)
+	if err != nil {
+		return err
+	}
+	ctx, stop := signal.NotifyContext(context.Background(), os.Interrupt, syscall.SIGTERM)
+	defer stop()
+	errc := make(chan error, 1)
+	go func() {
+		durable := "in-memory"
+		if cfg.dataDir != "" {
+			durable = "data " + cfg.dataDir
+		}
+		if cfg.fleet {
+			durable += ", fleet"
+		}
+		fmt.Fprintf(os.Stderr, "surfd: listening on %s (%d runners, %s)\n", cfg.addr, cfg.runners, durable)
+		errc <- srv.ListenAndServe()
+	}()
+
 	select {
 	case err := <-errc:
 		shutdown()
@@ -267,7 +283,7 @@ func serve(cfg serverConfig) error {
 	}
 	shutdownCtx, cancel := context.WithTimeout(context.Background(), wait)
 	defer cancel()
-	err := srv.Shutdown(shutdownCtx)
+	err = srv.Shutdown(shutdownCtx)
 	if errors.Is(err, context.DeadlineExceeded) {
 		// The graceful drain ran out its budget — some peer (a stuck
 		// SSE consumer, a half-open connection) never finished. Drop

@@ -54,6 +54,12 @@ const (
 	// DefaultMaxAttempts is how many failed or expired leases a shard
 	// gets before it is quarantined and its job fails.
 	DefaultMaxAttempts = 3
+	// MaxLeaseWait bounds how long a waiting lease parks at the
+	// coordinator before it answers "nothing queued". It sits well
+	// under the worker client's 2-minute timeout and surfd's
+	// ReadTimeout, so a parked call always ends on the coordinator's
+	// terms.
+	MaxLeaseWait = 20 * time.Second
 )
 
 // Counters are the coordinator's monotonic event counts, served by
@@ -149,9 +155,14 @@ type Coordinator struct {
 	mu    sync.Mutex
 	jobs  map[string]*fleetJob
 	order []string // job handout order (FIFO)
+	// queued is closed (and replaced) whenever a shard becomes
+	// leasable; parked leases wait on the channel they read under mu
+	// in the same critical section that found nothing to lease.
+	queued chan struct{}
 
-	stop chan struct{}
-	done chan struct{}
+	stop     chan struct{}
+	stopOnce sync.Once
+	done     chan struct{}
 }
 
 // Option configures a Coordinator.
@@ -200,6 +211,7 @@ func New(st store.Store, opts ...Option) (*Coordinator, error) {
 		ttl:         DefaultLeaseTTL,
 		maxAttempts: DefaultMaxAttempts,
 		jobs:        make(map[string]*fleetJob),
+		queued:      make(chan struct{}),
 		stop:        make(chan struct{}),
 		done:        make(chan struct{}),
 	}
@@ -210,11 +222,12 @@ func New(st store.Store, opts ...Option) (*Coordinator, error) {
 	return c, nil
 }
 
-// Close stops the expiry sweeper. In-flight Execute calls are ended by
-// their own contexts (the manager cancels them on shutdown), not by
-// Close.
+// Close stops the expiry sweeper and releases every parked lease (later
+// leases answer at once). In-flight Execute calls are ended by their
+// own contexts (the manager cancels them on shutdown), not by Close.
+// Close is safe to call more than once.
 func (c *Coordinator) Close() {
-	close(c.stop)
+	c.stopOnce.Do(func() { close(c.stop) })
 	<-c.done
 }
 
@@ -291,6 +304,14 @@ func (c *Coordinator) endLeaseLocked(fj *fleetJob, sh *shard, reason string) {
 	sh.rec.Requeues++
 	c.requeues.Add(1)
 	_ = c.st.PutShard(&sh.rec)
+	c.signalQueuedLocked()
+}
+
+// signalQueuedLocked wakes every parked lease: a shard just became
+// leasable. Caller holds c.mu.
+func (c *Coordinator) signalQueuedLocked() {
+	close(c.queued)
+	c.queued = make(chan struct{})
 }
 
 // failJobLocked ends a job's Execute with err. Caller holds c.mu.
@@ -432,6 +453,8 @@ func (c *Coordinator) openJob(j *job.Job) (*fleetJob, error) {
 	if fj.remaining == 0 {
 		// Every shard replayed from storage: the job is already whole.
 		close(fj.finished)
+	} else if fj.err == nil {
+		c.signalQueuedLocked()
 	}
 	return fj, nil
 }
@@ -540,9 +563,47 @@ func (c *Coordinator) detach(id string) {
 // Lease hands the first queued shard (job FIFO, then variant-major
 // shard order) to the named worker, or reports ok=false when nothing
 // is queued. The leased record is durable before the grant leaves.
-func (c *Coordinator) Lease(worker string) (*Grant, bool) {
-	c.mu.Lock()
-	defer c.mu.Unlock()
+//
+// With wait > 0 an empty queue does not answer at once: the call parks
+// until a shard becomes leasable (a job opens, or a failed or expired
+// lease re-queues its shard) and returns that grant. It gives up with
+// ok=false when wait elapses, ctx ends, or the coordinator closes. A
+// queued shard whose lease the store refused to persist also answers
+// at once, so workers fall back to polling while the store recovers.
+func (c *Coordinator) Lease(ctx context.Context, worker string, wait time.Duration) (*Grant, bool) {
+	var bound <-chan time.Time
+	for {
+		c.mu.Lock()
+		grant, queued := c.leaseLocked(worker)
+		wake := c.queued
+		c.mu.Unlock()
+		if grant != nil {
+			return grant, true
+		}
+		if queued || wait <= 0 {
+			return nil, false
+		}
+		if bound == nil {
+			t := time.NewTimer(wait)
+			defer t.Stop()
+			bound = t.C
+		}
+		select {
+		case <-wake:
+		case <-bound:
+			return nil, false
+		case <-ctx.Done():
+			return nil, false
+		case <-c.stop:
+			return nil, false
+		}
+	}
+}
+
+// leaseLocked leases the first queued shard. A nil grant with
+// queued=true means a shard was queued but its lease could not be made
+// durable. Caller holds c.mu.
+func (c *Coordinator) leaseLocked(worker string) (grant *Grant, queued bool) {
 	for _, id := range c.order {
 		fj := c.jobs[id]
 		if fj == nil || fj.err != nil {
@@ -560,7 +621,7 @@ func (c *Coordinator) Lease(worker string) (*Grant, bool) {
 				// out work until the store recovers.
 				sh.rec.State = shardQueued
 				sh.rec.Worker = ""
-				return nil, false
+				return nil, true
 			}
 			sh.expires = time.Now().Add(c.ttl)
 			c.leases.Add(1)

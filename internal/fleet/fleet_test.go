@@ -97,7 +97,7 @@ func waitLease(t *testing.T, c *Coordinator, worker string, d time.Duration) *Gr
 	t.Helper()
 	deadline := time.Now().Add(d)
 	for time.Now().Before(deadline) {
-		if g, ok := c.Lease(worker); ok {
+		if g, ok := c.Lease(context.Background(), worker, 0); ok {
 			return g
 		}
 		time.Sleep(5 * time.Millisecond)

@@ -5,6 +5,7 @@ import (
 	"errors"
 	"fmt"
 	"net/http"
+	"time"
 )
 
 // maxResultBody bounds a shard result upload (a 1024-replica shard of
@@ -40,7 +41,9 @@ func decodeControl(w http.ResponseWriter, r *http.Request, v any) bool {
 // the job API:
 //
 //	POST /fleet/lease              lease one shard ({"worker": id};
-//	                               200 Grant, or 204 when idle)
+//	                               200 Grant, or 204 when idle; with
+//	                               "wait": true an idle queue parks the
+//	                               call up to MaxLeaseWait first)
 //	POST /fleet/shards/{id}/heartbeat  renew + report progress
 //	POST /fleet/shards/{id}/result     upload the shard's wire payload
 //	POST /fleet/shards/{id}/fail       report a shard failure
@@ -85,6 +88,10 @@ func jsonOK(w http.ResponseWriter, code int, v any) {
 // leaseRequest is the POST /fleet/lease body.
 type leaseRequest struct {
 	Worker string `json:"worker"`
+	// Wait parks the call on an empty queue until a shard becomes
+	// leasable or MaxLeaseWait passes. Without it the call answers at
+	// once.
+	Wait bool `json:"wait,omitempty"`
 }
 
 // heartbeatRequest is the POST /fleet/shards/{id}/heartbeat body.
@@ -115,7 +122,11 @@ func (h *Handler) handleLease(w http.ResponseWriter, r *http.Request) {
 		jsonError(w, http.StatusBadRequest, fmt.Errorf("lease request names no worker"))
 		return
 	}
-	grant, ok := h.c.Lease(req.Worker)
+	var wait time.Duration
+	if req.Wait {
+		wait = MaxLeaseWait
+	}
+	grant, ok := h.c.Lease(r.Context(), req.Worker, wait)
 	if !ok {
 		w.WriteHeader(http.StatusNoContent)
 		return

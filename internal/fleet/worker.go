@@ -39,8 +39,12 @@ type Worker struct {
 	Coordinator string
 	// Workers is the replica-goroutine count per shard (min 1).
 	Workers int
-	// Poll is the idle wait between lease attempts when the queue is
-	// empty or the coordinator unreachable (default 500ms).
+	// Poll is the base of the jittered retry backoff while the
+	// coordinator is unreachable (default 500ms). An idle worker does
+	// not poll: after a 204 it sends waiting leases, which park at the
+	// coordinator until a shard queues. Poll is also the floor between
+	// waiting leases that come back empty, so a coordinator that
+	// ignores "wait" is asked at most once per Poll.
 	Poll time.Duration
 	// Store, when set, holds mid-shard replica checkpoints keyed by
 	// (job hash, shard), written at most every CheckpointEvery.
@@ -85,9 +89,12 @@ func (w *Worker) retryPolicy(max time.Duration) backoff.Policy {
 
 // Run leases and executes shards until ctx is cancelled. Errors inside
 // a shard are reported to the coordinator and the loop continues; only
-// cancellation ends it. An unreachable coordinator degrades the loop
-// to jittered exponential-backoff polling (reset by the next
-// successful lease call), so workers ride out coordinator restarts.
+// cancellation ends it. Once told the queue is empty, the worker's next
+// lease waits at the coordinator for work instead of sleeping, so a
+// newly queued shard starts at once. An unreachable coordinator
+// degrades the loop to jittered exponential-backoff polling (reset by
+// the next successful lease call), so workers ride out coordinator
+// restarts.
 func (w *Worker) Run(ctx context.Context) error {
 	if w.ID == "" || w.Coordinator == "" {
 		return fmt.Errorf("fleet: worker needs an ID and a coordinator URL")
@@ -97,36 +104,52 @@ func (w *Worker) Run(ctx context.Context) error {
 	}
 	retry := w.retryPolicy(30 * time.Second)
 	fails := 0
+	// wait is set only after a 204: the first call (and the first after
+	// a shard or an error) answers at once.
+	wait := false
 	for {
 		if err := ctx.Err(); err != nil {
 			return nil
 		}
-		grant, ok, err := w.lease(ctx)
+		start := time.Now()
+		grant, ok, err := w.lease(ctx, wait)
 		switch {
 		case err != nil:
+			if ctx.Err() != nil {
+				return nil
+			}
 			w.logf("worker %s: lease: %v", w.ID, err)
+			wait = false
 			if !retry.Sleep(fails, ctx.Done()) {
 				return nil
 			}
 			fails++
 		case !ok:
-			// Reached but idle: steady polling, no backoff.
 			fails = 0
-			select {
-			case <-ctx.Done():
-				return nil
-			case <-time.After(w.poll()):
+			// A waiting lease normally comes back empty only at the
+			// coordinator's bound. Sooner than Poll means it did not park
+			// (an older coordinator ignores "wait"): sleep out the rest of
+			// Poll rather than spin.
+			if rest := w.poll() - time.Since(start); wait && rest > 0 {
+				select {
+				case <-ctx.Done():
+					return nil
+				case <-time.After(rest):
+				}
 			}
+			wait = true
 		default:
 			fails = 0
+			wait = false
 			w.runShard(ctx, grant)
 		}
 	}
 }
 
-// lease asks the coordinator for one shard.
-func (w *Worker) lease(ctx context.Context) (*Grant, bool, error) {
-	body, _ := json.Marshal(leaseRequest{Worker: w.ID})
+// lease asks the coordinator for one shard; with wait the coordinator
+// may hold the call until a shard queues.
+func (w *Worker) lease(ctx context.Context, wait bool) (*Grant, bool, error) {
+	body, _ := json.Marshal(leaseRequest{Worker: w.ID, Wait: wait})
 	req, err := http.NewRequestWithContext(ctx, http.MethodPost,
 		w.Coordinator+"/fleet/lease", bytes.NewReader(body))
 	if err != nil {
