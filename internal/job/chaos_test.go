@@ -180,7 +180,7 @@ func snapshotsExist(t *testing.T, st store.Store, hash string) bool {
 // exactly the no-checkpoint behavior: the job still runs to the correct
 // completion, and nothing is stored to resume from.
 func TestCheckpointWriteFailuresAreHarmless(t *testing.T) {
-	faulty := &store.Faulty{Inner: store.NewMem(), Hook: store.FailOps("put-checkpoint", 0)}
+	faulty := store.New(&store.Faulty{Backend: new(store.Mem), Hook: store.FailOps("put-checkpoint", 0)})
 	m, err := NewManagerWithStore(1, 0, faulty, CheckpointEvery(time.Millisecond))
 	if err != nil {
 		t.Fatal(err)

@@ -72,7 +72,7 @@ func TestSubmitPersistsBeforeAck(t *testing.T) {
 func TestSubmitPersistFailureRacesRunner(t *testing.T) {
 	resultWritten := make(chan struct{})
 	var once sync.Once
-	faulty := &store.Faulty{Inner: store.NewMem(), Hook: func(n int, op string) error {
+	faulty := store.New(&store.Faulty{Backend: new(store.Mem), Hook: func(n int, op string) error {
 		switch {
 		case op == "put-result":
 			once.Do(func() { close(resultWritten) })
@@ -86,7 +86,7 @@ func TestSubmitPersistFailureRacesRunner(t *testing.T) {
 			return store.ErrInjected
 		}
 		return nil
-	}}
+	}})
 	m, err := NewManagerWithStore(1, 0, faulty)
 	if err != nil {
 		t.Fatal(err)

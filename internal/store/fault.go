@@ -2,30 +2,45 @@ package store
 
 import (
 	"errors"
-	"sync"
+	"strings"
+	"sync/atomic"
 )
 
-// ErrInjected is the error a Faulty store's hooks return to simulate a
+// ErrInjected is the error a Faulty backend's hooks return to simulate a
 // failed write. Match with errors.Is.
 var ErrInjected = errors.New("store: injected fault")
 
-// Faulty wraps a Store and injects failures into its mutating
-// operations, for crash and torn-write tests. Before each mutation it
-// calls Hook with the 1-based running mutation count and an operation
-// tag ("put-job", "put-result", "put-checkpoint", "delete-checkpoints",
-// "put-shard", "put-shard-result", "delete-shards");
-// a non-nil return aborts the operation with that error before the
-// inner store sees it — modelling a crash between the caller's decision
-// to persist and the bytes reaching disk. Reads always pass through.
+// Faulty wraps a Backend and injects failures into its mutations, for
+// crash and torn-write tests; wrap it with New to get a Store. Before
+// each Put or Delete it calls Hook with the 1-based running mutation
+// count and an operation tag named after the key's record family. Each
+// mutating Store method produces these tags, in order:
 //
-// The zero Hook injects nothing, so a Faulty with only Inner set is a
+//	PutJob             put-job
+//	PutResult          put-result
+//	PutCheckpoint      put-checkpoint
+//	DeleteCheckpoints  delete-checkpoints
+//	PutShard           put-shard
+//	PutShardResult     put-shard-result
+//	DeleteShards       delete-shards, delete-shard-results
+//
+// A non-nil return aborts the operation with that error before the
+// inner backend sees it — modelling a crash between the caller's
+// decision to persist and the bytes reaching disk. Reads (Get, List)
+// pass straight through and do not count.
+//
+// The zero Hook injects nothing, so a Faulty with only Backend set is a
 // transparent proxy whose Mutations count still advances.
 type Faulty struct {
-	Inner Store
-	Hook  func(n int, op string) error
+	Backend
+	Hook func(n int, op string) error
 
-	mu sync.Mutex
-	n  int
+	n atomic.Int64
+}
+
+func family(key string) string {
+	top, _, _ := strings.Cut(key, "/")
+	return families[top]
 }
 
 // FailNth returns a hook that fails exactly the nth mutation (1-based)
@@ -51,101 +66,28 @@ func FailOps(op string, skip int) func(int, string) error {
 }
 
 // Mutations reports how many mutating operations have been attempted.
-func (f *Faulty) Mutations() int {
-	f.mu.Lock()
-	defer f.mu.Unlock()
-	return f.n
-}
+func (f *Faulty) Mutations() int { return int(f.n.Load()) }
 
 func (f *Faulty) check(op string) error {
-	f.mu.Lock()
-	f.n++
-	n := f.n
-	hook := f.Hook
-	f.mu.Unlock()
-	if hook == nil {
+	n := int(f.n.Add(1))
+	if f.Hook == nil {
 		return nil
 	}
-	return hook(n, op)
+	return f.Hook(n, op)
 }
 
-// PutJob implements Store.
-func (f *Faulty) PutJob(rec *JobRecord) error {
-	if err := f.check("put-job"); err != nil {
+// Put implements Backend.
+func (f *Faulty) Put(key string, data []byte) error {
+	if err := f.check("put-" + family(key)); err != nil {
 		return err
 	}
-	return f.Inner.PutJob(rec)
+	return f.Backend.Put(key, data)
 }
 
-// GetJob implements Store.
-func (f *Faulty) GetJob(id string) (*JobRecord, error) { return f.Inner.GetJob(id) }
-
-// Jobs implements Store.
-func (f *Faulty) Jobs() ([]*JobRecord, error) { return f.Inner.Jobs() }
-
-// PutResult implements Store.
-func (f *Faulty) PutResult(hash string, res *Result) error {
-	if err := f.check("put-result"); err != nil {
+// Delete implements Backend.
+func (f *Faulty) Delete(dir string) error {
+	if err := f.check("delete-" + family(dir) + "s"); err != nil {
 		return err
 	}
-	return f.Inner.PutResult(hash, res)
-}
-
-// GetResult implements Store.
-func (f *Faulty) GetResult(hash string) (*Result, error) { return f.Inner.GetResult(hash) }
-
-// PutCheckpoint implements Store.
-func (f *Faulty) PutCheckpoint(hash, slot string, data []byte) error {
-	if err := f.check("put-checkpoint"); err != nil {
-		return err
-	}
-	return f.Inner.PutCheckpoint(hash, slot, data)
-}
-
-// GetCheckpoint implements Store.
-func (f *Faulty) GetCheckpoint(hash, slot string) ([]byte, error) {
-	return f.Inner.GetCheckpoint(hash, slot)
-}
-
-// Checkpoints implements Store.
-func (f *Faulty) Checkpoints(hash string) ([]string, error) { return f.Inner.Checkpoints(hash) }
-
-// DeleteCheckpoints implements Store.
-func (f *Faulty) DeleteCheckpoints(hash string) error {
-	if err := f.check("delete-checkpoints"); err != nil {
-		return err
-	}
-	return f.Inner.DeleteCheckpoints(hash)
-}
-
-// PutShard implements Store.
-func (f *Faulty) PutShard(rec *ShardRecord) error {
-	if err := f.check("put-shard"); err != nil {
-		return err
-	}
-	return f.Inner.PutShard(rec)
-}
-
-// Shards implements Store.
-func (f *Faulty) Shards(jobID string) ([]*ShardRecord, error) { return f.Inner.Shards(jobID) }
-
-// PutShardResult implements Store.
-func (f *Faulty) PutShardResult(jobID, shardID string, data []byte) error {
-	if err := f.check("put-shard-result"); err != nil {
-		return err
-	}
-	return f.Inner.PutShardResult(jobID, shardID, data)
-}
-
-// GetShardResult implements Store.
-func (f *Faulty) GetShardResult(jobID, shardID string) ([]byte, error) {
-	return f.Inner.GetShardResult(jobID, shardID)
-}
-
-// DeleteShards implements Store.
-func (f *Faulty) DeleteShards(jobID string) error {
-	if err := f.check("delete-shards"); err != nil {
-		return err
-	}
-	return f.Inner.DeleteShards(jobID)
+	return f.Backend.Delete(dir)
 }

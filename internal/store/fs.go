@@ -1,178 +1,48 @@
 package store
 
 import (
-	"encoding/json"
 	"fmt"
 	"os"
 	"path/filepath"
 	"strings"
 )
 
-// FS is the durable filesystem store. Layout under the data directory:
+// FS is the durable filesystem Backend rooted at the directory it
+// names: a key is a path relative to that directory.
 //
-//	<dir>/jobs/<id>.json              one record per job
-//	<dir>/results/<hash>.json         one blob per content hash
-//	<dir>/checkpoints/<hash>/<slot>   one checkpoint blob per replica slot
-//	<dir>/shards/<job>/<id>.json      one record per fleet shard
-//	<dir>/shardresults/<job>/<id>     one wire blob per delivered shard
-//
-// Every write goes through a temp file in the target directory: write,
-// fsync, rename over the final name, fsync the directory — so a record
-// is either the old version or the new one, never a torn mix, and a
+// Every Put goes through a temp file in the target directory: write,
+// fsync, rename over the final name, fsync the directory — so a blob is
+// either the old version or the new one, never a torn mix, and a
 // rename that was acknowledged survives a crash.
-type FS struct {
-	jobsDir         string
-	resultsDir      string
-	checkpointsDir  string
-	shardsDir       string
-	shardResultsDir string
-}
+type FS string
 
-// OpenFS opens (creating if needed) a filesystem store rooted at dir.
-func OpenFS(dir string) (*FS, error) {
-	f := &FS{
-		jobsDir:         filepath.Join(dir, "jobs"),
-		resultsDir:      filepath.Join(dir, "results"),
-		checkpointsDir:  filepath.Join(dir, "checkpoints"),
-		shardsDir:       filepath.Join(dir, "shards"),
-		shardResultsDir: filepath.Join(dir, "shardresults"),
-	}
-	for _, d := range []string{dir, f.jobsDir, f.resultsDir, f.checkpointsDir, f.shardsDir, f.shardResultsDir} {
-		if err := os.MkdirAll(d, 0o755); err != nil {
+// OpenFS opens (creating if needed) a filesystem store rooted at dir,
+// with a directory per record family.
+func OpenFS(dir string) (Store, error) {
+	for sub := range families {
+		if err := os.MkdirAll(filepath.Join(dir, sub), 0o755); err != nil {
 			return nil, fmt.Errorf("store: %w", err)
 		}
 	}
-	return f, nil
+	return New(FS(dir)), nil
 }
 
-// PutJob implements Store.
-func (f *FS) PutJob(rec *JobRecord) error {
-	if err := validKey("job", rec.ID); err != nil {
-		return err
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encoding job %s: %w", rec.ID, err)
-	}
-	return writeAtomic(filepath.Join(f.jobsDir, rec.ID+".json"), data)
-}
+func (f FS) path(key string) string { return filepath.Join(string(f), filepath.FromSlash(key)) }
 
-// GetJob implements Store.
-func (f *FS) GetJob(id string) (*JobRecord, error) {
-	if err := validKey("job", id); err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(filepath.Join(f.jobsDir, id+".json"))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: job %q: %w", id, ErrNotFound)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	rec := new(JobRecord)
-	if err := json.Unmarshal(data, rec); err != nil {
-		return nil, fmt.Errorf("store: decoding job %s: %w", id, err)
-	}
-	return rec, nil
-}
-
-// Jobs implements Store. A record that no longer reads or decodes —
-// e.g. a file torn by a crash that bypassed the atomic-rename path — is
-// skipped rather than failing the whole listing, so one bad file cannot
-// take down boot recovery; GetJob on the bad id still reports the
-// decode error for anyone who asks for it directly.
-func (f *FS) Jobs() ([]*JobRecord, error) {
-	entries, err := os.ReadDir(f.jobsDir)
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var out []*JobRecord
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		rec, err := f.GetJob(strings.TrimSuffix(name, ".json"))
-		if err != nil {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// PutResult implements Store.
-func (f *FS) PutResult(hash string, res *Result) error {
-	if err := validKey("result", hash); err != nil {
-		return err
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("store: encoding result %s: %w", hash, err)
-	}
-	return writeAtomic(filepath.Join(f.resultsDir, hash+".json"), data)
-}
-
-// GetResult implements Store.
-func (f *FS) GetResult(hash string) (*Result, error) {
-	if err := validKey("result", hash); err != nil {
-		return nil, err
-	}
-	data, err := os.ReadFile(filepath.Join(f.resultsDir, hash+".json"))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: result %s: %w", hash, ErrNotFound)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	res := new(Result)
-	if err := json.Unmarshal(data, res); err != nil {
-		return nil, fmt.Errorf("store: decoding result %s: %w", hash, err)
-	}
-	return res, nil
-}
-
-// checkpointDir returns the per-hash checkpoint directory, validating
-// both keys (the slot is a file name inside the hash directory).
-func (f *FS) checkpointDir(hash, slot string) (string, error) {
-	if err := validKey("checkpoint hash", hash); err != nil {
-		return "", err
-	}
-	if slot != "" {
-		if err := validKey("checkpoint slot", slot); err != nil {
-			return "", err
-		}
-	}
-	return filepath.Join(f.checkpointsDir, hash), nil
-}
-
-// PutCheckpoint implements Store.
-func (f *FS) PutCheckpoint(hash, slot string, data []byte) error {
-	dir, err := f.checkpointDir(hash, slot)
-	if err != nil {
-		return err
-	}
-	if slot == "" {
-		return fmt.Errorf("store: empty checkpoint slot key")
-	}
-	if err := os.MkdirAll(dir, 0o755); err != nil {
+// Put implements Backend.
+func (f FS) Put(key string, data []byte) error {
+	path := f.path(key)
+	if err := os.MkdirAll(filepath.Dir(path), 0o755); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	return writeAtomic(filepath.Join(dir, slot), data)
+	return writeAtomic(path, data)
 }
 
-// GetCheckpoint implements Store.
-func (f *FS) GetCheckpoint(hash, slot string) ([]byte, error) {
-	dir, err := f.checkpointDir(hash, slot)
-	if err != nil {
-		return nil, err
-	}
-	if slot == "" {
-		return nil, fmt.Errorf("store: empty checkpoint slot key")
-	}
-	data, err := os.ReadFile(filepath.Join(dir, slot))
+// Get implements Backend.
+func (f FS) Get(key string) ([]byte, error) {
+	data, err := os.ReadFile(f.path(key))
 	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: checkpoint %s/%s: %w", hash, slot, ErrNotFound)
+		return nil, fmt.Errorf("store: %s: %w", key, ErrNotFound)
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
@@ -180,147 +50,28 @@ func (f *FS) GetCheckpoint(hash, slot string) ([]byte, error) {
 	return data, nil
 }
 
-// Checkpoints implements Store.
-func (f *FS) Checkpoints(hash string) ([]string, error) {
-	dir, err := f.checkpointDir(hash, "")
-	if err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(dir)
+// List implements Backend. Subdirectories and dot-files — the temp
+// files a crash mid-write leaves behind — are not listed.
+func (f FS) List(dir string) ([]string, error) {
+	entries, err := os.ReadDir(f.path(dir))
 	if os.IsNotExist(err) {
 		return nil, nil
 	}
 	if err != nil {
 		return nil, fmt.Errorf("store: %w", err)
 	}
-	var out []string
+	var names []string
 	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || strings.HasPrefix(name, ".") {
-			continue
+		if !e.IsDir() && !strings.HasPrefix(e.Name(), ".") {
+			names = append(names, e.Name())
 		}
-		out = append(out, name)
 	}
-	return out, nil
+	return names, nil
 }
 
-// DeleteCheckpoints implements Store.
-func (f *FS) DeleteCheckpoints(hash string) error {
-	dir, err := f.checkpointDir(hash, "")
-	if err != nil {
-		return err
-	}
-	if err := os.RemoveAll(dir); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return nil
-}
-
-// shardKeys validates the job (and, when non-empty, shard) keys used as
-// path components under the shard directories.
-func shardKeys(jobID, shardID string) error {
-	if err := validKey("shard job", jobID); err != nil {
-		return err
-	}
-	if shardID != "" {
-		return validKey("shard", shardID)
-	}
-	return nil
-}
-
-// PutShard implements Store.
-func (f *FS) PutShard(rec *ShardRecord) error {
-	if err := shardKeys(rec.JobID, rec.ID); err != nil {
-		return err
-	}
-	if rec.ID == "" {
-		return fmt.Errorf("store: empty shard key")
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encoding shard %s/%s: %w", rec.JobID, rec.ID, err)
-	}
-	dir := filepath.Join(f.shardsDir, rec.JobID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return writeAtomic(filepath.Join(dir, rec.ID+".json"), data)
-}
-
-// Shards implements Store. Like Jobs it skips records that no longer
-// decode, so one torn file cannot take down a coordinator's recovery.
-func (f *FS) Shards(jobID string) ([]*ShardRecord, error) {
-	if err := shardKeys(jobID, ""); err != nil {
-		return nil, err
-	}
-	entries, err := os.ReadDir(filepath.Join(f.shardsDir, jobID))
-	if os.IsNotExist(err) {
-		return nil, nil
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	var out []*ShardRecord
-	for _, e := range entries {
-		name := e.Name()
-		if e.IsDir() || !strings.HasSuffix(name, ".json") || strings.HasPrefix(name, ".") {
-			continue
-		}
-		data, err := os.ReadFile(filepath.Join(f.shardsDir, jobID, name))
-		if err != nil {
-			continue
-		}
-		rec := new(ShardRecord)
-		if err := json.Unmarshal(data, rec); err != nil {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// PutShardResult implements Store.
-func (f *FS) PutShardResult(jobID, shardID string, data []byte) error {
-	if err := shardKeys(jobID, shardID); err != nil {
-		return err
-	}
-	if shardID == "" {
-		return fmt.Errorf("store: empty shard key")
-	}
-	dir := filepath.Join(f.shardResultsDir, jobID)
-	if err := os.MkdirAll(dir, 0o755); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	return writeAtomic(filepath.Join(dir, shardID), data)
-}
-
-// GetShardResult implements Store.
-func (f *FS) GetShardResult(jobID, shardID string) ([]byte, error) {
-	if err := shardKeys(jobID, shardID); err != nil {
-		return nil, err
-	}
-	if shardID == "" {
-		return nil, fmt.Errorf("store: empty shard key")
-	}
-	data, err := os.ReadFile(filepath.Join(f.shardResultsDir, jobID, shardID))
-	if os.IsNotExist(err) {
-		return nil, fmt.Errorf("store: shard result %s/%s: %w", jobID, shardID, ErrNotFound)
-	}
-	if err != nil {
-		return nil, fmt.Errorf("store: %w", err)
-	}
-	return data, nil
-}
-
-// DeleteShards implements Store.
-func (f *FS) DeleteShards(jobID string) error {
-	if err := shardKeys(jobID, ""); err != nil {
-		return err
-	}
-	if err := os.RemoveAll(filepath.Join(f.shardsDir, jobID)); err != nil {
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.RemoveAll(filepath.Join(f.shardResultsDir, jobID)); err != nil {
+// Delete implements Backend.
+func (f FS) Delete(dir string) error {
+	if err := os.RemoveAll(f.path(dir)); err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
 	return nil
@@ -336,24 +87,18 @@ func writeAtomic(path string, data []byte) error {
 	if err != nil {
 		return fmt.Errorf("store: %w", err)
 	}
-	tmpName := tmp.Name()
-	cleanup := func(err error) error {
-		tmp.Close()
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
+	_, err = tmp.Write(data)
+	if err == nil {
+		err = tmp.Sync()
 	}
-	if _, err := tmp.Write(data); err != nil {
-		return cleanup(err)
+	if cerr := tmp.Close(); err == nil {
+		err = cerr
 	}
-	if err := tmp.Sync(); err != nil {
-		return cleanup(err)
+	if err == nil {
+		err = os.Rename(tmp.Name(), path)
 	}
-	if err := tmp.Close(); err != nil {
-		os.Remove(tmpName)
-		return fmt.Errorf("store: %w", err)
-	}
-	if err := os.Rename(tmpName, path); err != nil {
-		os.Remove(tmpName)
+	if err != nil {
+		os.Remove(tmp.Name())
 		return fmt.Errorf("store: %w", err)
 	}
 	if d, err := os.Open(dir); err == nil {

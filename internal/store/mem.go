@@ -1,299 +1,71 @@
 package store
 
 import (
-	"encoding/json"
+	"bytes"
 	"fmt"
+	"path"
 	"sort"
+	"strings"
 	"sync"
 )
 
-// Mem is the in-memory store for tests. It round-trips every value
-// through its JSON encoding — exactly what the filesystem store does —
-// so a test that passes against Mem exercises the same serialization
-// semantics (value isolation, byte-stable re-reads) as the durable
-// path, minus the disk.
+// Mem is the in-memory Backend. Blobs are grouped by directory, so List
+// and Delete touch one directory's entries rather than every key in the
+// store; Put and Get copy, so callers never share bytes with it. The
+// zero Mem is empty and ready to use.
 type Mem struct {
-	mu           sync.Mutex
-	jobs         map[string][]byte
-	results      map[string][]byte
-	checkpoints  map[string]map[string][]byte
-	shards       map[string]map[string][]byte
-	shardResults map[string]map[string][]byte
+	mu   sync.Mutex
+	dirs map[string]map[string][]byte
 }
 
 // NewMem returns an empty in-memory store.
-func NewMem() *Mem {
-	return &Mem{
-		jobs:         make(map[string][]byte),
-		results:      make(map[string][]byte),
-		checkpoints:  make(map[string]map[string][]byte),
-		shards:       make(map[string]map[string][]byte),
-		shardResults: make(map[string]map[string][]byte),
-	}
-}
+func NewMem() Store { return New(new(Mem)) }
 
-// PutJob implements Store.
-func (m *Mem) PutJob(rec *JobRecord) error {
-	if err := validKey("job", rec.ID); err != nil {
-		return err
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encoding job %s: %w", rec.ID, err)
-	}
-	m.mu.Lock()
-	m.jobs[rec.ID] = data
-	m.mu.Unlock()
-	return nil
-}
-
-// GetJob implements Store.
-func (m *Mem) GetJob(id string) (*JobRecord, error) {
-	if err := validKey("job", id); err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	data, ok := m.jobs[id]
-	m.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("store: job %q: %w", id, ErrNotFound)
-	}
-	rec := new(JobRecord)
-	if err := json.Unmarshal(data, rec); err != nil {
-		return nil, fmt.Errorf("store: decoding job %s: %w", id, err)
-	}
-	return rec, nil
-}
-
-// Jobs implements Store. Like the filesystem store it skips records
-// that no longer decode, so the listing contract (one bad record never
-// fails the whole listing) is identical across implementations. The
-// listing is sorted by ID for the same reason: the filesystem store
-// inherits ReadDir's lexical order, and callers must see the same
-// order from either backend.
-func (m *Mem) Jobs() ([]*JobRecord, error) {
-	m.mu.Lock()
-	ids := make([]string, 0, len(m.jobs))
-	for id := range m.jobs {
-		ids = append(ids, id)
-	}
-	m.mu.Unlock()
-	sort.Strings(ids)
-	out := make([]*JobRecord, 0, len(ids))
-	for _, id := range ids {
-		rec, err := m.GetJob(id)
-		if err != nil {
-			continue
-		}
-		out = append(out, rec)
-	}
-	return out, nil
-}
-
-// PutResult implements Store.
-func (m *Mem) PutResult(hash string, res *Result) error {
-	if err := validKey("result", hash); err != nil {
-		return err
-	}
-	data, err := json.Marshal(res)
-	if err != nil {
-		return fmt.Errorf("store: encoding result %s: %w", hash, err)
-	}
-	m.mu.Lock()
-	m.results[hash] = data
-	m.mu.Unlock()
-	return nil
-}
-
-// GetResult implements Store.
-func (m *Mem) GetResult(hash string) (*Result, error) {
-	if err := validKey("result", hash); err != nil {
-		return nil, err
-	}
-	m.mu.Lock()
-	data, ok := m.results[hash]
-	m.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("store: result %s: %w", hash, ErrNotFound)
-	}
-	res := new(Result)
-	if err := json.Unmarshal(data, res); err != nil {
-		return nil, fmt.Errorf("store: decoding result %s: %w", hash, err)
-	}
-	return res, nil
-}
-
-// checkpointKeys validates the hash (and, when non-empty, slot) keys.
-func checkpointKeys(hash, slot string) error {
-	if err := validKey("checkpoint hash", hash); err != nil {
-		return err
-	}
-	if slot != "" {
-		return validKey("checkpoint slot", slot)
-	}
-	return nil
-}
-
-// PutCheckpoint implements Store.
-func (m *Mem) PutCheckpoint(hash, slot string, data []byte) error {
-	if err := checkpointKeys(hash, slot); err != nil {
-		return err
-	}
-	if slot == "" {
-		return fmt.Errorf("store: empty checkpoint slot key")
-	}
-	cp := append([]byte(nil), data...)
-	m.mu.Lock()
-	slots := m.checkpoints[hash]
-	if slots == nil {
-		slots = make(map[string][]byte)
-		m.checkpoints[hash] = slots
-	}
-	slots[slot] = cp
-	m.mu.Unlock()
-	return nil
-}
-
-// GetCheckpoint implements Store.
-func (m *Mem) GetCheckpoint(hash, slot string) ([]byte, error) {
-	if err := checkpointKeys(hash, slot); err != nil {
-		return nil, err
-	}
-	if slot == "" {
-		return nil, fmt.Errorf("store: empty checkpoint slot key")
-	}
-	m.mu.Lock()
-	data, ok := m.checkpoints[hash][slot]
-	m.mu.Unlock()
-	if !ok {
-		return nil, fmt.Errorf("store: checkpoint %s/%s: %w", hash, slot, ErrNotFound)
-	}
-	return append([]byte(nil), data...), nil
-}
-
-// Checkpoints implements Store. Slots are sorted to match the lexical
-// order the filesystem store's ReadDir produces.
-func (m *Mem) Checkpoints(hash string) ([]string, error) {
-	if err := checkpointKeys(hash, ""); err != nil {
-		return nil, err
-	}
+// Put implements Backend.
+func (m *Mem) Put(key string, data []byte) error {
+	dir, name := path.Dir(key), path.Base(key)
 	m.mu.Lock()
 	defer m.mu.Unlock()
-	var out []string
-	for slot := range m.checkpoints[hash] {
-		out = append(out, slot)
+	if m.dirs == nil {
+		m.dirs = make(map[string]map[string][]byte)
 	}
-	sort.Strings(out)
-	return out, nil
-}
-
-// PutShard implements Store.
-func (m *Mem) PutShard(rec *ShardRecord) error {
-	if err := shardKeys(rec.JobID, rec.ID); err != nil {
-		return err
+	if m.dirs[dir] == nil {
+		m.dirs[dir] = make(map[string][]byte)
 	}
-	if rec.ID == "" {
-		return fmt.Errorf("store: empty shard key")
-	}
-	data, err := json.Marshal(rec)
-	if err != nil {
-		return fmt.Errorf("store: encoding shard %s/%s: %w", rec.JobID, rec.ID, err)
-	}
-	m.mu.Lock()
-	recs := m.shards[rec.JobID]
-	if recs == nil {
-		recs = make(map[string][]byte)
-		m.shards[rec.JobID] = recs
-	}
-	recs[rec.ID] = data
-	m.mu.Unlock()
+	m.dirs[dir][name] = bytes.Clone(data)
 	return nil
 }
 
-// Shards implements Store. Records are listed in lexical id order —
-// matching the filesystem store's ReadDir order — and undecodable ones
-// are skipped, exactly like Jobs.
-func (m *Mem) Shards(jobID string) ([]*ShardRecord, error) {
-	if err := shardKeys(jobID, ""); err != nil {
-		return nil, err
-	}
+// Get implements Backend.
+func (m *Mem) Get(key string) ([]byte, error) {
 	m.mu.Lock()
-	ids := make([]string, 0, len(m.shards[jobID]))
-	for id := range m.shards[jobID] {
-		ids = append(ids, id)
-	}
-	sort.Strings(ids)
-	out := make([]*ShardRecord, 0, len(ids))
-	for _, id := range ids {
-		rec := new(ShardRecord)
-		if err := json.Unmarshal(m.shards[jobID][id], rec); err != nil {
-			continue
-		}
-		out = append(out, rec)
-	}
-	m.mu.Unlock()
-	if len(out) == 0 {
-		return nil, nil
-	}
-	return out, nil
-}
-
-// PutShardResult implements Store.
-func (m *Mem) PutShardResult(jobID, shardID string, data []byte) error {
-	if err := shardKeys(jobID, shardID); err != nil {
-		return err
-	}
-	if shardID == "" {
-		return fmt.Errorf("store: empty shard key")
-	}
-	cp := append([]byte(nil), data...)
-	m.mu.Lock()
-	blobs := m.shardResults[jobID]
-	if blobs == nil {
-		blobs = make(map[string][]byte)
-		m.shardResults[jobID] = blobs
-	}
-	blobs[shardID] = cp
-	m.mu.Unlock()
-	return nil
-}
-
-// GetShardResult implements Store.
-func (m *Mem) GetShardResult(jobID, shardID string) ([]byte, error) {
-	if err := shardKeys(jobID, shardID); err != nil {
-		return nil, err
-	}
-	if shardID == "" {
-		return nil, fmt.Errorf("store: empty shard key")
-	}
-	m.mu.Lock()
-	data, ok := m.shardResults[jobID][shardID]
+	data, ok := m.dirs[path.Dir(key)][path.Base(key)]
 	m.mu.Unlock()
 	if !ok {
-		return nil, fmt.Errorf("store: shard result %s/%s: %w", jobID, shardID, ErrNotFound)
+		return nil, fmt.Errorf("store: %s: %w", key, ErrNotFound)
 	}
-	return append([]byte(nil), data...), nil
+	return bytes.Clone(data), nil
 }
 
-// DeleteShards implements Store.
-func (m *Mem) DeleteShards(jobID string) error {
-	if err := shardKeys(jobID, ""); err != nil {
-		return err
-	}
+// List implements Backend. Names are sorted to match the lexical order
+// of FS's directory listing, not Go's randomized map order.
+func (m *Mem) List(dir string) ([]string, error) {
 	m.mu.Lock()
-	delete(m.shards, jobID)
-	delete(m.shardResults, jobID)
+	var names []string
+	for name := range m.dirs[dir] {
+		if !strings.HasPrefix(name, ".") {
+			names = append(names, name)
+		}
+	}
 	m.mu.Unlock()
-	return nil
+	sort.Strings(names)
+	return names, nil
 }
 
-// DeleteCheckpoints implements Store.
-func (m *Mem) DeleteCheckpoints(hash string) error {
-	if err := checkpointKeys(hash, ""); err != nil {
-		return err
-	}
+// Delete implements Backend.
+func (m *Mem) Delete(dir string) error {
 	m.mu.Lock()
-	delete(m.checkpoints, hash)
+	delete(m.dirs, dir)
 	m.mu.Unlock()
 	return nil
 }

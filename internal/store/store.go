@@ -1,7 +1,5 @@
 // Package store persists surfd jobs and results: a content-addressed
-// job/result store behind a small interface, with a durable filesystem
-// implementation (atomic rename writes, fsync'd JSON records) and an
-// in-memory one for tests.
+// job/result store behind a small interface.
 //
 // Job records are keyed by job id and carry the serialized request, so
 // a restart can rebuild the manager's job table and re-queue work that
@@ -10,16 +8,22 @@
 // JSON marshal makes identical workloads hash identically — so the same
 // key space doubles as a result cache: a resubmission whose hash matches
 // a stored result is served without re-simulating.
+//
+// The package has one Store implementation, built by New over a Backend.
+// A Backend only stores bytes under slash-separated keys: Put, Get,
+// sorted List of one directory, and Delete of one directory. Everything
+// record-shaped lives above it, once for every family: key validation,
+// the key layout, JSON encoding and decoding, and listings that skip
+// records which no longer decode. FS keeps the bytes on disk, Mem in
+// memory, and Faulty wraps either to inject write failures.
 package store
 
 import (
 	"encoding/json"
 	"errors"
-	"fmt"
 )
 
-// ErrNotFound reports a missing job record or result blob. Match with
-// errors.Is.
+// ErrNotFound reports a missing record or blob. Match with errors.Is.
 var ErrNotFound = errors.New("store: not found")
 
 // JobRecord is the persisted form of one submitted job: identity,
@@ -110,15 +114,18 @@ type Result struct {
 	Variants []Variant `json:"variants"`
 }
 
-// Store persists job records and result blobs. Implementations must be
-// safe for concurrent use. Get methods return ErrNotFound (wrapped) for
-// missing keys; Put methods overwrite.
+// Store persists job records and result blobs; New builds it over a
+// Backend. It is safe for concurrent use. Get methods return ErrNotFound
+// (wrapped) for missing keys; Put methods overwrite.
 type Store interface {
 	// PutJob writes (or overwrites) a job record.
 	PutJob(rec *JobRecord) error
 	// GetJob reads the record with the given id.
 	GetJob(id string) (*JobRecord, error)
-	// Jobs lists every stored record, in no particular order.
+	// Jobs lists every stored record in lexical id order. A record that
+	// no longer decodes — torn by a crash that bypassed the atomic
+	// write — is skipped, so one bad record cannot take down boot
+	// recovery; GetJob on its id still reports the decode error.
 	Jobs() ([]*JobRecord, error)
 	// PutResult writes (or overwrites) the result blob under the hash.
 	PutResult(hash string, res *Result) error
@@ -130,8 +137,8 @@ type Store interface {
 	// GetCheckpoint reads one checkpoint blob.
 	GetCheckpoint(hash, slot string) ([]byte, error)
 	// Checkpoints lists the slot keys with a stored checkpoint for the
-	// hash, in no particular order. A hash with no checkpoints lists
-	// empty without error.
+	// hash, in lexical order. A hash with no checkpoints lists empty
+	// without error.
 	Checkpoints(hash string) ([]string, error)
 	// DeleteCheckpoints removes every checkpoint stored for the hash.
 	// Deleting a hash with no checkpoints is a no-op.
@@ -139,10 +146,9 @@ type Store interface {
 	// PutShard writes (or overwrites) a fleet shard record, keyed
 	// (JobID, ID).
 	PutShard(rec *ShardRecord) error
-	// Shards lists the stored shard records of a job, skipping records
-	// that no longer decode; a job with no shards lists empty without
-	// error. Listings come back in lexical shard-id order from every
-	// implementation.
+	// Shards lists the stored shard records of a job in lexical id
+	// order, skipping records that no longer decode, like Jobs; a job
+	// with no shards lists empty without error.
 	Shards(jobID string) ([]*ShardRecord, error)
 	// PutShardResult writes (or overwrites) the opaque wire-format
 	// result blob of one shard.
@@ -154,23 +160,19 @@ type Store interface {
 	DeleteShards(jobID string) error
 }
 
-// validKey guards record/blob keys used as file names: a key must be
-// non-empty, not start with a dot, and contain only [A-Za-z0-9._-], so
-// no key can escape the store directory or collide with temp files.
-func validKey(kind, key string) error {
-	if key == "" {
-		return fmt.Errorf("store: empty %s key", kind)
-	}
-	if key[0] == '.' {
-		return fmt.Errorf("store: %s key %q starts with a dot", kind, key)
-	}
-	for _, c := range key {
-		switch {
-		case c >= 'a' && c <= 'z', c >= 'A' && c <= 'Z', c >= '0' && c <= '9',
-			c == '.', c == '_', c == '-':
-		default:
-			return fmt.Errorf("store: %s key %q contains %q", kind, key, c)
-		}
-	}
-	return nil
+// Backend stores opaque blobs under slash-separated keys such as
+// "jobs/job-7.json"; a key's directory is everything before its last
+// slash. Implementations must be safe for concurrent use.
+type Backend interface {
+	// Put writes (or overwrites) the blob under key.
+	Put(key string, data []byte) error
+	// Get reads the blob under key, or returns a wrapped ErrNotFound.
+	Get(key string) ([]byte, error)
+	// List returns the sorted names of the blobs directly under dir,
+	// skipping dot-files. A missing dir lists empty without error.
+	List(dir string) ([]string, error)
+	// Delete removes every blob directly under dir; the Store never
+	// nests keys deeper below a directory it deletes. Deleting a missing
+	// dir is a no-op.
+	Delete(dir string) error
 }

@@ -3,10 +3,17 @@ package store
 import (
 	"encoding/json"
 	"errors"
+	"fmt"
+	"go/ast"
+	"go/parser"
+	"go/token"
 	"os"
 	"path/filepath"
 	"reflect"
 	"sort"
+	"strconv"
+	"strings"
+	"sync"
 	"testing"
 )
 
@@ -221,8 +228,8 @@ func TestFSReopenSurvives(t *testing.T) {
 
 // openBothCorruptible is openBoth plus backdoors that corrupt a stored
 // job record or result blob in place — overwriting the filesystem file,
-// or the in-memory encoded bytes, with torn JSON — for the recovery
-// tests that must hold on both implementations.
+// or putting torn JSON straight into the Mem backend under the record's
+// key — for the recovery tests that must hold on both backends.
 func openBothCorruptible(t *testing.T, f func(t *testing.T, s Store, corruptJob, corruptResult func(key string))) {
 	t.Helper()
 	torn := []byte(`{"id":"job-1","state":"que`)
@@ -242,10 +249,15 @@ func openBothCorruptible(t *testing.T, f func(t *testing.T, s Store, corruptJob,
 			func(hash string) { overwrite("results", hash) })
 	})
 	t.Run("mem", func(t *testing.T) {
-		s := NewMem()
-		f(t, s,
-			func(id string) { s.mu.Lock(); s.jobs[id] = torn; s.mu.Unlock() },
-			func(hash string) { s.mu.Lock(); s.results[hash] = torn; s.mu.Unlock() })
+		b := new(Mem)
+		put := func(key string) {
+			if err := b.Put(key, torn); err != nil {
+				t.Fatal(err)
+			}
+		}
+		f(t, New(b),
+			func(id string) { put("jobs/" + id + ".json") },
+			func(hash string) { put("results/" + hash + ".json") })
 	})
 }
 
@@ -298,7 +310,8 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		if err := s.PutCheckpoint("h1", "1", []byte{4}); err != nil {
 			t.Fatal(err)
 		}
-		if err := s.PutCheckpoint("h2", "0", []byte{9}); err != nil {
+		// A sibling hash sharing h1's prefix must survive h1's delete.
+		if err := s.PutCheckpoint("h10", "0", []byte{9}); err != nil {
 			t.Fatal(err)
 		}
 		got, err := s.GetCheckpoint("h1", "0")
@@ -331,8 +344,11 @@ func TestCheckpointRoundTrip(t *testing.T) {
 		}
 		// Other hashes untouched; unknown hashes list empty and delete as
 		// a no-op.
-		if _, err := s.GetCheckpoint("h2", "0"); err != nil {
-			t.Fatal(err)
+		if got, err := s.GetCheckpoint("h10", "0"); err != nil || !reflect.DeepEqual(got, []byte{9}) {
+			t.Fatalf("sibling checkpoint after delete: %v, %v", got, err)
+		}
+		if slots, err = s.Checkpoints("h10"); err != nil || !reflect.DeepEqual(slots, []string{"0"}) {
+			t.Fatalf("Checkpoints(h10) after delete: %v, %v", slots, err)
 		}
 		if slots, err = s.Checkpoints("nope"); err != nil || len(slots) != 0 {
 			t.Fatalf("unknown hash: %v, %v", slots, err)
@@ -361,7 +377,8 @@ func TestShardRoundTrip(t *testing.T) {
 			{ID: "v0-8-16", JobID: "job-1", Variant: 0, Lo: 8, Hi: 16, State: "queued"},
 			{ID: "v0-0-8", JobID: "job-1", Variant: 0, Lo: 0, Hi: 8, State: "queued"},
 			{ID: "v1-0-8", JobID: "job-1", Variant: 1, Lo: 0, Hi: 8, State: "leased", Attempts: 1},
-			{ID: "v0-0-8", JobID: "job-2", Variant: 0, Lo: 0, Hi: 8, State: "queued"},
+			// A sibling job sharing job-1's prefix must survive job-1's delete.
+			{ID: "v0-0-8", JobID: "job-10", Variant: 0, Lo: 0, Hi: 8, State: "queued"},
 		}
 		for _, rec := range recs {
 			if err := s.PutShard(rec); err != nil {
@@ -396,6 +413,9 @@ func TestShardRoundTrip(t *testing.T) {
 		if err := s.PutShardResult("job-1", "v0-0-8", []byte{1, 2, 3}); err != nil {
 			t.Fatal(err)
 		}
+		if err := s.PutShardResult("job-10", "v0-0-8", []byte{4}); err != nil {
+			t.Fatal(err)
+		}
 		blob, err := s.GetShardResult("job-1", "v0-0-8")
 		if err != nil || !reflect.DeepEqual(blob, []byte{1, 2, 3}) {
 			t.Fatalf("GetShardResult: %v, %v", blob, err)
@@ -414,8 +434,11 @@ func TestShardRoundTrip(t *testing.T) {
 		if _, err := s.GetShardResult("job-1", "v0-0-8"); !errors.Is(err, ErrNotFound) {
 			t.Fatalf("deleted shard result: %v, want ErrNotFound", err)
 		}
-		if got, err = s.Shards("job-2"); err != nil || len(got) != 1 {
+		if got, err = s.Shards("job-10"); err != nil || len(got) != 1 {
 			t.Fatalf("other job's shards touched: %v, %v", got, err)
+		}
+		if blob, err := s.GetShardResult("job-10", "v0-0-8"); err != nil || !reflect.DeepEqual(blob, []byte{4}) {
+			t.Fatalf("other job's shard result touched: %v, %v", blob, err)
 		}
 		// Unknown jobs list empty and delete as a no-op.
 		if got, err = s.Shards("job-404"); err != nil || len(got) != 0 {
@@ -440,7 +463,8 @@ func TestShardRoundTrip(t *testing.T) {
 // The fault wrapper fails exactly the mutation its hook names, leaves
 // reads alone, and counts attempts.
 func TestFaultyInjectsOnNthMutation(t *testing.T) {
-	f := &Faulty{Inner: NewMem(), Hook: FailNth(2)}
+	fb := &Faulty{Backend: new(Mem), Hook: FailNth(2)}
+	f := New(fb)
 	if err := f.PutJob(&JobRecord{ID: "job-1", State: "queued"}); err != nil {
 		t.Fatal(err)
 	}
@@ -457,17 +481,159 @@ func TestFaultyInjectsOnNthMutation(t *testing.T) {
 	if err := f.PutCheckpoint("h1", "0", []byte{1}); err != nil {
 		t.Fatal(err)
 	}
-	if f.Mutations() != 3 {
-		t.Fatalf("Mutations() = %d, want 3", f.Mutations())
+	if fb.Mutations() != 3 {
+		t.Fatalf("Mutations() = %d, want 3", fb.Mutations())
 	}
 
-	byOp := &Faulty{Inner: NewMem(), Hook: FailOps("put-checkpoint", 0)}
+	byOp := New(&Faulty{Backend: new(Mem), Hook: FailOps("put-checkpoint", 0)})
 	if err := byOp.PutJob(&JobRecord{ID: "job-1", State: "queued"}); err != nil {
 		t.Fatal(err)
 	}
 	if err := byOp.PutCheckpoint("h1", "0", []byte{1}); !errors.Is(err, ErrInjected) {
 		t.Fatalf("op-targeted injection: %v, want ErrInjected", err)
 	}
+}
+
+// Every mutating Store method reaches the hook with exactly the tags the
+// table in Faulty's doc comment lists, in order, and no read reaches the
+// hook or advances Mutations.
+func TestFaultyTagsMatchDocTable(t *testing.T) {
+	want := faultyDocTable(t)
+	var got []string
+	fb := &Faulty{Backend: new(Mem), Hook: func(_ int, op string) error {
+		got = append(got, op)
+		return nil
+	}}
+	s := New(fb)
+	calls := []struct {
+		method string
+		call   func() error
+	}{
+		{"PutJob", func() error { return s.PutJob(&JobRecord{ID: "job-1", State: "queued"}) }},
+		{"PutResult", func() error { return s.PutResult("h1", &Result{}) }},
+		{"PutCheckpoint", func() error { return s.PutCheckpoint("h1", "0", []byte{1}) }},
+		{"DeleteCheckpoints", func() error { return s.DeleteCheckpoints("h1") }},
+		{"PutShard", func() error { return s.PutShard(&ShardRecord{ID: "v0-0-8", JobID: "job-1"}) }},
+		{"PutShardResult", func() error { return s.PutShardResult("job-1", "v0-0-8", []byte{2}) }},
+		{"DeleteShards", func() error { return s.DeleteShards("job-1") }},
+	}
+	if len(calls) != len(want) {
+		t.Fatalf("doc table lists %d methods %v, test calls %d", len(want), want, len(calls))
+	}
+	total := 0
+	for _, c := range calls {
+		got = nil
+		if err := c.call(); err != nil {
+			t.Fatalf("%s: %v", c.method, err)
+		}
+		if !reflect.DeepEqual(got, want[c.method]) {
+			t.Errorf("%s: hook saw %v, doc table says %v", c.method, got, want[c.method])
+		}
+		total += len(got)
+	}
+	if fb.Mutations() != total {
+		t.Fatalf("Mutations() = %d after %d tagged mutations", fb.Mutations(), total)
+	}
+
+	if err := s.PutJob(&JobRecord{ID: "job-2", State: "queued"}); err != nil {
+		t.Fatal(err)
+	}
+	if err := s.PutCheckpoint("h2", "0", []byte{3}); err != nil {
+		t.Fatal(err)
+	}
+	before := fb.Mutations()
+	got = nil
+	s.GetJob("job-2")
+	s.Jobs()
+	s.GetResult("h1")
+	s.GetCheckpoint("h2", "0")
+	s.Checkpoints("h2")
+	s.Shards("job-1")
+	s.GetShardResult("job-1", "v0-0-8")
+	if fb.Mutations() != before || len(got) != 0 {
+		t.Fatalf("reads advanced Mutations %d -> %d, hook saw %v", before, fb.Mutations(), got)
+	}
+}
+
+// faultyDocTable parses the method-to-tags table out of Faulty's doc
+// comment, so the test pins the documentation, not a copy of it.
+func faultyDocTable(t *testing.T) map[string][]string {
+	t.Helper()
+	f, err := parser.ParseFile(token.NewFileSet(), "fault.go", nil, parser.ParseComments)
+	if err != nil {
+		t.Fatal(err)
+	}
+	table := make(map[string][]string)
+	for _, decl := range f.Decls {
+		gd, ok := decl.(*ast.GenDecl)
+		if !ok || gd.Tok != token.TYPE || gd.Specs[0].(*ast.TypeSpec).Name.Name != "Faulty" {
+			continue
+		}
+		for _, line := range strings.Split(gd.Doc.Text(), "\n") {
+			if !strings.HasPrefix(line, "\t") {
+				continue
+			}
+			fields := strings.Fields(strings.ReplaceAll(line, ",", " "))
+			table[fields[0]] = fields[1:]
+		}
+	}
+	if len(table) == 0 {
+		t.Fatal("no tag table found in Faulty's doc comment")
+	}
+	return table
+}
+
+// Goroutines writing, reading, listing and deleting through one store at
+// once see their own writes and lose none of the others'; run with -race.
+func TestConcurrentUse(t *testing.T) {
+	const goroutines, n = 4, 20
+	hammer := func(t *testing.T, s Store) {
+		var wg sync.WaitGroup
+		for g := range goroutines {
+			wg.Add(1)
+			go func() {
+				defer wg.Done()
+				hash := fmt.Sprintf("h%d", g)
+				for i := range n {
+					slot := strconv.Itoa(i)
+					if err := s.PutCheckpoint(hash, slot, []byte{byte(i)}); err != nil {
+						t.Error(err)
+						return
+					}
+					if got, err := s.GetCheckpoint(hash, slot); err != nil || !reflect.DeepEqual(got, []byte{byte(i)}) {
+						t.Errorf("GetCheckpoint(%s, %s) = %v, %v", hash, slot, got, err)
+						return
+					}
+					if err := s.PutJob(&JobRecord{ID: fmt.Sprintf("job-%d-%d", g, i), State: "queued"}); err != nil {
+						t.Error(err)
+						return
+					}
+					if _, err := s.Jobs(); err != nil {
+						t.Error(err)
+						return
+					}
+				}
+				if slots, err := s.Checkpoints(hash); err != nil || len(slots) != n {
+					t.Errorf("Checkpoints(%s) = %d slots, %v; want %d", hash, len(slots), err, n)
+				}
+				if err := s.DeleteCheckpoints(hash); err != nil {
+					t.Error(err)
+				}
+			}()
+		}
+		wg.Wait()
+		if jobs, err := s.Jobs(); err != nil || len(jobs) != goroutines*n {
+			t.Fatalf("Jobs() = %d records, %v; want %d", len(jobs), err, goroutines*n)
+		}
+	}
+	openBoth(t, hammer)
+	t.Run("faulty", func(t *testing.T) {
+		fb := &Faulty{Backend: new(Mem)}
+		hammer(t, New(fb))
+		if want := goroutines * (2*n + 1); fb.Mutations() != want {
+			t.Fatalf("Mutations() = %d, want %d", fb.Mutations(), want)
+		}
+	})
 }
 
 // Leftover temp files from a crash mid-write are invisible to listings.
