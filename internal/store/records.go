@@ -17,8 +17,8 @@ import (
 //	shardresults/<job>/<id>     one wire blob per delivered shard
 type records struct{ b Backend }
 
-// families maps each record family's top-level key directory to the
-// name Faulty's operation tags use for it.
+// families maps each record family's top-level key directory (OpenFS
+// creates them) to the name Faulty's operation tags use for it.
 var families = map[string]string{
 	"jobs":         "job",
 	"results":      "result",
