@@ -5,16 +5,17 @@
 // speak JSON can drive the paper's whole comparison matrix without
 // writing Go.
 //
-// With -data, surfd is durable: jobs persist before acknowledgment in
-// a content-addressed store under the data directory, completed
-// results survive restarts, interrupted jobs are re-queued on boot,
-// and a resubmission of an already-computed workload is answered from
-// the result cache without re-simulating. Running replicas snapshot
-// themselves every -checkpoint-interval, so a killed server resumes
-// interrupted jobs from the latest checkpoints instead of from zero —
-// with a result byte-identical to an uninterrupted run. Jobs whose
-// run keeps crashing the process are quarantined after a few attempts
-// rather than crash-looping the service.
+// Jobs persist before acknowledgment in a content-addressed store, and
+// a resubmission of an already-computed workload is answered from the
+// result cache without re-simulating. Without -data the store lives in
+// memory and is lost at exit. With -data it lives under the data
+// directory: completed results survive restarts, interrupted jobs are
+// re-queued on boot, and running replicas snapshot themselves every
+// -checkpoint-interval, so a killed server resumes interrupted jobs from
+// the latest checkpoints instead of from zero — with a result
+// byte-identical to an uninterrupted run. Jobs whose run keeps crashing
+// the process are quarantined after a few attempts rather than
+// crash-looping the service.
 //
 //	surfd -addr :8080 -runners 2 -data /var/lib/surfd -checkpoint-interval 5s
 //
@@ -31,7 +32,7 @@
 //	curl -s localhost:8080/jobs/job-1/result?format=csv
 //	curl -s -X POST localhost:8080/jobs/job-1/cancel
 //
-// With -fleet (durable mode only), surfd also coordinates a worker
+// With -fleet (which needs -data), surfd also coordinates a worker
 // fleet: every job's (variant × replica) space is split into
 // replica-range shards handed to workers under expiring leases via the
 // /fleet/ API, and the returned per-replica rows merge through the same
@@ -71,7 +72,7 @@ func main() {
 		addr      = flag.String("addr", ":8080", "listen address")
 		runners   = flag.Int("runners", 2, "concurrent jobs (each fans replicas over its own workers); in -worker mode, replica goroutines per shard")
 		backlog   = flag.Int("backlog", job.DefaultBacklog, "queued-job capacity")
-		dataDir   = flag.String("data", "", "durable data directory (empty: in-memory only; set it and jobs, results and the result cache survive restarts)")
+		dataDir   = flag.String("data", "", "data directory for job records, results and the result cache, which then survive restarts (empty: kept in memory and lost at exit)")
 		ckptEvery = flag.Duration("checkpoint-interval", 5*time.Second, "how often running replicas snapshot into the data directory for crash-exact resume (0 disables)")
 		version   = flag.String("version", buildVersion, "version stamp echoed by GET /version")
 		withPprof = flag.Bool("pprof", false, "serve Go runtime profiles under /debug/pprof/ (opt-in: profiles expose internals, keep off on untrusted networks)")
@@ -133,8 +134,8 @@ type serverConfig struct {
 	chaosPanicSeed uint64
 }
 
-// managerOptions translates the overload/containment flags into
-// manager options (shared by the durable and in-memory paths).
+// managerOptions translates the checkpoint and overload/containment
+// flags into manager options.
 func (cfg serverConfig) managerOptions() []job.ManagerOption {
 	opts := []job.ManagerOption{job.CheckpointEvery(cfg.ckptEvery)}
 	if cfg.maxJobDuration > 0 {
@@ -159,32 +160,29 @@ func (cfg serverConfig) managerOptions() []job.ManagerOption {
 // the HTTP server for cfg. The returned shutdown ends the manager and the
 // coordinator; call it once the server has stopped.
 func newServer(cfg serverConfig) (*http.Server, func(), error) {
+	if cfg.fleet && cfg.dataDir == "" {
+		return nil, nil, fmt.Errorf("-fleet needs -data: the shard table is inherently durable")
+	}
 	var (
-		mgr   *job.Manager
+		st    = store.NewMem()
 		coord *fleet.Coordinator
+		err   error
 	)
 	if cfg.dataDir != "" {
-		st, err := store.OpenFS(cfg.dataDir)
-		if err != nil {
+		if st, err = store.OpenFS(cfg.dataDir); err != nil {
 			return nil, nil, err
 		}
-		opts := cfg.managerOptions()
-		if cfg.fleet {
-			coord, err = fleet.New(st, fleet.ShardSize(cfg.shardSize), fleet.LeaseTTL(cfg.leaseTTL))
-			if err != nil {
-				return nil, nil, err
-			}
-			opts = append(opts, job.WithExecutor(coord))
+	}
+	opts := cfg.managerOptions()
+	if cfg.fleet {
+		if coord, err = fleet.New(st, fleet.ShardSize(cfg.shardSize), fleet.LeaseTTL(cfg.leaseTTL)); err != nil {
+			return nil, nil, err
 		}
-		mgr, err = job.NewManagerWithStore(cfg.runners, cfg.backlog, st, opts...)
-		if err != nil {
-			return nil, nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
-		}
-	} else {
-		if cfg.fleet {
-			return nil, nil, fmt.Errorf("-fleet needs -data: the shard table is inherently durable")
-		}
-		mgr = job.NewManager(cfg.runners, cfg.backlog, cfg.managerOptions()...)
+		opts = append(opts, job.WithExecutor(coord))
+	}
+	mgr, err := job.NewManagerWithStore(cfg.runners, cfg.backlog, st, opts...)
+	if err != nil {
+		return nil, nil, fmt.Errorf("recovering %s: %w", cfg.dataDir, err)
 	}
 	api := job.NewServer(mgr)
 	api.SetVersion(cfg.version)
@@ -234,9 +232,9 @@ func newServer(cfg serverConfig) (*http.Server, func(), error) {
 	}
 	shutdown := func() {
 		// Close cancels running jobs (replicas abort within one engine
-		// step) and, in durable mode, leaves their stored records
-		// resumable: every state transition was fsync'd when it happened,
-		// so the next boot re-queues exactly the interrupted jobs — and,
+		// step) and leaves their stored records resumable: with -data
+		// every state transition was fsync'd when it happened, so the
+		// next boot re-queues exactly the interrupted jobs — and,
 		// in fleet mode, the persisted shard table lets the re-queued jobs
 		// replay already-delivered shards instead of re-running them.
 		mgr.Close()

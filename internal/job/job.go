@@ -18,16 +18,18 @@
 // per-replica allocation cost is near zero no matter how many replicas
 // it fans out.
 //
-// A manager opened with NewManagerWithStore is additionally durable:
-// every lifecycle transition persists a job record before it is
-// acknowledged, completed results persist as content-addressed blobs,
-// and a restart recovers the whole table — completed jobs serve their
-// results from the store, jobs that were queued or running when the
-// process died are re-queued automatically. Because the result key is
-// the SHA-256 of the canonical (spec, run-shape) bytes, the store
-// doubles as a result cache: a resubmission whose hash matches a
-// stored completed result is answered `done` immediately without
-// re-simulating (opt out per submission with Request.NoCache).
+// Every manager runs on a store: store.NewMem for a server that forgets
+// its jobs at exit, store.OpenFS for a durable one. Every lifecycle
+// transition persists a job record before it is acknowledged, completed
+// results persist as content-addressed blobs and are always served from
+// the store, and a restart on the same store recovers the whole table —
+// jobs that were queued or running when the process died are re-queued
+// automatically. A finished job keeps only its status in memory; its
+// specs and result live in the store. Because the result key is the
+// SHA-256 of the canonical (spec, run-shape) bytes, the store doubles as
+// a result cache: a resubmission whose hash matches a stored completed
+// result is answered `done` immediately without re-simulating (opt out
+// per submission with Request.NoCache).
 package job
 
 import (
@@ -148,9 +150,8 @@ type Status struct {
 	ID    string `json:"id"`
 	State State  `json:"state"`
 	Error string `json:"error,omitempty"`
-	// Hash is the content address of the job's (spec, run-shape) bytes;
-	// set only on durable managers. Two jobs with equal hashes compute
-	// equal results.
+	// Hash is the content address of the job's (spec, run-shape) bytes.
+	// Two jobs with equal hashes compute equal results.
 	Hash string `json:"hash,omitempty"`
 	// Cached marks a job answered from the result cache without
 	// running (its progress counters stay zero).
@@ -234,16 +235,21 @@ func (localSweep) JobShards(string) []ShardStatus { return nil }
 func (localSweep) DropJob(string) {}
 
 // Job is one submitted workload. All methods are safe for concurrent
-// use.
+// use. A terminal job holds no more than one rebuilt from its record:
+// its result lives in the store, and its specs are dropped once its
+// runner is done with them.
 type Job struct {
 	id        string
 	seq       int
-	req       Request
 	mgr       *Manager
-	hash      string          // content address; "" on store-less managers
-	rawReq    json.RawMessage // stored request bytes; nil on store-less managers
+	hash      string // content address of the (spec, run-shape) bytes
 	cached    bool
 	submitted time.Time
+
+	// req and rawReq (the stored request bytes) are guarded by mu; both
+	// are dropped once the job is terminal, apart from req's run shape.
+	req    Request
+	rawReq json.RawMessage
 
 	// attempts is the crash-interruption count carried over from the
 	// stored record; set before the job is visible, read-only after.
@@ -268,7 +274,10 @@ type Job struct {
 	ctx    context.Context
 	cancel context.CancelFunc
 
-	gridLen int
+	// gridLen and replicas (per variant) fix the job's shape when it is
+	// built; they outlive the dropped specs.
+	gridLen  int
+	replicas int
 
 	// userCancel distinguishes a cancellation requested through Cancel
 	// from one induced by manager shutdown: the former persists as
@@ -282,10 +291,12 @@ type Job struct {
 	slotTime  []atomic.Uint64 // Float64bits; zero = not yet observed
 	merged    atomic.Int64
 
+	// writeMu serializes the job's record writes (see persist).
+	writeMu sync.Mutex
+
 	mu    sync.Mutex
 	state State
 	err   error
-	res   *store.Result // lazily loaded for recovered jobs
 
 	done chan struct{}
 }
@@ -294,10 +305,16 @@ type Job struct {
 func (j *Job) ID() string { return j.id }
 
 // Request returns the job's request (shared specs; treat as
-// read-only).
-func (j *Job) Request() Request { return j.req }
+// read-only). Its specs are valid only while the job is queued or
+// running: a terminal job keeps just the run shape.
+func (j *Job) Request() Request {
+	j.mu.Lock()
+	defer j.mu.Unlock()
+	return j.req
+}
 
-// Hash returns the job's content address ("" on store-less managers).
+// Hash returns the job's content address: the result-cache key of its
+// (spec, run-shape) bytes.
 func (j *Job) Hash() string { return j.hash }
 
 // Cached reports whether the job was answered from the result cache.
@@ -315,7 +332,7 @@ func (j *Job) Done() <-chan struct{} { return j.done }
 func (j *Job) Cancel() {
 	j.userCancel.Store(true)
 	j.cancel()
-	j.finish(StateCancelled, context.Canceled)
+	j.finish(StateCancelled, context.Canceled, nil)
 }
 
 // Status returns a snapshot of the job.
@@ -335,32 +352,26 @@ func (j *Job) Status() Status {
 
 // ResultData returns the result of a done job — the form the store
 // persists and the HTTP server serves — and errors until then (poll
-// Status or wait on Done first). Jobs that ran in this process return
-// it from memory; recovered jobs load it from the store on first call.
+// Status or wait on Done first). Every call reads it from the store.
 func (j *Job) ResultData() (*store.Result, error) {
 	j.mu.Lock()
-	defer j.mu.Unlock()
-	switch j.state {
+	state, err := j.state, j.err
+	j.mu.Unlock()
+	switch state {
 	case StateDone:
 	case StateFailed:
-		return nil, j.err
+		return nil, err
 	case StateCancelled:
 		return nil, fmt.Errorf("job: %s was cancelled", j.id)
 	default:
-		return nil, fmt.Errorf("job: %s is %s; no result yet", j.id, j.state)
+		return nil, fmt.Errorf("job: %s is %s; no result yet", j.id, state)
 	}
-	if j.res != nil {
-		return j.res, nil
+	<-j.done // the result blob lands before Done closes
+	res, err := j.mgr.st.GetResult(j.hash)
+	if err != nil {
+		return nil, fmt.Errorf("job: %s: loading stored result: %w", j.id, err)
 	}
-	if st := j.mgr.st; st != nil && j.hash != "" {
-		res, err := st.GetResult(j.hash)
-		if err != nil {
-			return nil, fmt.Errorf("job: %s: loading stored result: %w", j.id, err)
-		}
-		j.res = res
-		return res, nil
-	}
-	return nil, fmt.Errorf("job: %s has no stored result", j.id)
+	return res, nil
 }
 
 // progress assembles the counter snapshot.
@@ -399,10 +410,11 @@ func (j *Job) ReplicaTimes() []float64 {
 // slot is replica (variant, replica)'s index in the job's per-replica
 // progress and snapshot slots, or -1 for a replica outside the job.
 func (j *Job) slot(variant, replica int) int {
-	if variant < 0 || variant >= len(j.req.Specs) || replica < 0 || replica >= j.req.Replicas {
+	s := variant*j.replicas + replica
+	if variant < 0 || replica < 0 || replica >= j.replicas || s >= len(j.slotSteps) {
 		return -1
 	}
-	return variant*j.req.Replicas + replica
+	return s
 }
 
 // observe is the per-replica grid-point hook: it publishes the
@@ -453,9 +465,8 @@ func (j *Job) setState(s State, err error) bool {
 	j.err = err
 	if s.Terminal() {
 		j.cancel()
-		// Give the admission budget back exactly once. Atomic on
-		// purpose: Submit calls setState while holding the manager
-		// lock, so touching m.mu here would deadlock.
+		// Give the admission budget back exactly once; the budget is
+		// atomic, so this needs no manager lock.
 		j.releaseCost()
 	}
 	return true
@@ -469,34 +480,38 @@ func (j *Job) releaseCost() {
 	}
 }
 
-// persist writes the job's record with the given state. Mid-flight
-// callers ignore the error: a transition that cannot be recorded
-// leaves the previous record in place, which recovery treats as
-// resumable — re-running a job is safe (results are deterministic),
-// losing one is not. Submit surfaces it instead.
-func (j *Job) persist(s State, jobErr error) error {
-	st := j.mgr.st
-	if st == nil {
-		return nil
-	}
+// persist writes the job's record with its current state and error; a
+// shutdown cancellation is written as queued, so the next boot resumes
+// the job. Writes are serialized per job and each reads the state under
+// that lock, so the last state set is the last state written: a late
+// "running" write cannot overwrite a "cancelled" one. Mid-flight
+// callers ignore the error: a transition that cannot be recorded leaves
+// the previous record in place, which recovery treats as resumable —
+// re-running a job is safe (results are deterministic), losing one is
+// not.
+func (j *Job) persist() error {
+	j.writeMu.Lock()
+	defer j.writeMu.Unlock()
+	j.mu.Lock()
 	rec := &store.JobRecord{
 		ID:        j.id,
 		Seq:       j.seq,
 		Hash:      j.hash,
-		State:     string(s),
+		State:     string(j.state),
 		Cached:    j.cached,
 		Attempts:  j.attempts,
 		Submitted: j.submitted.UnixNano(),
 		Deadline:  j.deadlineNS.Load(),
 		Request:   j.rawReq,
 	}
-	if jobErr != nil {
-		rec.Error = jobErr.Error()
+	if j.err != nil {
+		rec.Error = j.err.Error()
 	}
-	if err := st.PutJob(rec); err != nil {
-		return fmt.Errorf("job: persisting %s: %w", j.id, err)
+	j.mu.Unlock()
+	if State(rec.State) == StateCancelled && !j.userCancel.Load() {
+		rec.State, rec.Error = string(StateQueued), ""
 	}
-	return nil
+	return j.mgr.putJob(rec)
 }
 
 // dropCheckpoints discards the job's stored replica checkpoints — a
@@ -505,9 +520,7 @@ func (j *Job) persist(s State, jobErr error) error {
 // them and either resumes correctly or starts over). The executor drops
 // its per-job state (the fleet shard table) too.
 func (j *Job) dropCheckpoints() {
-	if st := j.mgr.st; st != nil && j.hash != "" {
-		_ = st.DeleteCheckpoints(j.hash)
-	}
+	_ = j.mgr.st.DeleteCheckpoints(j.hash)
 	j.mgr.exec.DropJob(j.id)
 }
 
@@ -536,7 +549,7 @@ func (j *Job) run() {
 		// stored record always carries the absolute budget a recovery
 		// must honor.
 		j.armDeadline()
-		j.persist(StateRunning, nil)
+		j.persist()
 	}
 	// The deadline lives on the run context, not the job context:
 	// RunSweep's first-error machinery then reports DeadlineExceeded as
@@ -555,10 +568,19 @@ func (j *Job) run() {
 		j.finishErr(err)
 		return
 	}
+	j.finish(StateDone, nil, res)
+}
+
+// release drops what the record and the result blob already hold — the
+// specs and the stored request bytes — so a finished job costs the
+// manager only its status. The runner calls it once run has returned,
+// when nothing reads the specs any more; it waits for Done, so whoever
+// won the terminal transition has written its record first.
+func (j *Job) release() {
+	<-j.done
 	j.mu.Lock()
-	j.res = res
+	j.req.Specs, j.rawReq = nil, nil
 	j.mu.Unlock()
-	j.finish(StateDone, nil)
 }
 
 // armDeadline fixes the job's absolute run deadline when it first
@@ -596,17 +618,17 @@ func (j *Job) finishErr(err error) {
 		// The run context is the only deadline-carrying context in the
 		// chain (the manager context is cancel-only), so this is the
 		// job's own budget expiring.
-		j.finish(StateDeadlineExceeded, fmt.Errorf("job: exceeded its run deadline: %w", err))
+		j.finish(StateDeadlineExceeded, fmt.Errorf("job: exceeded its run deadline: %w", err), nil)
 	case errors.Is(err, context.Canceled):
-		j.finish(StateCancelled, err)
+		j.finish(StateCancelled, err, nil)
 	default:
-		j.finish(StateFailed, err)
+		j.finish(StateFailed, err, nil)
 	}
 }
 
-// finish makes the job terminal in state s, unless it already is. The
-// durable side lands before Done closes, so whoever waits on Done finds
-// it in place:
+// finish makes the job terminal in state s, unless it already is; a
+// done job hands over its result res. The durable side lands before
+// Done closes, so whoever waits on Done finds it in place:
 //   - a done job writes its result blob, then its record — blob before
 //     record, because a record marked done must find its blob. If the
 //     blob write fails the record stays at running, so a restart
@@ -616,21 +638,19 @@ func (j *Job) finishErr(err error) {
 //     last snapshots;
 //   - every other terminal state persists as itself, and the job's
 //     checkpoints drop.
-func (j *Job) finish(s State, err error) {
+func (j *Job) finish(s State, err error, res *store.Result) {
 	if !j.setState(s, err) {
 		return
 	}
 	defer close(j.done)
 	if s == StateCancelled && !j.userCancel.Load() {
-		j.persist(StateQueued, nil)
+		j.persist()
 		return
 	}
-	if st := j.mgr.st; s == StateDone && st != nil {
-		if st.PutResult(j.hash, j.res) != nil {
-			return
-		}
+	if s == StateDone && j.mgr.st.PutResult(j.hash, res) != nil {
+		return
 	}
-	j.persist(s, err)
+	j.persist()
 	j.dropCheckpoints()
 }
 
@@ -671,13 +691,13 @@ type storedRequest struct {
 // encodeRequest renders a normalized request in its stored form and
 // computes its content hash. Requests carrying specs that exist only
 // as Go pointers (raw partitions/type splits) cannot be persisted and
-// are rejected — durable mode needs named builders.
+// are rejected — a stored request needs named builders.
 func encodeRequest(req Request) (json.RawMessage, string, error) {
 	specs := make([]json.RawMessage, len(req.Specs))
 	for i, sp := range req.Specs {
 		b, err := json.Marshal(sp)
 		if err != nil {
-			return nil, "", fmt.Errorf("job: spec %d is not serializable (durable mode needs named builders): %w", i, err)
+			return nil, "", fmt.Errorf("job: spec %d is not serializable (a stored request needs named builders): %w", i, err)
 		}
 		specs[i] = b
 	}
@@ -739,7 +759,8 @@ func contentHash(specs []json.RawMessage, replicas int, until, every float64) st
 
 // Manager owns the bounded runner pool and the job table.
 type Manager struct {
-	st store.Store // nil: in-memory only
+	// st holds every job record and result blob.
+	st store.Store
 
 	// exec runs every job: localSweep unless WithExecutor replaced it.
 	exec Executor
@@ -787,8 +808,8 @@ type Manager struct {
 	wg     sync.WaitGroup
 }
 
-// DefaultBacklog bounds the queued-job count when NewManager is given
-// no explicit backlog.
+// DefaultBacklog bounds the queued-job count when NewManagerWithStore
+// is given no explicit backlog.
 const DefaultBacklog = 256
 
 // DefaultMaxAttempts is how many crash-interrupted runs a job gets
@@ -798,13 +819,12 @@ const DefaultMaxAttempts = 3
 // ManagerOption configures a Manager beyond its pool shape.
 type ManagerOption func(*Manager)
 
-// CheckpointEvery makes a durable manager snapshot each running replica
+// CheckpointEvery makes the manager snapshot each running replica
 // into the store at most once per interval d (checked at the replica's
 // grid points). A crash or shutdown then costs at most d of simulated
 // work per replica: the next boot resumes each replica from its latest
 // valid snapshot instead of replaying from zero. d <= 0 (the default)
-// disables checkpointing; the option has no effect on store-less
-// managers.
+// disables checkpointing.
 func CheckpointEvery(d time.Duration) ManagerOption {
 	return func(m *Manager) { m.ckptEvery = d }
 }
@@ -871,20 +891,16 @@ func WithExecutor(ex Executor) ManagerOption {
 	return func(m *Manager) { m.exec = ex }
 }
 
-// NewManager starts an in-memory manager with the given number of
+// NewManagerWithStore starts a manager on st with the given number of
 // concurrent job runners and queue capacity (DefaultBacklog when
 // backlog <= 0). Each job additionally fans its replicas over its own
 // Request.Workers goroutines, so the peak goroutine budget is
 // runners × workers.
-func NewManager(runners, backlog int, opts ...ManagerOption) *Manager {
-	return newManager(runners, backlog, nil, opts...)
-}
-
-// NewManagerWithStore starts a durable manager: submissions persist
-// before they are acknowledged, completed results persist as
-// content-addressed blobs, and the store's existing records are
-// recovered before the manager accepts new work — completed jobs serve
-// their stored results, failed/cancelled jobs keep their terminal
+//
+// Submissions persist before they are acknowledged, completed results
+// persist as content-addressed blobs, and the store's existing records
+// are recovered before the manager accepts new work — completed jobs
+// serve their stored results, failed/cancelled jobs keep their terminal
 // status, and jobs that were queued or running when the previous
 // process died are re-queued in their original submission order (with
 // their replicas resuming from stored checkpoints, when the manager
@@ -914,21 +930,39 @@ func NewManagerWithStore(runners, backlog int, st store.Store, opts ...ManagerOp
 	if backlog <= 0 {
 		backlog = DefaultBacklog
 	}
-	if len(recs) > backlog {
-		backlog = len(recs) // active set can never exceed the record count
+	// The active set can never exceed the record count.
+	backlog = max(backlog, len(recs))
+	ctx, cancel := context.WithCancel(context.Background())
+	m := &Manager{
+		st:          st,
+		exec:        localSweep{},
+		maxAttempts: DefaultMaxAttempts,
+		jobs:        make(map[string]*Job),
+		queue:       make(chan *Job, backlog),
+		ctx:         ctx,
+		cancel:      cancel,
 	}
-	m := newManager(runners, backlog, st, opts...)
+	for _, opt := range opts {
+		opt(m)
+	}
 	for _, rec := range recs {
 		j, active := m.recover(rec)
-		m.mu.Lock()
 		m.jobs[j.id] = j
-		if j.seq > m.nextID {
-			m.nextID = j.seq
-		}
-		m.mu.Unlock()
+		m.nextID = max(m.nextID, j.seq)
 		if active {
 			m.queue <- j // sized above: cannot block
 		}
+	}
+	runners = max(runners, 1)
+	m.wg.Add(runners)
+	for range runners {
+		go func() {
+			defer m.wg.Done()
+			for j := range m.queue {
+				j.run()
+				j.release()
+			}
+		}()
 	}
 	return m, nil
 }
@@ -944,9 +978,9 @@ func (m *Manager) recover(rec *store.JobRecord) (j *Job, active bool) {
 	quarantine := func(qerr error) *Job {
 		qrec := *rec
 		qrec.State, qrec.Error = string(StateQuarantined), qerr.Error()
-		j := m.rebuild(&qrec, Request{}, 0)
+		_ = m.putJob(&qrec)
+		j := m.newJob(&qrec, Request{}, 0)
 		j.err = qerr
-		j.persist(StateQuarantined, qerr)
 		j.dropCheckpoints()
 		return j
 	}
@@ -969,11 +1003,12 @@ func (m *Manager) recover(rec *store.JobRecord) (j *Job, active bool) {
 			return quarantine(fmt.Errorf("run was interrupted %d times; quarantined as a poison job", rec.Attempts)), false
 		}
 	case StateDone, StateFailed, StateCancelled, StateQuarantined, StateDeadlineExceeded:
-		return m.rebuild(rec, req, grid.Len()), false
+		return m.newJob(rec, req, grid.Len()), false
 	default:
 		return quarantine(fmt.Errorf("record %s has unknown state %q", rec.ID, rec.State)), false
 	}
-	j = m.rebuild(rec, req, grid.Len())
+	rec.State = string(StateQueued)
+	j = m.newJob(rec, req, grid.Len())
 	if j.attempts > 0 {
 		j.notBefore = time.Now().Add(crashDelay(j.attempts))
 	}
@@ -984,7 +1019,7 @@ func (m *Manager) recover(rec *store.JobRecord) (j *Job, active bool) {
 	m.activeCost.Add(j.cost)
 	// Re-persist as queued (with the attempt charge) so the stored
 	// state matches the re-queue.
-	j.persist(StateQueued, nil)
+	j.persist()
 	return j, true
 }
 
@@ -1002,41 +1037,43 @@ func crashDelay(n int) time.Duration {
 	return crashRestartBackoff.Delay(n - 1)
 }
 
-// rebuild constructs the in-memory job for a stored record. Recovered
-// terminal jobs start with their Done channel closed and zeroed
-// progress; their results load lazily from the store.
-func (m *Manager) rebuild(rec *store.JobRecord, req Request, gridLen int) *Job {
+// newJob builds the in-memory job for a record — a fresh submission's
+// or a recovered one. A queued record keeps the request to run; a
+// terminal one starts with its Done channel closed and zeroed progress,
+// keeps only the request's run shape, and serves its result from the
+// store.
+func (m *Manager) newJob(rec *store.JobRecord, req Request, gridLen int) *Job {
 	ctx, cancel := context.WithCancel(m.ctx)
 	slots := len(req.Specs) * req.Replicas
 	j := &Job{
 		id:        rec.ID,
 		seq:       rec.Seq,
-		req:       req,
 		mgr:       m,
 		hash:      rec.Hash,
-		rawReq:    rec.Request,
 		cached:    rec.Cached,
-		attempts:  rec.Attempts,
 		submitted: time.Unix(0, rec.Submitted),
+		req:       req,
+		rawReq:    rec.Request,
+		attempts:  rec.Attempts,
 		ctx:       ctx,
 		cancel:    cancel,
 		gridLen:   gridLen,
+		replicas:  req.Replicas,
 		slotSteps: make([]atomic.Uint64, slots),
 		slotTime:  make([]atomic.Uint64, slots),
-		state:     StateQueued,
+		state:     State(rec.State),
 		done:      make(chan struct{}),
 	}
 	// Keep the stored absolute deadline: a recovered running job gets
 	// only the budget it has left, and a past deadline fails it on its
 	// first step instead of granting a fresh allowance.
 	j.deadlineNS.Store(rec.Deadline)
-	state := State(rec.State)
-	if state.Terminal() {
-		j.state = state
+	if j.state.Terminal() {
+		j.req.Specs, j.rawReq = nil, nil
 		switch {
 		case rec.Error != "":
 			j.err = errors.New(rec.Error)
-		case state == StateCancelled:
+		case j.state == StateCancelled:
 			j.err = context.Canceled
 		}
 		close(j.done)
@@ -1045,37 +1082,12 @@ func (m *Manager) rebuild(rec *store.JobRecord, req Request, gridLen int) *Job {
 	return j
 }
 
-// newManager builds the manager and starts its runner goroutines.
-func newManager(runners, backlog int, st store.Store, opts ...ManagerOption) *Manager {
-	if runners < 1 {
-		runners = 1
+// putJob writes rec, naming the job in the error.
+func (m *Manager) putJob(rec *store.JobRecord) error {
+	if err := m.st.PutJob(rec); err != nil {
+		return fmt.Errorf("job: persisting %s: %w", rec.ID, err)
 	}
-	if backlog <= 0 {
-		backlog = DefaultBacklog
-	}
-	ctx, cancel := context.WithCancel(context.Background())
-	m := &Manager{
-		st:          st,
-		exec:        localSweep{},
-		maxAttempts: DefaultMaxAttempts,
-		jobs:        make(map[string]*Job),
-		queue:       make(chan *Job, backlog),
-		ctx:         ctx,
-		cancel:      cancel,
-	}
-	for _, opt := range opts {
-		opt(m)
-	}
-	m.wg.Add(runners)
-	for i := 0; i < runners; i++ {
-		go func() {
-			defer m.wg.Done()
-			for j := range m.queue {
-				j.run()
-			}
-		}()
-	}
-	return m
+	return nil
 }
 
 // RunsStarted returns how many jobs actually executed (reached the
@@ -1162,8 +1174,8 @@ func (m *Manager) chaosObserver(j *Job) parsurf.ReplicaObserver {
 
 // Submit validates and enqueues a job, returning it immediately. It
 // fails when the request is malformed, the manager is shut down, or
-// the backlog is full. On a durable manager the job record is
-// persisted before Submit returns, and a request whose content hash
+// the backlog is full. The job record is persisted before Submit
+// returns, and before the job can run; a request whose content hash
 // matches a stored completed result (unless Request.NoCache) is
 // answered without running: the returned job is already done, its
 // result served from the store.
@@ -1201,112 +1213,69 @@ func (m *Manager) Submit(req Request) (*Job, error) {
 	if err := m.admit(req); err != nil {
 		return nil, err
 	}
-
-	var (
-		rawReq    json.RawMessage
-		hash      string
-		cachedRes *store.Result
-	)
-	if m.st != nil {
-		rawReq, hash, err = encodeRequest(req)
-		if err != nil {
-			return nil, err
-		}
-		if !req.NoCache {
-			if res, err := m.st.GetResult(hash); err == nil {
-				cachedRes = res
-			}
-			// A store read error (not just a miss) degrades to a cache
-			// miss: availability of the run beats the shortcut.
+	rawReq, hash, err := encodeRequest(req)
+	if err != nil {
+		return nil, err
+	}
+	rec := &store.JobRecord{Hash: hash, State: string(StateQueued), Request: rawReq}
+	if !req.NoCache {
+		// A store read error (not just a miss) degrades to a cache miss:
+		// availability of the run beats the shortcut.
+		if _, err := m.st.GetResult(hash); err == nil {
+			// Cache hit: the job is born done, never touches the queue,
+			// and persists as a done record pointing at the shared blob.
+			rec.State, rec.Cached = string(StateDone), true
 		}
 	}
 
-	// The whole registration, including the non-blocking enqueue, runs
-	// under the manager lock. Close sets the closed flag under this
-	// lock before it closes the queue channel (outside the lock), so a
-	// submit that reached the send must have observed !closed while
-	// Close was still waiting for the lock — the send always happens
-	// before the close. Moving the closed check out of the critical
-	// section would break that handshake.
+	// The whole registration, including the record write and the
+	// enqueue, runs under the manager lock. Close sets the closed flag
+	// under this lock before it closes the queue channel (outside the
+	// lock), so a submit that reached the send must have observed
+	// !closed while Close was still waiting for the lock — the send
+	// always happens before the close. Moving the closed check out of
+	// the critical section would break that handshake.
 	m.mu.Lock()
 	defer m.mu.Unlock()
 	if m.closed {
 		return nil, fmt.Errorf("job: manager is shut down")
 	}
-	m.nextID++
-	seq := m.nextID
-	id := fmt.Sprintf("job-%d", seq)
-	ctx, cancel := context.WithCancel(m.ctx)
-	slots := len(req.Specs) * req.Replicas
-	j := &Job{
-		id:        id,
-		seq:       seq,
-		req:       req,
-		mgr:       m,
-		hash:      hash,
-		rawReq:    rawReq,
-		submitted: time.Now(),
-		ctx:       ctx,
-		cancel:    cancel,
-		gridLen:   grid.Len(),
-		slotSteps: make([]atomic.Uint64, slots),
-		slotTime:  make([]atomic.Uint64, slots),
-		state:     StateQueued,
-		done:      make(chan struct{}),
-	}
-	if cachedRes != nil {
-		// Cache hit: the job is born done, never touches the queue,
-		// and persists as a done record pointing at the shared blob.
-		j.cached = true
-		j.state = StateDone
-		j.res = cachedRes
-		close(j.done)
-		cancel()
-		if err := j.persist(StateDone, nil); err != nil {
-			m.nextID--
-			return nil, err
-		}
-		m.jobs[id] = j
-		return j, nil
-	}
 	// Transient capacity checks, now that the request is known valid
 	// and uncached: both shed with ErrOverloaded so the HTTP layer can
-	// answer 429 + Retry-After instead of a terminal-looking 400.
-	j.cost = estimateCost(req, grid.Len())
-	if m.maxActiveCost > 0 && m.activeCost.Load()+j.cost > m.maxActiveCost {
-		cancel()
-		m.nextID--
-		return nil, fmt.Errorf("job: active-cost budget exhausted (%d committed of %d, job needs %d); %w",
-			m.activeCost.Load(), m.maxActiveCost, j.cost, ErrOverloaded)
-	}
-	select {
-	case m.queue <- j:
-	default:
-		cancel()
-		m.nextID--
-		return nil, fmt.Errorf("job: backlog full (%d queued); %w", cap(m.queue), ErrOverloaded)
-	}
-	// Charge the admission budget only after the enqueue sticks; every
-	// terminal transition — including the persist-failure cancellation
-	// just below — releases it exactly once via setState.
-	j.costCharged.Store(true)
-	m.activeCost.Add(j.cost)
-	// Persist before acknowledgment: a submission the client saw
-	// accepted must survive a restart. The job is already enqueued; if
-	// the record cannot be written, cancel it (the runner drains it as
-	// a no-op) and report the store failure instead of accepting. A
-	// runner that already dequeued the job may see the cancellation and
-	// finish it first; only the transition's winner closes Done.
-	if err := j.persist(StateQueued, nil); err != nil {
-		j.userCancel.Store(true)
-		cancel()
-		if j.setState(StateCancelled, context.Canceled) {
-			close(j.done)
+	// answer 429 + Retry-After instead of a terminal-looking 400. Only
+	// Submit sends to the queue once the manager is up, and it holds
+	// m.mu, so a free slot seen here is still free at the send below.
+	cost := estimateCost(req, grid.Len())
+	if !rec.Cached {
+		if m.maxActiveCost > 0 && m.activeCost.Load()+cost > m.maxActiveCost {
+			return nil, fmt.Errorf("job: active-cost budget exhausted (%d committed of %d, job needs %d); %w",
+				m.activeCost.Load(), m.maxActiveCost, cost, ErrOverloaded)
 		}
-		m.nextID--
+		if len(m.queue) == cap(m.queue) {
+			return nil, fmt.Errorf("job: backlog full (%d queued); %w", cap(m.queue), ErrOverloaded)
+		}
+	}
+	// Persist before the job can run and before acknowledgment: a
+	// submission the client saw accepted must survive a restart, and the
+	// runner's "running" record must land after this one. A failed write
+	// rejects the submission; its id is never handed out again.
+	m.nextID++
+	rec.Seq = m.nextID
+	rec.ID = fmt.Sprintf("job-%d", rec.Seq)
+	rec.Submitted = time.Now().UnixNano()
+	if err := m.putJob(rec); err != nil {
 		return nil, err
 	}
-	m.jobs[id] = j
+	j := m.newJob(rec, req, grid.Len())
+	m.jobs[j.id] = j
+	if !rec.Cached {
+		// Every terminal transition releases the charge exactly once via
+		// setState.
+		j.cost = cost
+		j.costCharged.Store(true)
+		m.activeCost.Add(cost)
+		m.queue <- j
+	}
 	return j, nil
 }
 
@@ -1339,10 +1308,10 @@ func (m *Manager) Jobs() []*Job {
 
 // Close stops accepting submissions, cancels every job (queued jobs
 // never start; running replicas abort within one engine step) and
-// waits for the runners to drain. On a durable manager, jobs
-// interrupted by Close keep resumable stored records (queued), so the
-// next NewManagerWithStore on the same store re-queues them; only
-// cancellations requested through Job.Cancel persist as cancelled.
+// waits for the runners to drain. Jobs interrupted by Close keep
+// resumable stored records (queued), so the next NewManagerWithStore on
+// the same store re-queues them; only cancellations requested through
+// Job.Cancel persist as cancelled.
 func (m *Manager) Close() {
 	m.mu.Lock()
 	if m.closed {
@@ -1353,13 +1322,10 @@ func (m *Manager) Close() {
 	m.closed = true
 	m.mu.Unlock()
 
+	// The runners drain the closed queue, so every queued job reaches a
+	// terminal state through run; its stored record stays queued (see
+	// finish), which is exactly what makes it resume on restart.
 	m.cancel()
 	close(m.queue)
 	m.wg.Wait()
-	// Queued jobs that were drained by cancelled runners still need a
-	// terminal state in memory; their stored records stay queued (see
-	// finishErr), which is exactly what makes them resume on restart.
-	for _, j := range m.Jobs() {
-		j.finishErr(context.Canceled)
-	}
 }

@@ -8,6 +8,7 @@ import (
 	"time"
 
 	"parsurf"
+	"parsurf/internal/store"
 )
 
 // ziffSpec builds a small model-free spec for job tests.
@@ -24,6 +25,16 @@ func ziffSpec(t *testing.T, y float64, seed uint64) *parsurf.SessionSpec {
 	return spec
 }
 
+// newMemManager starts a manager on a fresh in-memory store.
+func newMemManager(t *testing.T, runners, backlog int, opts ...ManagerOption) *Manager {
+	t.Helper()
+	m, err := NewManagerWithStore(runners, backlog, store.NewMem(), opts...)
+	if err != nil {
+		t.Fatal(err)
+	}
+	return m
+}
+
 // waitTerminal blocks until the job finishes or the deadline passes.
 func waitTerminal(t *testing.T, j *Job, d time.Duration) Status {
 	t.Helper()
@@ -36,11 +47,12 @@ func waitTerminal(t *testing.T, j *Job, d time.Duration) Status {
 }
 
 func TestJobLifecycle(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	defer m.Close()
 	const replicas, until, every = 3, 5.0, 1.0
+	spec := ziffSpec(t, 0.51, 42)
 	j, err := m.Submit(Request{
-		Specs:    []*parsurf.SessionSpec{ziffSpec(t, 0.51, 42)},
+		Specs:    []*parsurf.SessionSpec{spec},
 		Replicas: replicas,
 		Workers:  2,
 		Until:    until,
@@ -80,7 +92,7 @@ func TestJobLifecycle(t *testing.T) {
 	}
 	// The job result is exactly what a direct RunEnsemble computes:
 	// same spec, same replica streams, same merge.
-	ens, err := parsurf.RunEnsemble(t.Context(), j.Request().Specs[0], replicas, 1, until, every)
+	ens, err := parsurf.RunEnsemble(t.Context(), spec, replicas, 1, until, every)
 	if err != nil {
 		t.Fatal(err)
 	}
@@ -95,7 +107,7 @@ func TestJobLifecycle(t *testing.T) {
 
 // A sweep job returns one ensemble per variant.
 func TestJobSweepVariants(t *testing.T) {
-	m := NewManager(2, 0)
+	m := newMemManager(t, 2, 0)
 	defer m.Close()
 	j, err := m.Submit(Request{
 		Specs:    []*parsurf.SessionSpec{ziffSpec(t, 0.45, 1), ziffSpec(t, 0.55, 2)},
@@ -133,7 +145,7 @@ func TestJobSweepVariants(t *testing.T) {
 // a subsequent short job can only complete if the cancelled job's
 // effectively-infinite replicas actually aborted and freed the runner.
 func TestJobCancelStopsReplicas(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	defer m.Close()
 	long, err := m.Submit(Request{
 		Specs:    []*parsurf.SessionSpec{ziffSpec(t, 0.51, 7)},
@@ -176,7 +188,7 @@ func TestJobCancelStopsReplicas(t *testing.T) {
 }
 
 func TestSubmitValidation(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	defer m.Close()
 	cases := []struct {
 		name string
@@ -196,7 +208,7 @@ func TestSubmitValidation(t *testing.T) {
 
 // Close cancels running jobs and rejects new submissions.
 func TestManagerClose(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	j, err := m.Submit(Request{
 		Specs: []*parsurf.SessionSpec{ziffSpec(t, 0.51, 3)},
 		Until: 1e9,
@@ -219,7 +231,7 @@ func TestManagerClose(t *testing.T) {
 
 // Queued jobs past the backlog are rejected, not silently dropped.
 func TestBacklogBound(t *testing.T) {
-	m := NewManager(1, 1)
+	m := newMemManager(t, 1, 1)
 	defer m.Close()
 	// One long job occupies the runner; one fits the backlog; the next
 	// must be rejected.
@@ -252,7 +264,7 @@ func TestBacklogBound(t *testing.T) {
 // the state, error and result all stay what the terminal transition
 // set.
 func TestCancelAfterTerminalNoop(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	defer m.Close()
 	j, err := m.Submit(Request{
 		Specs: []*parsurf.SessionSpec{ziffSpec(t, 0.51, 5)},
@@ -278,7 +290,7 @@ func TestCancelAfterTerminalNoop(t *testing.T) {
 // holds exactly one queued job: the next submission is rejected with
 // the backlog error, deterministically.
 func TestBacklogFullRejection(t *testing.T) {
-	m := NewManager(1, 1)
+	m := newMemManager(t, 1, 1)
 	defer m.Close()
 	long := func(seed uint64) (*Job, error) {
 		return m.Submit(Request{
@@ -317,7 +329,7 @@ func TestBacklogFullRejection(t *testing.T) {
 // Submit racing Close never panics on the closed queue and never
 // strands a job: every accepted submission reaches a terminal state.
 func TestSubmitRacingClose(t *testing.T) {
-	m := NewManager(2, 4)
+	m := newMemManager(t, 2, 4)
 	var (
 		wg       sync.WaitGroup
 		mu       sync.Mutex

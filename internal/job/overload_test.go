@@ -158,7 +158,7 @@ func TestJobDeadlineExceeded(t *testing.T) {
 // A request-level MaxDuration works without any server default, and a
 // tighter server default wins over a looser request.
 func TestRequestMaxDuration(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	defer m.Close()
 	req := slowReq(t, 2)
 	req.MaxDuration = 50 * time.Millisecond
@@ -170,7 +170,7 @@ func TestRequestMaxDuration(t *testing.T) {
 		t.Fatalf("job ended %s, want deadline_exceeded", jst.State)
 	}
 
-	capped := NewManager(1, 0, MaxJobDuration(50*time.Millisecond))
+	capped := newMemManager(t, 1, 0, MaxJobDuration(50*time.Millisecond))
 	defer capped.Close()
 	req2 := slowReq(t, 3)
 	req2.MaxDuration = time.Hour // looser than the server cap: ignored
@@ -247,7 +247,7 @@ func TestRecoveredJobHonorsRemainingBudget(t *testing.T) {
 // Per-job admission caps are permanent validation errors — rejected at
 // Submit, never classified as transient overload.
 func TestAdmissionCaps(t *testing.T) {
-	m := NewManager(1, 0, MaxCells(100), MaxReplicas(4))
+	m := newMemManager(t, 1, 0, MaxCells(100), MaxReplicas(4))
 	defer m.Close()
 
 	_, err := m.Submit(shortReq(t, 1)) // 24×24 = 576 cells > 100
@@ -261,7 +261,7 @@ func TestAdmissionCaps(t *testing.T) {
 		t.Fatalf("cap rejection %q claims to be transient overload", err)
 	}
 
-	big := NewManager(1, 0, MaxReplicas(4))
+	big := newMemManager(t, 1, 0, MaxReplicas(4))
 	defer big.Close()
 	req := shortReq(t, 2)
 	req.Replicas = 8
@@ -282,7 +282,7 @@ func TestAdmissionCaps(t *testing.T) {
 // and frees exactly the admitted job's share when it goes terminal.
 func TestAggregateCostSheds(t *testing.T) {
 	one := estimateCost(slowReq(t, 1), 1001) // slowReq grid: 1e9/1e6 + 1
-	m := NewManager(1, 4, MaxActiveCost(one))
+	m := newMemManager(t, 1, 4, MaxActiveCost(one))
 	defer m.Close()
 
 	j, err := m.Submit(slowReq(t, 1))

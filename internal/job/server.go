@@ -52,9 +52,8 @@ type Server struct {
 
 // SubmitRequest is the POST /jobs body: one spec (or several sweep
 // variants) in the specfile JSON schema, plus the run shape. Exactly
-// one of "spec" and "specs" must be present. On a durable server,
-// "nocache": true forces a run even when the result cache holds a
-// matching completed result.
+// one of "spec" and "specs" must be present. "nocache": true forces a
+// run even when the result cache holds a matching completed result.
 type SubmitRequest struct {
 	Spec     *parsurf.SessionSpec   `json:"spec,omitempty"`
 	Specs    []*parsurf.SessionSpec `json:"specs,omitempty"`

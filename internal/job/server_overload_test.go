@@ -12,7 +12,7 @@ import (
 // Oversized submissions are refused with 413 before the decoder reads
 // the whole body, so a misbehaving client cannot balloon the server.
 func TestServerSubmitBodyTooLarge(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	defer m.Close()
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()
@@ -34,7 +34,7 @@ func TestServerSubmitBodyTooLarge(t *testing.T) {
 // A full backlog surfaces as 429 with a Retry-After hint, the
 // load-shedding contract clients key off.
 func TestServerBacklogFull429(t *testing.T) {
-	m := NewManager(1, 1)
+	m := newMemManager(t, 1, 1)
 	defer m.Close()
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()
@@ -84,7 +84,7 @@ func TestServerBacklogFull429(t *testing.T) {
 // is killed at its budget and lands in the deadline_exceeded state,
 // which the list filter understands.
 func TestServerMaxDuration(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	defer m.Close()
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()

@@ -61,7 +61,7 @@ func getBody(t *testing.T, url string) (int, string) {
 // result. This is the same sequence the CI smoke step drives with
 // curl, run here under the race detector.
 func TestServerSubmitStatusResult(t *testing.T) {
-	m := NewManager(2, 0)
+	m := newMemManager(t, 2, 0)
 	defer m.Close()
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()
@@ -142,7 +142,7 @@ func TestServerSubmitStatusResult(t *testing.T) {
 
 // Cancelling over HTTP aborts the replicas.
 func TestServerCancel(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	defer m.Close()
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()
@@ -180,7 +180,7 @@ func TestServerCancel(t *testing.T) {
 
 // Malformed submissions are rejected with registry-aware messages.
 func TestServerSubmitErrors(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	defer m.Close()
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()
@@ -254,7 +254,7 @@ func readSSE(t *testing.T, r io.Reader, until string) []sseFrame {
 // GET /jobs/{id}/events streams progress frames and a terminal done
 // frame in SSE framing.
 func TestServerSSEEvents(t *testing.T) {
-	m := NewManager(2, 0)
+	m := newMemManager(t, 2, 0)
 	defer m.Close()
 	srv := NewServer(m)
 	srv.eventInterval = 2 * time.Millisecond
@@ -322,7 +322,7 @@ func TestServerSSEEvents(t *testing.T) {
 // comment lines, keeping idle proxied connections alive without
 // emitting spurious events.
 func TestServerSSEHeartbeat(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	defer m.Close()
 	srv := NewServer(m)
 	// Progress frames effectively off; heartbeats fast.
@@ -384,7 +384,7 @@ func TestServerSSEHeartbeat(t *testing.T) {
 // streams the same bytes the JSON grid carries, and a result requested
 // before the job is terminal is a 409, not a 500.
 func TestServerCSVHeadersAndConflict(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	defer m.Close()
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()
@@ -451,7 +451,7 @@ func TestServerCSVHeadersAndConflict(t *testing.T) {
 // /healthz answers as soon as the server is up; /version echoes the
 // configured stamp.
 func TestServerHealthzAndVersion(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	defer m.Close()
 	srv := NewServer(m)
 	srv.SetVersion("v-test-1")
@@ -472,7 +472,7 @@ func TestServerHealthzAndVersion(t *testing.T) {
 // map-iteration luck: the listing is compared against the exact
 // submission sequence.
 func TestServerListDeterministicOrder(t *testing.T) {
-	m := NewManager(2, 0)
+	m := newMemManager(t, 2, 0)
 	defer m.Close()
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()
@@ -514,7 +514,7 @@ func TestServerListDeterministicOrder(t *testing.T) {
 // filtering applies before paging, pages walk the submission order, and
 // malformed parameters are 400s.
 func TestServerListFilterAndPagination(t *testing.T) {
-	m := NewManager(1, 0)
+	m := newMemManager(t, 1, 0)
 	defer m.Close()
 	ts := httptest.NewServer(NewServer(m))
 	defer ts.Close()

@@ -66,24 +66,14 @@ func TestSubmitPersistsBeforeAck(t *testing.T) {
 }
 
 // A submission whose record cannot be written is rejected with the store
-// error, even when the idle runner has already dequeued the job and
-// finished it before Submit gets to cancel it: the runner's terminal
-// transition wins, and Submit must not close Done a second time.
+// error before the job can reach a runner: nothing is listed and
+// nothing runs. (Until the queued record was written ahead of the
+// enqueue, an idle runner could dequeue and finish the job while that
+// write was still in flight.)
 func TestSubmitPersistFailureRacesRunner(t *testing.T) {
-	resultWritten := make(chan struct{})
-	var once sync.Once
 	faulty := store.New(&store.Faulty{Backend: new(store.Mem), Hook: func(n int, op string) error {
-		switch {
-		case op == "put-result":
-			once.Do(func() { close(resultWritten) })
-		case op == "put-job" && n == 1:
-			// Submit's queued record: hold it until the runner has run
-			// the job to done, then fail it.
-			select {
-			case <-resultWritten:
-			case <-time.After(30 * time.Second):
-			}
-			return store.ErrInjected
+		if op == "put-job" && n == 1 {
+			return store.ErrInjected // Submit's queued record
 		}
 		return nil
 	}})
@@ -95,13 +85,121 @@ func TestSubmitPersistFailureRacesRunner(t *testing.T) {
 	if _, err := m.Submit(shortReq(t, 1)); !errors.Is(err, store.ErrInjected) {
 		t.Fatalf("Submit error %v, want the injected store error", err)
 	}
-	select {
-	case <-resultWritten:
-	default:
-		t.Fatal("the runner never finished the job; the race was not exercised")
-	}
 	if jobs := m.Jobs(); len(jobs) != 0 {
 		t.Fatalf("rejected submission is listed: %d jobs", len(jobs))
+	}
+	if n := m.RunsStarted(); n != 0 {
+		t.Fatalf("rejected submission ran (RunsStarted %d)", n)
+	}
+}
+
+// The queued record lands before the runner can write "running": while
+// the job runs, its stored record never reads queued. The hook stalls
+// Submit's record write whenever the job was already charged to the
+// admission budget — that is, enqueued ahead of its record — until the
+// runner's "running" record has landed, which would make the late
+// "queued" write overwrite it.
+func TestQueuedRecordPrecedesRunning(t *testing.T) {
+	mem := new(store.Mem)
+	raw := store.New(mem)
+	var m *Manager
+	st := store.New(&store.Faulty{Backend: mem, Hook: func(n int, op string) error {
+		if op != "put-job" || n != 1 || m.ActiveCost() == 0 {
+			return nil
+		}
+		for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+			if rec, err := raw.GetJob("job-1"); err == nil && rec.State == string(StateRunning) {
+				break
+			}
+		}
+		return nil
+	}})
+	m = newStoreManager(t, st)
+	defer m.Close()
+	j, err := m.Submit(Request{
+		Specs: []*parsurf.SessionSpec{ziffSpec(t, 0.51, 3)},
+		Until: 1e9, Every: 1e6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer j.Cancel()
+	var rec *store.JobRecord
+	for deadline := time.Now().Add(10 * time.Second); time.Now().Before(deadline); time.Sleep(time.Millisecond) {
+		if rec, err = raw.GetJob(j.ID()); err != nil {
+			t.Fatal(err)
+		}
+		if rec.State == string(StateRunning) {
+			break
+		}
+	}
+	if s := j.Status().State; s != StateRunning {
+		t.Fatalf("job %s, want running", s)
+	}
+	if rec.State != string(StateRunning) {
+		t.Fatalf("stored record reads %q while the job runs, want running", rec.State)
+	}
+}
+
+// The last state set is the last state written. The hook holds the
+// runner's "running" record write until a concurrent Cancel has set the
+// job cancelled; the released "running" write must not overwrite the
+// cancelled record, or the next boot would re-run a cancelled job.
+func TestCancelOutlivesLateRunningWrite(t *testing.T) {
+	mem := new(store.Mem)
+	var (
+		m       *Manager
+		once    sync.Once
+		held    = make(chan struct{})
+		release = make(chan struct{})
+	)
+	st := store.New(&store.Faulty{Backend: mem, Hook: func(n int, op string) error {
+		if op != "put-job" || m.RunsStarted() == 0 {
+			return nil
+		}
+		first := false
+		once.Do(func() { first = true; close(held) })
+		if first {
+			select {
+			case <-release:
+			case <-time.After(10 * time.Second):
+			}
+		}
+		return nil
+	}})
+	m = newStoreManager(t, st)
+	defer m.Close()
+	j, err := m.Submit(Request{
+		Specs: []*parsurf.SessionSpec{ziffSpec(t, 0.51, 5)},
+		Until: 1e9, Every: 1e6,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	select {
+	case <-held:
+	case <-time.After(10 * time.Second):
+		t.Fatal("the runner never wrote its running record")
+	}
+	cancelled := make(chan struct{})
+	go func() {
+		j.Cancel()
+		close(cancelled)
+	}()
+	for deadline := time.Now().Add(10 * time.Second); j.Status().State != StateCancelled; time.Sleep(time.Millisecond) {
+		if time.Now().After(deadline) {
+			t.Fatalf("job %s after Cancel, want cancelled", j.Status().State)
+		}
+	}
+	close(release)
+	<-cancelled
+	m.Close() // the runner is done with the job: the held write has landed
+	rec, err := store.New(mem).GetJob(j.ID())
+	if err != nil {
+		t.Fatal(err)
+	}
+	if rec.State != string(StateCancelled) {
+		t.Fatalf("stored record %q after Cancel, want cancelled", rec.State)
 	}
 }
 
@@ -493,7 +591,8 @@ func TestRecoveryQuarantinesCorruptRecord(t *testing.T) {
 	}
 }
 
-// Specs that only exist as Go pointers cannot enter a durable manager.
+// Specs that only exist as Go pointers cannot enter a manager: its
+// store keeps every request as named builders.
 func TestDurableSubmitRejectsUnserializableSpec(t *testing.T) {
 	spec, err := parsurf.NewSpec(
 		parsurf.WithLattice(16, 16),
@@ -510,7 +609,7 @@ func TestDurableSubmitRejectsUnserializableSpec(t *testing.T) {
 	defer m.Close()
 	_, err = m.Submit(Request{Specs: []*parsurf.SessionSpec{spec}, Until: 1, Every: 1})
 	if err == nil {
-		t.Fatal("unserializable spec accepted by durable manager")
+		t.Fatal("unserializable spec accepted")
 	}
 	if !strings.Contains(err.Error(), "serializable") {
 		t.Fatalf("error %v does not explain serialization", err)
