@@ -7,6 +7,7 @@ import (
 	"parsurf/internal/dmc"
 	"parsurf/internal/lattice"
 	"parsurf/internal/model"
+	"parsurf/internal/parallel"
 	"parsurf/internal/partition"
 	"parsurf/internal/rng"
 )
@@ -62,31 +63,47 @@ func TestPNDCADeterministicSameSeed(t *testing.T) {
 	}
 }
 
+// parallelWorkerCounts are the worker counts the bit-identity tests
+// sweep with; the last exceeds every chunk of an l×l lattice, so the
+// sweep must clamp it to the chunk length.
+func parallelWorkerCounts(lat *lattice.Lattice) []int {
+	return []int{1, 2, 3, 8, lat.N() + 1}
+}
+
+// checkBitIdentical fails unless every run ended in the configuration
+// and the clock bits of the first (one-worker) run.
+func checkBitIdentical(t *testing.T, workers []int, cfgs []*lattice.Config, times []float64) {
+	t.Helper()
+	for i := 1; i < len(cfgs); i++ {
+		if !cfgs[0].Equal(cfgs[i]) {
+			t.Errorf("%d workers changed the trajectory", workers[i])
+		}
+		if math.Float64bits(times[0]) != math.Float64bits(times[i]) {
+			t.Errorf("%d workers changed the clock: %v vs %v", workers[i], times[i], times[0])
+		}
+	}
+}
+
 // The central parallelism claim: sweeping a chunk with any worker count
-// yields the *identical* configuration, because the non-overlap rule
-// makes in-chunk updates commute and every site has its own stream.
+// yields the *identical* configuration and clock, because the
+// non-overlap rule makes in-chunk updates commute, every site has its
+// own stream, and the per-site clock increments sum in chunk order.
 func TestPNDCAParallelBitIdentical(t *testing.T) {
 	cm, lat := zgbOn(t, 20)
-	results := make([]*lattice.Config, 0, 4)
-	times := make([]float64, 0, 4)
-	for _, workers := range []int{1, 2, 3, 8} {
+	workers := parallelWorkerCounts(lat)
+	var cfgs []*lattice.Config
+	var times []float64
+	for _, w := range workers {
 		cfg := lattice.NewConfig(lat)
 		p := NewPNDCA(cm, cfg, rng.New(77), vn5(t, lat))
-		p.Workers = workers
+		p.Workers = w
 		for i := 0; i < 25; i++ {
 			p.Step()
 		}
-		results = append(results, cfg)
+		cfgs = append(cfgs, cfg)
 		times = append(times, p.Time())
 	}
-	for i := 1; i < len(results); i++ {
-		if !results[0].Equal(results[i]) {
-			t.Fatalf("worker count changed the trajectory (variant %d)", i)
-		}
-		if math.Abs(times[0]-times[i]) > 1e-9*times[0] {
-			t.Fatalf("worker count changed the clock: %v vs %v", times[0], times[i])
-		}
-	}
+	checkBitIdentical(t, workers, cfgs, times)
 }
 
 func TestPNDCAParallelBitIdenticalPtCO(t *testing.T) {
@@ -331,17 +348,45 @@ func TestTypePartitionedParallelBitIdentical(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	run := func(workers int) *lattice.Config {
+	workers := parallelWorkerCounts(lat)
+	var cfgs []*lattice.Config
+	var times []float64
+	for _, w := range workers {
 		cfg := lattice.NewConfig(lat)
 		e := NewTypePartitioned(cm, cfg, rng.New(37), ts)
-		e.Workers = workers
+		e.Workers = w
 		for i := 0; i < 30; i++ {
 			e.Step()
 		}
-		return cfg
+		cfgs = append(cfgs, cfg)
+		times = append(times, e.Time())
 	}
-	if !run(1).Equal(run(4)) {
-		t.Fatal("parallel type-partitioned sweep diverged")
+	checkBitIdentical(t, workers, cfgs, times)
+}
+
+// Step at two workers launches goroutines through the shared fan-out;
+// neither the launches nor the chunk sweep may allocate.
+func TestPartitionedStepAllocationFree(t *testing.T) {
+	cm, lat := zgbOn(t, 60)
+	ts, err := partition.SplitByDirection(cm.Model, lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	p := NewPNDCA(cm, lattice.NewConfig(lat), rng.New(1), vn5(t, lat))
+	p.Workers = 2
+	e := NewTypePartitioned(cm, lattice.NewConfig(lat), rng.New(1), ts)
+	e.Workers = 2
+	d, err := parallel.NewDDRSM(cm, lattice.NewConfig(lat), rng.New(1), 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, eng := range []struct {
+		name string
+		step func() bool
+	}{{"pndca", p.Step}, {"typepart", e.Step}, {"ddrsm", d.Step}} {
+		if allocs := testing.AllocsPerRun(50, func() { eng.step() }); allocs != 0 {
+			t.Errorf("%s Step at 2 workers allocates %v objects per step, want 0", eng.name, allocs)
+		}
 	}
 }
 

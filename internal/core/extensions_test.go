@@ -1,6 +1,7 @@
 package core
 
 import (
+	"math"
 	"testing"
 
 	"parsurf/internal/lattice"
@@ -55,6 +56,37 @@ func TestPNDCAUsePartitionsValidates(t *testing.T) {
 			}()
 			p.UsePartitions(bad)
 		}()
+	}
+}
+
+// Reset after a partition cycle keeps the permutation buffer sized for
+// the cycle's largest partition, and the rewound engine reproduces a
+// freshly built one with the same cycle and source.
+func TestPNDCAResetAfterCycleMatchesFresh(t *testing.T) {
+	cm, lat := zgbOn(t, 10)
+	cycle := []*partition.Partition{vn5(t, lat), partition.Singletons(lat)}
+	build := func() *PNDCA {
+		p := NewPNDCA(cm, lattice.NewConfig(lat), rng.New(54), vn5(t, lat))
+		p.UsePartitions(cycle)
+		return p
+	}
+	fresh := build()
+	reused := build()
+	for i := 0; i < 2; i++ {
+		reused.Step()
+	}
+	reused.Reset(lattice.NewConfig(lat), rng.New(54))
+	for i := 0; i < 2; i++ {
+		fresh.Step()
+		reused.Step()
+	}
+	if !fresh.Config().Equal(reused.Config()) {
+		t.Error("Reset engine's trajectory differs from a fresh engine's")
+	}
+	if math.Float64bits(fresh.Time()) != math.Float64bits(reused.Time()) ||
+		fresh.Successes() != reused.Successes() {
+		t.Errorf("Reset engine: time %v successes %d, fresh: time %v successes %d",
+			reused.Time(), reused.Successes(), fresh.Time(), fresh.Successes())
 	}
 }
 

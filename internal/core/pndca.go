@@ -17,8 +17,6 @@
 package core
 
 import (
-	"sync"
-
 	"parsurf/internal/lattice"
 	"parsurf/internal/model"
 	"parsurf/internal/partition"
@@ -61,17 +59,10 @@ type PNDCA struct {
 	DeterministicTime bool
 
 	time      float64
-	sweep     uint64 // per-chunk-sweep stream counter
 	steps     uint64
 	successes uint64
-	perm      []int
-	dtbuf     []float64 // per-site clock increments of one chunk sweep
-	// sweepBase is the per-sweep base stream, held on the struct so the
-	// parallel workers can share its (read-only) state without forcing
-	// a heap escape per sweep; succbuf and wg are likewise reused.
-	sweepBase rng.Source
-	succbuf   []uint64
-	wg        sync.WaitGroup
+	perm      []int // chunk order of the step in flight
+	sweep     chunkSweep
 }
 
 // NewPNDCA builds the engine. The partition must satisfy the all-types
@@ -89,9 +80,7 @@ func NewPNDCA(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, part *pa
 		cm: cm, cfg: cfg, cells: cfg.Cells(), src: src, part: part,
 		perm: make([]int, part.NumChunks()),
 	}
-	for i := range p.perm {
-		p.perm[i] = i
-	}
+	p.sweep.init(p.visit)
 	return p
 }
 
@@ -144,108 +133,49 @@ func (p *PNDCA) Step() bool {
 		}
 	}
 	for _, ci := range p.perm {
-		p.sweepChunk(part.Chunks[ci])
+		dt, succ := p.sweep.run(p.src, part.Chunks[ci], p.Workers)
+		p.time += dt
+		p.successes += succ
 	}
 	p.steps++
 	return true
 }
 
-// sweepChunk trials every site of the chunk once, possibly on parallel
-// goroutines. Every site draws from its own derived random stream and
-// records its clock increment into a per-site slot; the increments are
-// then summed in chunk order regardless of how the sites were
-// segmented across workers. Configurations AND the clock are therefore
-// bit-identical for every worker count — the same float additions run
-// in the same order as the sequential sweep. The per-site streams are
-// derived in place with SplitInto into stack values, so the
-// steady-state sweep allocates nothing.
-func (p *PNDCA) sweepChunk(chunk []int32) {
-	p.sweep++
-	p.src.SplitInto(&p.sweepBase, p.sweep)
+// visit is PNDCA's per-range visit of the chunk sweep: every site
+// draws a reaction type with probability k_i/K and attempts it.
+//
+//surflint:hotpath
+func (p *PNDCA) visit(base *rng.Source, sites []int32, dts []float64) (succ uint64) {
 	nk := float64(p.cm.Lat.N()) * p.cm.K
-	if cap(p.dtbuf) < len(chunk) {
-		p.dtbuf = make([]float64, len(chunk))
-	}
-	dts := p.dtbuf[:len(chunk)]
-
-	workers := p.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(chunk) {
-		workers = len(chunk)
-	}
-	if workers == 1 {
-		p.successes += p.visit(chunk, dts, nk, 0, len(chunk))
-	} else {
-		// Fixed segmentation: worker w handles [w·len/W, (w+1)·len/W).
-		if cap(p.succbuf) < workers {
-			p.succbuf = make([]uint64, workers)
-		}
-		succs := p.succbuf[:workers]
-		for w := 0; w < workers; w++ {
-			lo := w * len(chunk) / workers
-			hi := (w + 1) * len(chunk) / workers
-			p.wg.Add(1)
-			go p.visitWorker(chunk, dts, nk, lo, hi, &succs[w])
-		}
-		p.wg.Wait()
-		for _, succ := range succs {
-			p.successes += succ
-		}
-	}
-	// One chunk-ordered reduction for every worker count.
-	var dt float64
-	for _, d := range dts {
-		dt += d
-	}
-	p.time += dt
-}
-
-// visit trials the sites chunk[lo:hi], writing each site's clock
-// increment into its dts slot and returning the executed-reaction
-// count. The non-overlap rule makes concurrent invocations over
-// disjoint ranges race-free.
-func (p *PNDCA) visit(chunk []int32, dts []float64, nk float64, lo, hi int) (succ uint64) {
 	var st rng.Source
-	for i, s := range chunk[lo:hi] {
-		p.sweepBase.SplitInto(&st, uint64(s))
+	for i, s := range sites {
+		base.SplitInto(&st, uint64(s))
 		rt := p.cm.PickType(st.Float64())
 		if p.cm.TryExecute(p.cells, rt, int(s)) {
 			succ++
 		}
 		if p.DeterministicTime {
-			dts[lo+i] = 1 / nk
+			dts[i] = 1 / nk
 		} else {
-			dts[lo+i] = st.Exp(nk)
+			dts[i] = st.Exp(nk)
 		}
 	}
 	return
 }
 
-func (p *PNDCA) visitWorker(chunk []int32, dts []float64, nk float64, lo, hi int, out *uint64) {
-	defer p.wg.Done()
-	*out = p.visit(chunk, dts, nk, lo, hi)
-}
-
 // Reset rewinds the engine over a fresh configuration (see
 // registry.Engine.Reset). The partition (and any UsePartitions cycle)
-// is kept; the chunk permutation returns to the identity a fresh
-// engine starts from, and the sweep stream counter rewinds so replica
-// trajectories reproduce fresh builds exactly.
+// is kept, and so is the chunk permutation buffer, which Step rewrites
+// and which stays sized for the largest partition of the cycle. The
+// sweep stream counter rewinds so replica trajectories reproduce fresh
+// builds exactly.
 func (p *PNDCA) Reset(cfg *lattice.Config, src *rng.Source) {
 	if !cfg.Lattice().SameShape(p.cm.Lat) {
 		panic("core: Reset configuration lattice differs from compiled lattice")
 	}
 	p.cfg, p.cells, p.src = cfg, cfg.Cells(), src
 	p.time = 0
-	p.sweep, p.steps, p.successes = 0, 0, 0
-	if len(p.perm) != p.part.NumChunks() {
-		p.perm = make([]int, p.part.NumChunks())
-	}
-	for i := range p.perm {
-		p.perm[i] = i
-	}
+	p.sweep.id, p.steps, p.successes = 0, 0, 0
 }
 
 // Time returns the simulated time.

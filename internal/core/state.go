@@ -14,7 +14,7 @@ import (
 func (p *PNDCA) SaveState(w io.Writer) error {
 	e := persist.NewWriter(w)
 	e.F64(p.time)
-	e.U64(p.sweep)
+	e.U64(p.sweep.id)
 	e.U64(p.steps)
 	e.U64(p.successes)
 	return e.Err()
@@ -24,7 +24,7 @@ func (p *PNDCA) SaveState(w io.Writer) error {
 func (p *PNDCA) LoadState(rd io.Reader) error {
 	d := persist.NewReader(rd)
 	p.time = d.F64()
-	p.sweep = d.U64()
+	p.sweep.id = d.U64()
 	p.steps = d.U64()
 	p.successes = d.U64()
 	return d.Err()
@@ -127,7 +127,7 @@ func (e *LPNDCA) LoadState(rd io.Reader) error {
 func (e *TypePartitioned) SaveState(w io.Writer) error {
 	enc := persist.NewWriter(w)
 	enc.F64(e.time)
-	enc.U64(e.sweepID)
+	enc.U64(e.sweep.id)
 	enc.U64(e.steps)
 	enc.U64(e.visits)
 	enc.U64(e.successes)
@@ -138,7 +138,7 @@ func (e *TypePartitioned) SaveState(w io.Writer) error {
 func (e *TypePartitioned) LoadState(rd io.Reader) error {
 	d := persist.NewReader(rd)
 	e.time = d.F64()
-	e.sweepID = d.U64()
+	e.sweep.id = d.U64()
 	e.steps = d.U64()
 	e.visits = d.U64()
 	e.successes = d.U64()

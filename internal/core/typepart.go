@@ -1,8 +1,6 @@
 package core
 
 import (
-	"sync"
-
 	"parsurf/internal/lattice"
 	"parsurf/internal/model"
 	"parsurf/internal/partition"
@@ -48,19 +46,15 @@ type TypePartitioned struct {
 	typeCum   [][]float64
 
 	time      float64
-	sweepID   uint64
 	steps     uint64
 	visits    uint64
 	successes uint64
-	dtbuf     []float64 // per-site clock increments of one sweep
-	// sweepBase/succbuf/wg are reused across sweeps (see PNDCA) so the
-	// steady-state sweep allocates nothing.
-	sweepBase rng.Source
-	accept    float64 // clamped Accept of the sweep in flight
-	nk        float64
-	sweepRT   int
-	succbuf   []uint64
-	wg        sync.WaitGroup
+	sweep     chunkSweep
+	// The step in flight: its clamped Accept and thinned trial rate,
+	// and the reaction type of the sweep in flight.
+	accept  float64
+	nk      float64
+	sweepRT int
 }
 
 // NewTypePartitioned builds the engine from a verified type split (call
@@ -70,6 +64,7 @@ func NewTypePartitioned(cm *model.Compiled, cfg *lattice.Config, src *rng.Source
 		panic("core: configuration lattice differs from compiled lattice")
 	}
 	e := &TypePartitioned{cm: cm, cfg: cfg, cells: cfg.Cells(), src: src, split: split}
+	e.sweep.init(e.visit)
 	acc := 0.0
 	for _, r := range split.SubsetRates {
 		acc += r
@@ -102,98 +97,49 @@ func pickCum(cum []float64, u float64) int {
 //
 //surflint:hotpath
 func (e *TypePartitioned) Step() bool {
+	e.accept = e.Accept
+	if e.accept <= 0 || e.accept > 1 {
+		e.accept = 1
+	}
+	// Thinning slows the clock so the per-site execution rate stays
+	// calibrated: visits per unit time scale by 1/accept.
+	e.nk = float64(e.cm.Lat.N()) * e.cm.K / e.accept
 	for j := 0; j < e.split.NumSubsets(); j++ {
 		tj := pickCum(e.subsetCum, e.src.Float64())
 		ti := pickCum(e.typeCum[tj], e.src.Float64())
-		rt := e.split.Subsets[tj][ti]
+		e.sweepRT = e.split.Subsets[tj][ti]
 		part := e.split.Partitions[tj]
-		ci := e.src.Intn(part.NumChunks())
-		e.sweepType(rt, part.Chunks[ci])
+		chunk := part.Chunks[e.src.Intn(part.NumChunks())]
+		// Attempt the one type at every site of the chunk.
+		dt, succ := e.sweep.run(e.src, chunk, e.Workers)
+		e.time += dt
+		e.successes += succ
+		e.visits += uint64(len(chunk))
 	}
 	e.steps++
 	return true
 }
 
-// sweepType attempts reaction type rt at every site of the chunk.
-func (e *TypePartitioned) sweepType(rt int, chunk []int32) {
-	e.sweepID++
-	e.src.SplitInto(&e.sweepBase, e.sweepID)
-	e.sweepRT = rt
-	accept := e.Accept
-	if accept <= 0 || accept > 1 {
-		accept = 1
-	}
-	e.accept = accept
-	// Thinning slows the clock so the per-site execution rate stays
-	// calibrated: visits per unit time scale by 1/accept.
-	e.nk = float64(e.cm.Lat.N()) * e.cm.K / accept
-
-	// Per-site clock increments are recorded into slots and summed in
-	// chunk order afterwards, so the clock (not just the configuration)
-	// is bit-identical for every worker count — the same fix pndca and
-	// ddrsm received.
-	if cap(e.dtbuf) < len(chunk) {
-		e.dtbuf = make([]float64, len(chunk))
-	}
-	dts := e.dtbuf[:len(chunk)]
-
-	workers := e.Workers
-	if workers < 1 {
-		workers = 1
-	}
-	if workers > len(chunk) {
-		workers = len(chunk)
-	}
-	if workers == 1 {
-		e.successes += e.visit(chunk, dts, 0, len(chunk))
-	} else {
-		if cap(e.succbuf) < workers {
-			e.succbuf = make([]uint64, workers)
-		}
-		succs := e.succbuf[:workers]
-		for w := 0; w < workers; w++ {
-			lo := w * len(chunk) / workers
-			hi := (w + 1) * len(chunk) / workers
-			e.wg.Add(1)
-			go e.visitWorker(chunk, dts, lo, hi, &succs[w])
-		}
-		e.wg.Wait()
-		for _, succ := range succs {
-			e.successes += succ
-		}
-	}
-	var dt float64
-	for _, d := range dts {
-		dt += d
-	}
-	e.time += dt
-	e.visits += uint64(len(chunk))
-}
-
-// visit attempts the sweep's reaction type at the sites chunk[lo:hi],
-// recording clock increments into dts; invocations over disjoint
-// ranges are race-free under the per-type non-overlap rule.
-func (e *TypePartitioned) visit(chunk []int32, dts []float64, lo, hi int) (succ uint64) {
+// visit is the type-partitioned per-range visit of the chunk sweep: it
+// attempts the sweep's reaction type at every site, thinned by accept.
+//
+//surflint:hotpath
+func (e *TypePartitioned) visit(base *rng.Source, sites []int32, dts []float64) (succ uint64) {
 	var st rng.Source
-	for i, s := range chunk[lo:hi] {
-		e.sweepBase.SplitInto(&st, uint64(s))
+	for i, s := range sites {
+		base.SplitInto(&st, uint64(s))
 		if e.accept >= 1 || st.Float64() < e.accept {
 			if e.cm.TryExecute(e.cells, e.sweepRT, int(s)) {
 				succ++
 			}
 		}
 		if e.DeterministicTime {
-			dts[lo+i] = 1 / e.nk
+			dts[i] = 1 / e.nk
 		} else {
-			dts[lo+i] = st.Exp(e.nk)
+			dts[i] = st.Exp(e.nk)
 		}
 	}
 	return
-}
-
-func (e *TypePartitioned) visitWorker(chunk []int32, dts []float64, lo, hi int, out *uint64) {
-	defer e.wg.Done()
-	*out = e.visit(chunk, dts, lo, hi)
 }
 
 // Reset rewinds the engine over a fresh configuration (see
@@ -206,7 +152,7 @@ func (e *TypePartitioned) Reset(cfg *lattice.Config, src *rng.Source) {
 	}
 	e.cfg, e.cells, e.src = cfg, cfg.Cells(), src
 	e.time = 0
-	e.sweepID, e.steps, e.visits, e.successes = 0, 0, 0, 0
+	e.sweep.id, e.steps, e.visits, e.successes = 0, 0, 0, 0
 }
 
 // Time returns the simulated time.

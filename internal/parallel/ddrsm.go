@@ -14,8 +14,9 @@
 package parallel
 
 import (
+	"cmp"
 	"fmt"
-	"sync"
+	"slices"
 
 	"parsurf/internal/lattice"
 	"parsurf/internal/model"
@@ -49,27 +50,22 @@ type DDRSM struct {
 	steps     uint64
 
 	// Per-step scratch, reused so the steady-state step allocates
-	// nothing: the per-step base stream, one worker record per strip
-	// (each with its own derived stream and deferred-trial buffer), the
-	// merged deferral list, and the step barrier.
+	// nothing: the per-step base stream, one result record per strip
+	// (each with its deferred-trial buffer), the merged deferral list,
+	// and the fan-out over the strips.
 	stepBase    rng.Source
-	workers     []stripWorker
-	runFns      []func() // bound worker method values, allocated once
+	results     []stripResult
 	allDeferred []deferredTrial
-	wg          sync.WaitGroup
+	fan         *Fanout
 }
 
-// stripWorker is one strip's per-step state. The strip goroutine writes
-// only its own record; the sequential merge phase reads them in strip
-// order after the barrier.
-type stripWorker struct {
-	d              *DDRSM
-	idx            int
-	stream         rng.Source
-	deferredTrials []deferredTrial
-	successes      uint64
-	trials         uint64
-	dt             float64
+// stripResult is one strip's outcome of the step in flight. The strip
+// goroutine stores it once, at the end of the strip; the sequential
+// merge phase reads the records in strip order after the barrier.
+type stripResult struct {
+	deferred  []deferredTrial
+	successes uint64
+	dt        float64
 }
 
 type strip struct {
@@ -102,25 +98,18 @@ func NewDDRSM(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, p int) (
 		hi := (w + 1) * rows / p
 		d.strips = append(d.strips, strip{loRow: lo, hiRow: hi, sites: (hi - lo) * cm.Lat.L0})
 	}
-	d.workers = make([]stripWorker, p)
+	d.results = make([]stripResult, p)
 	// Deferred trials land in the 2·radius boundary rows of each strip,
 	// so a step defers about 2·radius·L0 trials per strip on average
 	// (binomial, sd ≈ √mean). Presizing the buffers at 4× the mean puts
 	// the capacity tens of standard deviations above any count a run
 	// will ever see, so the steady-state step allocates nothing.
 	band := 4 * 2 * radius * cm.Lat.L0
-	d.runFns = make([]func(), p)
-	for w := range d.workers {
-		d.workers[w].d = d
-		d.workers[w].idx = w
-		d.workers[w].deferredTrials = make([]deferredTrial, 0, band)
-		// Bind the method value once: `go d.runFns[w]()` then passes a
-		// zero-argument funcval to the scheduler, where a direct
-		// `go d.workers[w].run()` would heap-allocate a wrapper
-		// closure on every launch.
-		d.runFns[w] = d.workers[w].run
+	for w := range d.results {
+		d.results[w].deferred = make([]deferredTrial, 0, band)
 	}
 	d.allDeferred = make([]deferredTrial, 0, band*p)
+	d.fan = NewFanout(d.runStrip)
 	return d, nil
 }
 
@@ -152,22 +141,11 @@ func (d *DDRSM) interior(st strip, s int) bool {
 //
 //surflint:hotpath
 func (d *DDRSM) Step() bool {
-	p := len(d.strips)
-
 	// Per-step derived streams make the outcome independent of
 	// goroutine scheduling.
 	d.steps++
 	d.src.SplitInto(&d.stepBase, d.steps)
-
-	d.wg.Add(p)
-	for w := 0; w < p; w++ {
-		// Intended fan-out: one goroutine per strip per window step,
-		// amortized over the whole interior sweep; runFns are built at
-		// Reset so the launch itself does not allocate.
-		//surflint:allow hotpath
-		go d.runFns[w]()
-	}
-	d.wg.Wait() // barrier: all interior work done
+	d.fan.Run(len(d.strips)) // barrier: all interior work done
 	d.barriers++
 
 	// Sequential boundary phase. Subtotals merge in strip order so the
@@ -178,15 +156,15 @@ func (d *DDRSM) Step() bool {
 	// buffer and every per-strip deferral buffer are struct-held and
 	// reused, so the steady-state step allocates nothing.
 	allDeferred := d.allDeferred[:0]
-	for w := range d.workers {
-		wk := &d.workers[w]
-		d.successes += wk.successes
-		d.trials += wk.trials
-		d.time += wk.dt
-		allDeferred = append(allDeferred, wk.deferredTrials...)
+	for w := range d.results {
+		r := &d.results[w]
+		d.successes += r.successes
+		d.trials += uint64(d.strips[w].sites)
+		d.time += r.dt
+		allDeferred = append(allDeferred, r.deferred...)
 	}
 	d.allDeferred = allDeferred
-	sortDeferred(allDeferred)
+	slices.SortFunc(allDeferred, compareDeferred)
 	for _, tr := range allDeferred {
 		if d.cm.TryExecute(d.cells, tr.rt, tr.site) {
 			d.successes++
@@ -197,51 +175,47 @@ func (d *DDRSM) Step() bool {
 	return true
 }
 
-// run performs one strip's interior trials for the step in flight. It
-// writes only its own record; interior trials touch only this strip's
-// rows, so concurrent execution cannot race with the other strips.
-func (wk *stripWorker) run() {
-	d := wk.d
-	defer d.wg.Done()
-	st := d.strips[wk.idx]
+// runStrip performs strip w's interior trials for the step in flight:
+// one trial per strip site. Its running state stays in locals and is
+// stored into the strip's record once, at the end, because the records
+// sit side by side in d.results and per-trial writes there would share
+// cache lines across strips. Interior trials touch only this strip's
+// rows, so concurrent strips cannot race.
+//
+//surflint:hotpath
+func (d *DDRSM) runStrip(w int) {
+	st := d.strips[w]
 	nk := float64(d.cm.Lat.N()) * d.cm.K
-	d.stepBase.SplitInto(&wk.stream, uint64(wk.idx))
-	stream := &wk.stream
-	wk.deferredTrials = wk.deferredTrials[:0]
-	wk.successes, wk.trials, wk.dt = 0, 0, 0
+	var stream rng.Source
+	d.stepBase.SplitInto(&stream, uint64(w))
+	deferred := d.results[w].deferred[:0]
+	var successes uint64
+	var dt float64
 	for i := 0; i < st.sites; i++ {
 		row := st.loRow + stream.Intn(st.hiRow-st.loRow)
 		col := stream.Intn(d.cm.Lat.L0)
 		s := d.cm.Lat.Index(col, row)
 		rt := d.cm.PickType(stream.Float64())
-		wk.trials++
 		if d.DeterministicTime {
-			wk.dt += 1 / nk
+			dt += 1 / nk
 		} else {
-			wk.dt += stream.Exp(nk)
+			dt += stream.Exp(nk)
 		}
 		if d.interior(st, s) {
 			if d.cm.TryExecute(d.cells, rt, s) {
-				wk.successes++
+				successes++
 			}
 		} else {
-			wk.deferredTrials = append(wk.deferredTrials, deferredTrial{site: s, rt: rt})
+			deferred = append(deferred, deferredTrial{site: s, rt: rt})
 		}
 	}
+	d.results[w] = stripResult{deferred: deferred, successes: successes, dt: dt}
 }
 
-// sortDeferred orders trials by (site, rt) with an insertion sort; the
-// slices are short (boundary bands only).
-func sortDeferred(ts []deferredTrial) {
-	for i := 1; i < len(ts); i++ {
-		for j := i; j > 0; j-- {
-			a, b := ts[j-1], ts[j]
-			if a.site < b.site || (a.site == b.site && a.rt <= b.rt) {
-				break
-			}
-			ts[j-1], ts[j] = b, a
-		}
-	}
+// compareDeferred orders deferred trials by (site, rt). Trials with
+// equal keys are equal values, so any sort yields the same order.
+func compareDeferred(a, b deferredTrial) int {
+	return cmp.Or(cmp.Compare(a.site, b.site), cmp.Compare(a.rt, b.rt))
 }
 
 // Time returns the simulated time.
