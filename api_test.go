@@ -371,6 +371,40 @@ func TestSampleNoDuplicateOnGridDrift(t *testing.T) {
 	}
 }
 
+func TestSample(t *testing.T) {
+	lat := parsurf.NewSquareLattice(8)
+	cm := parsurf.MustCompile(parsurf.NewZGBModel(parsurf.DefaultZGBRates()), lat)
+	sim := parsurf.NewRSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(31))
+	var times []float64
+	parsurf.Sample(sim, 0.5, 5, func(tm float64) { times = append(times, tm) })
+	if len(times) < 10 {
+		t.Fatalf("Sample recorded %d points", len(times))
+	}
+	for i := 1; i < len(times); i++ {
+		if times[i] < times[i-1] {
+			t.Fatal("sample times not monotone")
+		}
+	}
+}
+
+// A degenerate sampling schedule must panic loudly, not silently
+// produce an empty series (Sample has no error return).
+func TestSamplePanicsOnDegenerateDt(t *testing.T) {
+	lat := parsurf.NewSquareLattice(8)
+	cm := parsurf.MustCompile(parsurf.NewZGBModel(parsurf.DefaultZGBRates()), lat)
+	for _, dt := range []float64{1e-300, 0} {
+		func() {
+			sim := parsurf.NewRSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(3))
+			defer func() {
+				if recover() == nil {
+					t.Errorf("no panic for dt=%v", dt)
+				}
+			}()
+			parsurf.Sample(sim, dt, 1e3, func(float64) {})
+		}()
+	}
+}
+
 // goldenTraces are FNV-64a fingerprints of (configuration, time) after
 // every step of a fixed-seed run per engine, captured from the
 // implementation BEFORE the hot-loop flattening (closure-based

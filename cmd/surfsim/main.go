@@ -30,6 +30,7 @@
 package main
 
 import (
+	"bytes"
 	"context"
 	"flag"
 	"fmt"
@@ -42,7 +43,9 @@ import (
 
 	"parsurf"
 	"parsurf/internal/modelfile"
+	"parsurf/internal/sim"
 	"parsurf/internal/stats"
+	"parsurf/internal/store"
 	"parsurf/internal/timegrid"
 	"parsurf/internal/trace"
 )
@@ -146,10 +149,10 @@ func specFlagConflict() string {
 // runResumed continues a resumed session to tEnd, sampling on the
 // t=0-anchored grid the original run used (Session.Run anchors its
 // grid at the current clock, which would shift every remaining sample
-// by the checkpoint time). Grid points the checkpointed run already
-// covered are skipped, so the printed rows are exactly the tail the
+// by the checkpoint time). The loop starts at the first grid point past
+// the restored clock, so the printed rows are exactly the tail the
 // uninterrupted run prints past the checkpoint.
-func runResumed(sess *parsurf.Session, tEnd, dt float64, record func(t float64, cfg *parsurf.Config)) error {
+func runResumed(sess *parsurf.Session, tEnd, dt float64, record parsurf.ObserverFunc) error {
 	grid, err := timegrid.New(tEnd, dt)
 	if err != nil {
 		return err
@@ -159,42 +162,20 @@ func runResumed(sess *parsurf.Session, tEnd, dt float64, record func(t float64, 
 	for k0 < grid.Len() && grid.At(k0) <= eng.Time() {
 		k0++
 	}
-	for k := k0; k < grid.Len(); k++ {
-		if k == grid.Len()-1 && grid.Tail() && eng.Time() >= tEnd {
-			// The clock already covered the off-grid horizon; a tail
-			// sample would duplicate the previous observation.
-			break
-		}
-		target := grid.At(k)
-		if _, err := sess.Run(context.Background(), parsurf.Until(target)); err != nil {
-			return err
-		}
-		record(eng.Time(), sess.Config())
-		if eng.Time() < target {
-			// Absorbing state before the sample point: recorded once.
-			break
-		}
-	}
-	return nil
+	_, _, err = sim.SampleGrid(context.Background(), eng, grid, k0, record)
+	return err
 }
 
-// writeCheckpoint snapshots the finished session to path via a
-// temporary file and rename, so a crash mid-write never leaves a
-// half-written checkpoint under the requested name.
+// writeCheckpoint snapshots the finished session to path through the
+// store's atomic writer (temp file, fsync, rename, directory fsync), so
+// a crash mid-write never leaves a half-written checkpoint under the
+// requested name.
 func writeCheckpoint(sess *parsurf.Session, path string) error {
-	tmp, err := os.CreateTemp(filepath.Dir(path), ".ckpt-*")
-	if err != nil {
+	var buf bytes.Buffer
+	if err := sess.Checkpoint(&buf); err != nil {
 		return err
 	}
-	defer os.Remove(tmp.Name())
-	if err := sess.Checkpoint(tmp); err != nil {
-		tmp.Close()
-		return err
-	}
-	if err := tmp.Close(); err != nil {
-		return err
-	}
-	return os.Rename(tmp.Name(), path)
+	return store.FS(filepath.Dir(path)).Put(filepath.Base(path), buf.Bytes())
 }
 
 // loadSpec reads and validates a serialized session spec.
@@ -321,18 +302,18 @@ func run(spec *parsurf.SessionSpec, title string, tEnd, dt float64, replicas, pa
 			series[i] = &stats.Series{}
 		}
 		n := float64(sess.Lattice().N())
-		record := func(t float64, cfg *parsurf.Config) {
+		record := parsurf.ObserverFunc(func(t float64, cfg *parsurf.Config) {
 			counts := cfg.CountAll(numSpecies)
 			for sp := range series {
 				series[sp].Append(t, float64(counts[sp])/n)
 			}
-		}
+		})
 		if resumePath != "" {
 			if err := runResumed(sess, tEnd, dt, record); err != nil {
 				return err
 			}
 		} else if _, err := sess.Run(context.Background(), parsurf.Until(tEnd),
-			parsurf.SampleEvery(dt, parsurf.ObserverFunc(record))); err != nil {
+			parsurf.SampleEvery(dt, record)); err != nil {
 			return err
 		}
 		if ckptPath != "" {

@@ -6,7 +6,6 @@ import (
 	"parsurf/internal/cluster"
 	"parsurf/internal/model"
 	"parsurf/internal/modelfile"
-	"parsurf/internal/persist"
 	"parsurf/internal/sim"
 	"parsurf/internal/stats"
 	"parsurf/internal/trace"
@@ -15,8 +14,6 @@ import (
 
 // Observation layer (internal/sim).
 type (
-	// Runner drives a simulator and fans samples out to observers.
-	Runner = sim.Runner
 	// Observer receives samples of the live configuration.
 	Observer = sim.Observer
 	// ObserverFunc adapts a plain function to the Observer interface.
@@ -27,16 +24,11 @@ type (
 	SnapshotObserver = sim.SnapshotObserver
 	// SteadyState detects equilibration of a scalar series.
 	SteadyState = sim.SteadyState
-	// Checkpoint is a saved simulation state.
-	Checkpoint = persist.Checkpoint
 	// ClusterStats summarises connected-component analysis.
 	ClusterStats = cluster.Stats
 	// Oscillation describes a detected oscillation.
 	Oscillation = stats.Oscillation
 )
-
-// NewRunner returns a runner sampling every dt simulated time units.
-func NewRunner(s Simulator, dt float64) *Runner { return sim.NewRunner(s, dt) }
 
 // NewCoverageObserver tracks the coverages of the given species.
 func NewCoverageObserver(species ...Species) *CoverageObserver {
@@ -48,15 +40,6 @@ func NewSnapshotObserver(every int) *SnapshotObserver { return sim.NewSnapshotOb
 
 // NewSteadyState detects two consecutive windows agreeing within tol.
 func NewSteadyState(window int, tol float64) *SteadyState { return sim.NewSteadyState(window, tol) }
-
-// SaveCheckpoint writes the simulation state (configuration, random
-// source, clock) in the compact binary format of internal/persist.
-func SaveCheckpoint(w io.Writer, cfg *Config, src *RNG, time float64) error {
-	return persist.Save(w, cfg, src, time)
-}
-
-// LoadCheckpoint reads a checkpoint written by SaveCheckpoint.
-func LoadCheckpoint(r io.Reader) (*Checkpoint, error) { return persist.Load(r) }
 
 // ParseModel reads a model definition in the internal/modelfile text
 // format.

@@ -2,6 +2,7 @@ package parsurf_test
 
 import (
 	"bytes"
+	"context"
 	"strings"
 	"testing"
 
@@ -9,34 +10,48 @@ import (
 )
 
 func TestFacadeObserversAndCheckpoint(t *testing.T) {
-	lat := parsurf.NewSquareLattice(16)
-	m := parsurf.NewZGBModel(parsurf.DefaultZGBRates())
-	cm := parsurf.MustCompile(m, lat)
-	cfg := parsurf.NewConfig(lat)
-	src := parsurf.NewRNG(1)
-	rsm := parsurf.NewRSM(cm, cfg, src)
+	spec, err := parsurf.NewSpec(
+		parsurf.WithModelPreset("zgb", nil),
+		parsurf.WithLattice(16, 16),
+		parsurf.WithEngine("rsm"),
+		parsurf.WithSeed(1),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
+	sess, err := spec.Session()
+	if err != nil {
+		t.Fatal(err)
+	}
 
 	cov := parsurf.NewCoverageObserver(0, 1, 2)
 	snap := parsurf.NewSnapshotObserver(1)
-	n := parsurf.NewRunner(rsm, 0.5).Attach(cov, snap).Run(5)
+	st, err := sess.Run(context.Background(), parsurf.Until(5), parsurf.SampleEvery(0.5, cov, snap))
+	if err != nil {
+		t.Fatal(err)
+	}
+	n := st.Samples
 	if n == 0 || cov.Series[0].Len() != n || len(snap.Snapshots) != n {
 		t.Fatal("observers missed samples")
 	}
 
 	var buf bytes.Buffer
-	if err := parsurf.SaveCheckpoint(&buf, cfg, src, rsm.Time()); err != nil {
+	if err := sess.Checkpoint(&buf); err != nil {
 		t.Fatal(err)
 	}
-	cp, err := parsurf.LoadCheckpoint(&buf)
+	resumed, err := parsurf.ResumeSession(spec, &buf)
 	if err != nil {
 		t.Fatal(err)
 	}
-	if !cp.Config.Equal(cfg) || cp.Time != rsm.Time() {
+	if !resumed.Config().Equal(sess.Config()) || resumed.Engine().Time() != sess.Engine().Time() {
 		t.Fatal("checkpoint round trip lost state")
 	}
-	// Resume on the restored state.
-	resumed := parsurf.NewRSM(cm, cp.Config, cp.RNG)
-	resumed.Step()
+	// Both continue the same trajectory.
+	sess.Engine().Step()
+	resumed.Engine().Step()
+	if !resumed.Config().Equal(sess.Config()) || resumed.Engine().Time() != sess.Engine().Time() {
+		t.Fatal("resumed session diverged on its first step")
+	}
 }
 
 func TestFacadeModelFile(t *testing.T) {

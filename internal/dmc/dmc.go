@@ -15,10 +15,7 @@
 // disabled reactions and serve as fast exact baselines and cross-checks.
 package dmc
 
-import (
-	"parsurf/internal/lattice"
-	"parsurf/internal/timegrid"
-)
+import "parsurf/internal/lattice"
 
 // Simulator is the common interface of all engines in this repository
 // (DMC and CA families alike): advance the state and report the current
@@ -46,42 +43,4 @@ func RunUntil(sim Simulator, t float64) int {
 		steps++
 	}
 	return steps
-}
-
-// Sample runs sim and records observe(time) at every multiple of dt up
-// to tEnd, starting at the current time, plus a final sample at tEnd
-// exactly when tEnd is not on the dt grid (so the tail of the run is
-// never dropped). The observation function reads the live configuration
-// through the closure.
-//
-// The sample points come from timegrid.From — index-derived, never
-// accumulated — so every consumer of the same (origin, tEnd, dt)
-// schedule (this function, the context-aware runners in internal/sim,
-// and the ensemble merge) lands on exactly the same float64 grid.
-// A degenerate schedule (dt too small to advance the clock's floats,
-// or fine enough to exceed the grid-point cap) panics — Sample has no
-// error channel, and silently taking zero samples would hand callers
-// an empty series; the context-aware sim.RunContext returns the same
-// condition as an error.
-func Sample(sim Simulator, dt, tEnd float64, observe func(t float64)) {
-	grid, err := timegrid.From(sim.Time(), tEnd, dt)
-	if err != nil {
-		panic("dmc: " + err.Error())
-	}
-	for k := 0; k < grid.Len(); k++ {
-		t := grid.At(k)
-		if k == grid.Len()-1 && grid.Tail() && sim.Time() >= tEnd {
-			// The clock already covered the off-grid horizon while
-			// running to the last on-step point; a tail sample here
-			// would duplicate the previous observation.
-			return
-		}
-		RunUntil(sim, t)
-		observe(sim.Time())
-		if sim.Time() < t {
-			// Absorbing state before the sample point: recorded once,
-			// stop.
-			return
-		}
-	}
 }

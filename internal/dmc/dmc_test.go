@@ -357,21 +357,6 @@ func TestRunUntil(t *testing.T) {
 	}
 }
 
-func TestSample(t *testing.T) {
-	cm, cfg, src := zgbSetup(t, 8, 31)
-	r := NewRSM(cm, cfg, src)
-	var times []float64
-	Sample(r, 0.5, 5, func(tm float64) { times = append(times, tm) })
-	if len(times) < 10 {
-		t.Fatalf("Sample recorded %d points", len(times))
-	}
-	for i := 1; i < len(times); i++ {
-		if times[i] < times[i-1] {
-			t.Fatal("sample times not monotone")
-		}
-	}
-}
-
 func BenchmarkRSMTrialZGB(b *testing.B) {
 	cm, cfg, src := zgbSetup(b, 128, 1)
 	r := NewRSM(cm, cfg, src)
@@ -401,17 +386,4 @@ func BenchmarkFRMEventZGB(b *testing.B) {
 			b.Fatal("absorbed")
 		}
 	}
-}
-
-// A degenerate sampling schedule must panic loudly, not silently
-// produce an empty series (Sample has no error return).
-func TestSamplePanicsOnDegenerateDt(t *testing.T) {
-	cm, cfg, src := zgbSetup(t, 8, 3)
-	r := NewRSM(cm, cfg, src)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for a dt beyond the grid-point cap")
-		}
-	}()
-	Sample(r, 1e-300, 1e3, func(float64) {})
 }

@@ -66,10 +66,10 @@ func TestSubmitPersistsBeforeAck(t *testing.T) {
 }
 
 // A submission whose record cannot be written is rejected with the store
-// error before the job can reach a runner: nothing is listed and
-// nothing runs. (Until the queued record was written ahead of the
-// enqueue, an idle runner could dequeue and finish the job while that
-// write was still in flight.)
+// error before the job can reach a runner: nothing is listed, nothing
+// runs, and its ID is never handed out again. (Until the queued record
+// was written ahead of the enqueue, an idle runner could dequeue and
+// finish the job while that write was still in flight.)
 func TestSubmitPersistFailureRacesRunner(t *testing.T) {
 	faulty := store.New(&store.Faulty{Backend: new(store.Mem), Hook: func(n int, op string) error {
 		if op == "put-job" && n == 1 {
@@ -90,6 +90,21 @@ func TestSubmitPersistFailureRacesRunner(t *testing.T) {
 	}
 	if n := m.RunsStarted(); n != 0 {
 		t.Fatalf("rejected submission ran (RunsStarted %d)", n)
+	}
+	// The failed write's ID is never handed out again: the next
+	// submission takes the one after it.
+	j, err := m.Submit(shortReq(t, 2))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if j.ID() != "job-2" {
+		t.Fatalf("next submission got %s, want job-2", j.ID())
+	}
+	if _, ok := m.Get("job-1"); ok {
+		t.Fatal("the rejected submission's ID resolves to a job")
+	}
+	if jobs := m.Jobs(); len(jobs) != 1 || jobs[0].ID() != "job-2" {
+		t.Fatalf("Jobs() lists %d jobs, want only job-2", len(jobs))
 	}
 }
 

@@ -108,20 +108,7 @@ func Write(w io.Writer, c *Checkpoint) error {
 	return e.Err()
 }
 
-// Save writes an engine-agnostic checkpoint of the given state, the
-// v1-era convenience API. The species bound is taken from the largest
-// species present in the configuration.
-func Save(w io.Writer, cfg *lattice.Config, src *rng.Source, time float64) error {
-	n := 1
-	for _, sp := range cfg.Cells() {
-		if int(sp)+1 > n {
-			n = int(sp) + 1
-		}
-	}
-	return Write(w, &Checkpoint{NumSpecies: n, Time: time, Config: cfg, RNG: src})
-}
-
-// Load reads a checkpoint written by Write or Save. The stream must
+// Load reads a checkpoint written by Write. The stream must
 // end exactly after the payload block; trailing bytes are rejected.
 func Load(r io.Reader) (*Checkpoint, error) {
 	head := make([]byte, 4)

@@ -22,7 +22,7 @@ func TestRoundTrip(t *testing.T) {
 	}
 
 	var buf bytes.Buffer
-	if err := persist.Save(&buf, cfg, src, 12.5); err != nil {
+	if err := persist.Write(&buf, &persist.Checkpoint{NumSpecies: 3, Time: 12.5, Config: cfg, RNG: src}); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := persist.Load(&buf)
@@ -105,7 +105,7 @@ func TestResumeExactTrajectory(t *testing.T) {
 		r1.Step()
 	}
 	var buf bytes.Buffer
-	if err := persist.Save(&buf, cfg, src, r1.Time()); err != nil {
+	if err := persist.Write(&buf, &persist.Checkpoint{NumSpecies: 3, Time: r1.Time(), Config: cfg, RNG: src}); err != nil {
 		t.Fatal(err)
 	}
 	cp, err := persist.Load(&buf)
@@ -121,8 +121,8 @@ func TestResumeExactTrajectory(t *testing.T) {
 	}
 }
 
-// Fixed offsets into a checkpoint written by Save (empty engine name
-// and spec hash, so the variable-length blocks are zero bytes):
+// Fixed offsets into a checkpoint with an empty engine name and spec
+// hash (so the variable-length blocks are zero bytes):
 //
 //	0  magic, 4 version, 8 engine len, 12 hash len, 16 species,
 //	20 l0, 24 l1, 28 steps, 36 time, 44 rng, 76 cells.
@@ -139,7 +139,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 	src := rng.New(1)
 	cfg.Randomize([]float64{1, 1}, src.Float64)
 	var buf bytes.Buffer
-	if err := persist.Save(&buf, cfg, src, 1); err != nil {
+	if err := persist.Write(&buf, &persist.Checkpoint{NumSpecies: 2, Time: 1, Config: cfg, RNG: src}); err != nil {
 		t.Fatal(err)
 	}
 	good := buf.Bytes()
@@ -196,9 +196,9 @@ func (f *failWriter) Write(p []byte) (int, error) {
 func TestSavePropagatesWriteErrors(t *testing.T) {
 	lat := lattice.New(4, 4)
 	cfg := lattice.NewConfig(lat)
-	src := rng.New(1)
+	cp := &persist.Checkpoint{NumSpecies: 1, Time: 1, Config: cfg, RNG: rng.New(1)}
 	for _, after := range []int{0, 3, 8, 30, 77} {
-		if err := persist.Save(&failWriter{after: after}, cfg, src, 1); err == nil {
+		if err := persist.Write(&failWriter{after: after}, cp); err == nil {
 			t.Errorf("write failure after %d bytes not propagated", after)
 		}
 	}

@@ -2,7 +2,8 @@ package registry
 
 import (
 	"fmt"
-	"sort"
+	"maps"
+	"slices"
 	"strconv"
 	"strings"
 
@@ -19,104 +20,63 @@ import (
 // information the closures they replace (PartitionWith et al.) closed
 // over.
 
-// PartitionBuilder describes one named site-partition builder.
-type PartitionBuilder struct {
-	// Name is the builder key ("vonneumann5", "modular", …).
-	Name string
-	// Doc is a one-line description, with the argument syntax when the
-	// builder takes one.
-	Doc string
-	// NeedsModel marks builders that consult the reaction model (the
+// partitionBuilder is one named site-partition builder.
+type partitionBuilder struct {
+	// needsModel marks builders that consult the reaction model (the
 	// modular-colouring search); they are unavailable to model-free
 	// engines.
-	NeedsModel bool
-	// Build constructs the partition. arg is the text after ":" in the
+	needsModel bool
+	// build constructs the partition. arg is the text after ":" in the
 	// builder spec ("" when absent).
-	Build func(m *model.Model, lat *lattice.Lattice, arg string) (*partition.Partition, error)
+	build func(m *model.Model, lat *lattice.Lattice, arg string) (*partition.Partition, error)
 }
 
-// TypeSplitBuilder describes one named Ω×T split builder.
-type TypeSplitBuilder struct {
-	Name string
-	Doc  string
-	// Build constructs the split from the model and lattice.
-	Build func(m *model.Model, lat *lattice.Lattice, arg string) (*partition.TypeSplit, error)
+// defaultModularMaxK bounds the modular-colouring search when the
+// "modular" builder is used without an explicit colour bound.
+const defaultModularMaxK = 64
+
+// partitionBuilders are the named partition builders. Only "modular"
+// takes an argument: "modular:K" bounds the colour search at K.
+var partitionBuilders = map[string]partitionBuilder{
+	// Five-chunk von Neumann colouring of Fig. 4 (extents must be
+	// multiples of 5).
+	"vonneumann5": {build: func(_ *model.Model, lat *lattice.Lattice, _ string) (*partition.Partition, error) {
+		return partition.VonNeumann5(lat)
+	}},
+	// Two-chunk checkerboard of Fig. 6 (even extents).
+	"checkerboard": {build: func(_ *model.Model, lat *lattice.Lattice, _ string) (*partition.Partition, error) {
+		return partition.Checkerboard(lat)
+	}},
+	// Degenerate m=1 partition (L-PNDCA ≡ RSM).
+	"singlechunk": {build: func(_ *model.Model, lat *lattice.Lattice, _ string) (*partition.Partition, error) {
+		return partition.SingleChunk(lat), nil
+	}},
+	// Degenerate m=N partition (L-PNDCA with L=1 ≡ RSM).
+	"singletons": {build: func(_ *model.Model, lat *lattice.Lattice, _ string) (*partition.Partition, error) {
+		return partition.Singletons(lat), nil
+	}},
+	// Smallest valid modular colouring for the model.
+	"modular": {needsModel: true, build: func(m *model.Model, lat *lattice.Lattice, arg string) (*partition.Partition, error) {
+		maxK := defaultModularMaxK
+		if arg != "" {
+			maxK, _ = strconv.Atoi(arg) // validated by ValidatePartitionSpec
+		}
+		return partition.ModularColoring(m, lat, maxK)
+	}},
 }
 
-var (
-	partitionBuilders = map[string]PartitionBuilder{}
-	typeSplitBuilders = map[string]TypeSplitBuilder{}
-)
-
-// RegisterPartitionBuilder adds a named partition builder; duplicates
-// panic (a programming error caught at process start).
-func RegisterPartitionBuilder(b PartitionBuilder) {
-	if b.Name == "" || b.Build == nil {
-		panic("registry: RegisterPartitionBuilder with empty name or nil builder")
-	}
-	if strings.Contains(b.Name, ":") {
-		panic(fmt.Sprintf("registry: partition builder name %q must not contain ':'", b.Name))
-	}
-	if _, dup := partitionBuilders[b.Name]; dup {
-		panic(fmt.Sprintf("registry: partition builder %q registered twice", b.Name))
-	}
-	partitionBuilders[b.Name] = b
+// typeSplitBuilders are the named Ω×T split builders; none takes an
+// argument.
+var typeSplitBuilders = map[string]func(m *model.Model, lat *lattice.Lattice) (*partition.TypeSplit, error){
+	// Table II split by reaction direction with checkerboard partitions.
+	"bydirection": partition.SplitByDirection,
 }
 
-// RegisterTypeSplitBuilder adds a named type-split builder; duplicates
-// panic.
-func RegisterTypeSplitBuilder(b TypeSplitBuilder) {
-	if b.Name == "" || b.Build == nil {
-		panic("registry: RegisterTypeSplitBuilder with empty name or nil builder")
-	}
-	if strings.Contains(b.Name, ":") {
-		panic(fmt.Sprintf("registry: type-split builder name %q must not contain ':'", b.Name))
-	}
-	if _, dup := typeSplitBuilders[b.Name]; dup {
-		panic(fmt.Sprintf("registry: type-split builder %q registered twice", b.Name))
-	}
-	typeSplitBuilders[b.Name] = b
-}
+// PartitionBuilderNames returns the partition builder names, sorted.
+func PartitionBuilderNames() []string { return slices.Sorted(maps.Keys(partitionBuilders)) }
 
-// PartitionBuilderNames returns the registered builder names, sorted.
-func PartitionBuilderNames() []string {
-	names := make([]string, 0, len(partitionBuilders))
-	for name := range partitionBuilders {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// PartitionBuilders returns every registered partition builder, sorted
-// by name.
-func PartitionBuilders() []PartitionBuilder {
-	out := make([]PartitionBuilder, 0, len(partitionBuilders))
-	for _, name := range PartitionBuilderNames() {
-		out = append(out, partitionBuilders[name])
-	}
-	return out
-}
-
-// TypeSplitBuilderNames returns the registered builder names, sorted.
-func TypeSplitBuilderNames() []string {
-	names := make([]string, 0, len(typeSplitBuilders))
-	for name := range typeSplitBuilders {
-		names = append(names, name)
-	}
-	sort.Strings(names)
-	return names
-}
-
-// TypeSplitBuilders returns every registered type-split builder, sorted
-// by name.
-func TypeSplitBuilders() []TypeSplitBuilder {
-	out := make([]TypeSplitBuilder, 0, len(typeSplitBuilders))
-	for _, name := range TypeSplitBuilderNames() {
-		out = append(out, typeSplitBuilders[name])
-	}
-	return out
-}
+// TypeSplitBuilderNames returns the type-split builder names, sorted.
+func TypeSplitBuilderNames() []string { return slices.Sorted(maps.Keys(typeSplitBuilders)) }
 
 // splitBuilderSpec separates "name:arg" into its parts.
 func splitBuilderSpec(spec string) (name, arg string) {
@@ -130,13 +90,12 @@ func splitBuilderSpec(spec string) (name, arg string) {
 // registered builder with a well-formed argument, without building.
 func ValidatePartitionSpec(spec string) error {
 	name, arg := splitBuilderSpec(spec)
-	b, ok := partitionBuilders[name]
-	if !ok {
+	if _, ok := partitionBuilders[name]; !ok {
 		return fmt.Errorf("registry: unknown partition builder %q (registered: %s)",
 			spec, strings.Join(PartitionBuilderNames(), ", "))
 	}
 	if arg != "" && name != "modular" {
-		return fmt.Errorf("registry: partition builder %q takes no argument (got %q)", b.Name, arg)
+		return fmt.Errorf("registry: partition builder %q takes no argument (got %q)", name, arg)
 	}
 	if name == "modular" && arg != "" {
 		if k, err := strconv.Atoi(arg); err != nil || k < 1 {
@@ -154,10 +113,10 @@ func BuildPartition(spec string, m *model.Model, lat *lattice.Lattice) (*partiti
 	}
 	name, arg := splitBuilderSpec(spec)
 	b := partitionBuilders[name]
-	if b.NeedsModel && m == nil {
+	if b.needsModel && m == nil {
 		return nil, fmt.Errorf("registry: partition builder %q needs a model", spec)
 	}
-	p, err := b.Build(m, lat, arg)
+	p, err := b.build(m, lat, arg)
 	if err != nil {
 		return nil, fmt.Errorf("registry: partition builder %q: %w", spec, err)
 	}
@@ -184,64 +143,10 @@ func BuildTypeSplit(spec string, m *model.Model, lat *lattice.Lattice) (*partiti
 	if err := ValidateTypeSplitSpec(spec); err != nil {
 		return nil, err
 	}
-	name, arg := splitBuilderSpec(spec)
-	ts, err := typeSplitBuilders[name].Build(m, lat, arg)
+	name, _ := splitBuilderSpec(spec)
+	ts, err := typeSplitBuilders[name](m, lat)
 	if err != nil {
 		return nil, fmt.Errorf("registry: type-split builder %q: %w", spec, err)
 	}
 	return ts, nil
-}
-
-// defaultModularMaxK bounds the modular-colouring search when the
-// "modular" builder is used without an explicit colour bound.
-const defaultModularMaxK = 64
-
-func init() {
-	RegisterPartitionBuilder(PartitionBuilder{
-		Name: "vonneumann5",
-		Doc:  "five-chunk von Neumann colouring of Fig. 4 (extents must be multiples of 5)",
-		Build: func(_ *model.Model, lat *lattice.Lattice, _ string) (*partition.Partition, error) {
-			return partition.VonNeumann5(lat)
-		},
-	})
-	RegisterPartitionBuilder(PartitionBuilder{
-		Name: "checkerboard",
-		Doc:  "two-chunk checkerboard of Fig. 6 (even extents)",
-		Build: func(_ *model.Model, lat *lattice.Lattice, _ string) (*partition.Partition, error) {
-			return partition.Checkerboard(lat)
-		},
-	})
-	RegisterPartitionBuilder(PartitionBuilder{
-		Name: "singlechunk",
-		Doc:  "degenerate m=1 partition (L-PNDCA ≡ RSM)",
-		Build: func(_ *model.Model, lat *lattice.Lattice, _ string) (*partition.Partition, error) {
-			return partition.SingleChunk(lat), nil
-		},
-	})
-	RegisterPartitionBuilder(PartitionBuilder{
-		Name: "singletons",
-		Doc:  "degenerate m=N partition (L-PNDCA with L=1 ≡ RSM)",
-		Build: func(_ *model.Model, lat *lattice.Lattice, _ string) (*partition.Partition, error) {
-			return partition.Singletons(lat), nil
-		},
-	})
-	RegisterPartitionBuilder(PartitionBuilder{
-		Name:       "modular",
-		Doc:        "smallest valid modular colouring for the model; \"modular:K\" bounds the search at K colours",
-		NeedsModel: true,
-		Build: func(m *model.Model, lat *lattice.Lattice, arg string) (*partition.Partition, error) {
-			maxK := defaultModularMaxK
-			if arg != "" {
-				maxK, _ = strconv.Atoi(arg) // validated by ValidatePartitionSpec
-			}
-			return partition.ModularColoring(m, lat, maxK)
-		},
-	})
-	RegisterTypeSplitBuilder(TypeSplitBuilder{
-		Name: "bydirection",
-		Doc:  "Table II split by reaction direction with checkerboard partitions",
-		Build: func(m *model.Model, lat *lattice.Lattice, _ string) (*partition.TypeSplit, error) {
-			return partition.SplitByDirection(m, lat)
-		},
-	})
 }

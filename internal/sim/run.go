@@ -15,61 +15,71 @@ type ObserverFunc func(t float64, cfg *lattice.Config)
 func (f ObserverFunc) Observe(t float64, cfg *lattice.Config) { f(t, cfg) }
 
 // RunContext advances s until its clock reaches tEnd, observing the
-// live configuration at every dt of simulated time (plus a final sample
-// at tEnd exactly when tEnd is not on the grid — the same index-derived
-// timegrid.Grid schedule as dmc.Sample). dt <= 0 disables sampling.
-// The context is checked every engine step, so cancellation latency is
-// one Step call; on cancellation the context error is returned with the
-// progress so far. An absorbing state records one final sample and
-// stops early.
+// live configuration on the grid timegrid.From(s.Time(), tEnd, dt)
+// through SampleGrid. dt <= 0 disables sampling. The context is checked
+// every engine step, so cancellation latency is one Step call; on
+// cancellation the context error is returned with the progress so far.
 func RunContext(ctx context.Context, s dmc.Simulator, dt, tEnd float64, observers ...Observer) (steps, samples int, err error) {
-	// runTo is RunUntil with a per-step context check; an absorbing
-	// state leaves the clock short of t, which callers detect.
-	runTo := func(t float64) error {
-		for s.Time() < t {
-			if err := ctx.Err(); err != nil {
-				return err
-			}
-			if !s.Step() {
-				return nil
-			}
-			steps++
-		}
-		return nil
-	}
 	if dt <= 0 {
-		err = runTo(tEnd)
-		return steps, samples, err
+		steps, err = runTo(ctx, s, tEnd)
+		return steps, 0, err
 	}
 	grid, err := timegrid.From(s.Time(), tEnd, dt)
 	if err != nil {
 		return 0, 0, err
 	}
-	observe := func() {
-		cfg := s.Config()
-		t := s.Time()
-		for _, obs := range observers {
-			obs.Observe(t, cfg)
-		}
-		samples++
-	}
-	for k := 0; k < grid.Len(); k++ {
+	return SampleGrid(ctx, s, grid, 0, observers...)
+}
+
+// SampleGrid is the single-run sampling loop: it advances s to grid
+// points k0, k0+1, … and hands the clock and the live configuration to
+// every observer at each. Points before k0 are neither run to nor
+// observed, so a session resumed from a checkpoint continues the grid
+// its interrupted run sampled. Two rules keep the series free of
+// duplicates:
+//
+//   - when the clock has already passed an off-step tail point (the
+//     last on-step point overshot the horizon), the tail is skipped;
+//   - an absorbing state before a grid point is observed once, and the
+//     run stops there.
+//
+// The context is checked before every engine step.
+func SampleGrid(ctx context.Context, s dmc.Simulator, grid timegrid.Grid, k0 int, observers ...Observer) (steps, samples int, err error) {
+	for k := k0; k < grid.Len(); k++ {
 		t := grid.At(k)
-		if k == grid.Len()-1 && grid.Tail() && s.Time() >= tEnd {
-			// The clock already covered the off-grid horizon; a tail
-			// sample would duplicate the previous observation.
+		if k == grid.Len()-1 && grid.Tail() && s.Time() >= t {
 			return steps, samples, nil
 		}
-		if err = runTo(t); err != nil {
+		n, err := runTo(ctx, s, t)
+		steps += n
+		if err != nil {
 			return steps, samples, err
 		}
-		observe()
-		if s.Time() < t {
-			// Absorbing state before the sample point: recorded once.
+		now, cfg := s.Time(), s.Config()
+		for _, obs := range observers {
+			obs.Observe(now, cfg)
+		}
+		samples++
+		if now < t {
 			return steps, samples, nil
 		}
 	}
 	return steps, samples, nil
+}
+
+// runTo advances s until its clock reaches t, checking ctx before every
+// step. An absorbing state ends it early, leaving the clock short of t.
+func runTo(ctx context.Context, s dmc.Simulator, t float64) (steps int, err error) {
+	for s.Time() < t {
+		if err := ctx.Err(); err != nil {
+			return steps, err
+		}
+		if !s.Step() {
+			break
+		}
+		steps++
+	}
+	return steps, nil
 }
 
 // RunGrid advances s through the sampling grid, invoking
@@ -90,7 +100,10 @@ func RunGrid(ctx context.Context, s dmc.Simulator, grid timegrid.Grid, observe f
 // are neither run to nor observed. This is the resume path — a replica
 // restored from a checkpoint taken after grid point k0-1 continues with
 // the remaining points, and the step count covers only the continued
-// stretch.
+// stretch. It keeps its own loop: an absorbed replica must still fill
+// every remaining point, so the merge sees a full grid.
+//
+//surflint:hotpath
 func RunGridFrom(ctx context.Context, s dmc.Simulator, grid timegrid.Grid, k0 int, observe func(k int, cfg *lattice.Config)) (steps int, err error) {
 	for k := k0; k < grid.Len(); k++ {
 		t := grid.At(k)

@@ -128,3 +128,43 @@ func TestRunContextDegenerateDt(t *testing.T) {
 		t.Fatal("degenerate dt accepted")
 	}
 }
+
+// SampleGrid from k0 continues the grid a run sampled: a session
+// stopped between points and resumed past its clock observes exactly
+// the tail of the uninterrupted series.
+func TestSampleGridResumesFromIndex(t *testing.T) {
+	grid := mustGrid(t, 2.3, 0.5) // 0, 0.5, …, 2.0 and the tail 2.3
+	var want []float64
+	whole, _ := zgbSim(t, 16, 14)
+	record := func(ts *[]float64) Observer {
+		return ObserverFunc(func(tm float64, _ *lattice.Config) { *ts = append(*ts, tm) })
+	}
+	if _, _, err := SampleGrid(context.Background(), whole, grid, 0, record(&want)); err != nil {
+		t.Fatal(err)
+	}
+	if len(want) != grid.Len() {
+		t.Fatalf("%d samples on a %d-point grid", len(want), grid.Len())
+	}
+
+	part, _ := zgbSim(t, 16, 14)
+	if _, err := runTo(context.Background(), part, 1.2); err != nil {
+		t.Fatal(err)
+	}
+	k0 := 0
+	for grid.At(k0) <= part.Time() {
+		k0++
+	}
+	var got []float64
+	_, n, err := SampleGrid(context.Background(), part, grid, k0, record(&got))
+	if err != nil {
+		t.Fatal(err)
+	}
+	if n != len(got) || len(got) != len(want)-k0 {
+		t.Fatalf("resumed at k0=%d took %d samples, want %d", k0, len(got), len(want)-k0)
+	}
+	for i, tm := range got {
+		if tm != want[k0+i] {
+			t.Fatalf("resumed sample %d at t=%v, uninterrupted at %v", i, tm, want[k0+i])
+		}
+	}
+}

@@ -8,7 +8,6 @@ package sim
 import (
 	"fmt"
 
-	"parsurf/internal/dmc"
 	"parsurf/internal/lattice"
 	"parsurf/internal/stats"
 )
@@ -18,42 +17,6 @@ type Observer interface {
 	// Observe is called with the current simulated time and the live
 	// configuration. Implementations must not mutate the configuration.
 	Observe(t float64, cfg *lattice.Config)
-}
-
-// Runner drives a simulator and fans samples out to observers.
-type Runner struct {
-	Sim dmc.Simulator
-	// Dt is the sampling interval in simulated time.
-	Dt        float64
-	observers []Observer
-}
-
-// NewRunner returns a runner sampling every dt time units.
-func NewRunner(s dmc.Simulator, dt float64) *Runner {
-	if dt <= 0 {
-		panic("sim: non-positive sampling interval")
-	}
-	return &Runner{Sim: s, Dt: dt}
-}
-
-// Attach registers an observer and returns the runner for chaining.
-func (r *Runner) Attach(obs ...Observer) *Runner {
-	r.observers = append(r.observers, obs...)
-	return r
-}
-
-// Run advances the simulation to tEnd, sampling on the way. It returns
-// the number of samples taken.
-func (r *Runner) Run(tEnd float64) int {
-	samples := 0
-	dmc.Sample(r.Sim, r.Dt, tEnd, func(t float64) {
-		cfg := r.Sim.Config()
-		for _, obs := range r.observers {
-			obs.Observe(t, cfg)
-		}
-		samples++
-	})
-	return samples
 }
 
 // CoverageObserver records one time series per tracked species.

@@ -1,6 +1,7 @@
 package sim
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -22,12 +23,14 @@ func zgbSim(t testing.TB, l int, seed uint64) (*dmc.RSM, *lattice.Config) {
 	return dmc.NewRSM(cm, cfg, rng.New(seed)), cfg
 }
 
-func TestRunnerSamplesAllObservers(t *testing.T) {
+func TestRunContextSamplesAllObservers(t *testing.T) {
 	s, _ := zgbSim(t, 16, 1)
 	cov := NewCoverageObserver(model.ZGBEmpty, model.ZGBCO, model.ZGBO)
 	snap := NewSnapshotObserver(2)
-	r := NewRunner(s, 0.5).Attach(cov, snap)
-	n := r.Run(10)
+	_, n, err := RunContext(context.Background(), s, 0.5, 10, cov, snap)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if n < 15 {
 		t.Fatalf("only %d samples", n)
 	}
@@ -41,20 +44,12 @@ func TestRunnerSamplesAllObservers(t *testing.T) {
 	}
 }
 
-func TestRunnerPanicsOnBadDt(t *testing.T) {
-	s, _ := zgbSim(t, 8, 2)
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic")
-		}
-	}()
-	NewRunner(s, 0)
-}
-
 func TestCoverageObserverPartition(t *testing.T) {
 	s, _ := zgbSim(t, 16, 3)
 	cov := NewCoverageObserver(model.ZGBEmpty, model.ZGBCO, model.ZGBO)
-	NewRunner(s, 0.5).Attach(cov).Run(5)
+	if _, _, err := RunContext(context.Background(), s, 0.5, 5, cov); err != nil {
+		t.Fatal(err)
+	}
 	for i := 0; i < cov.Series[0].Len(); i++ {
 		sum := cov.Series[0].X[i] + cov.Series[1].X[i] + cov.Series[2].X[i]
 		if math.Abs(sum-1) > 1e-12 {
@@ -76,7 +71,9 @@ func TestGroupCoverageObserver(t *testing.T) {
 	cfg := lattice.NewConfig(lat)
 	s := dmc.NewVSSM(cm, cfg, rng.New(4))
 	co := NewGroupCoverageObserver(model.PtHexCO, model.PtSqCO)
-	NewRunner(s, 0.5).Attach(co).Run(5)
+	if _, _, err := RunContext(context.Background(), s, 0.5, 5, co); err != nil {
+		t.Fatal(err)
+	}
 	if co.Series.Len() == 0 {
 		t.Fatal("no samples")
 	}
@@ -91,7 +88,9 @@ func TestGroupCoverageObserver(t *testing.T) {
 func TestSnapshotObserverDeepCopies(t *testing.T) {
 	s, cfg := zgbSim(t, 8, 5)
 	snap := NewSnapshotObserver(1)
-	NewRunner(s, 0.5).Attach(snap).Run(3)
+	if _, _, err := RunContext(context.Background(), s, 0.5, 3, snap); err != nil {
+		t.Fatal(err)
+	}
 	if len(snap.Snapshots) < 2 {
 		t.Fatal("too few snapshots")
 	}
@@ -109,7 +108,9 @@ func TestSnapshotObserverDeepCopies(t *testing.T) {
 func TestRateObserver(t *testing.T) {
 	s, _ := zgbSim(t, 16, 6)
 	rate := NewRateObserver(s.Successes)
-	NewRunner(s, 0.5).Attach(rate).Run(10)
+	if _, _, err := RunContext(context.Background(), s, 0.5, 10, rate); err != nil {
+		t.Fatal(err)
+	}
 	if rate.Series.Len() == 0 {
 		t.Fatal("no rate samples")
 	}

@@ -1,7 +1,7 @@
 // Package timegrid provides the shared sampling grid every
 // time-scheduled consumer in this repository derives its points from —
-// dmc.Sample, the context-aware runners in internal/sim, and the
-// ensemble merge. One definition means two consumers of the same
+// the single-run sampling loop and the replica runner in internal/sim,
+// and the ensemble merge. One definition means two consumers of the same
 // (origin, until, every) schedule can never disagree on grid size or
 // point placement, the bug class the old duplicated arithmetic
 // (`int(until/every)+1` here, an accumulated `next += dt` there)

@@ -58,6 +58,8 @@
 package parsurf
 
 import (
+	"context"
+
 	"parsurf/internal/ca"
 	"parsurf/internal/core"
 	"parsurf/internal/dmc"
@@ -67,7 +69,9 @@ import (
 	"parsurf/internal/parallel"
 	"parsurf/internal/partition"
 	"parsurf/internal/rng"
+	"parsurf/internal/sim"
 	"parsurf/internal/stats"
+	"parsurf/internal/timegrid"
 	"parsurf/internal/ziff"
 )
 
@@ -260,10 +264,20 @@ func DefaultMachine() MachineModel { return machine.Default() }
 // RunUntil advances sim until its clock reaches t.
 func RunUntil(sim Simulator, t float64) int { return dmc.RunUntil(sim, t) }
 
-// Sample runs sim, invoking observe at every dt of simulated time up to
-// tEnd.
-func Sample(sim Simulator, dt, tEnd float64, observe func(t float64)) {
-	dmc.Sample(sim, dt, tEnd, observe)
+// Sample runs s, invoking observe at every dt of simulated time up to
+// tEnd, plus a final sample at tEnd exactly when tEnd is not on the dt
+// grid: the schedule and loop of Session.Run with SampleEvery. A
+// degenerate schedule (dt <= 0, a dt too small to advance the clock's
+// floats, or one fine enough to exceed the grid-point cap) panics —
+// Sample has no error channel, and silently taking zero samples would
+// hand callers an empty series.
+func Sample(s Simulator, dt, tEnd float64, observe func(t float64)) {
+	grid, err := timegrid.From(s.Time(), tEnd, dt)
+	if err != nil {
+		panic("parsurf: " + err.Error())
+	}
+	// A background context never cancels, so the loop cannot fail.
+	sim.SampleGrid(context.Background(), s, grid, 0, ObserverFunc(func(t float64, _ *Config) { observe(t) }))
 }
 
 // PtCoverages extracts (CO, O, square-phase) coverages from a Pt(100)

@@ -156,6 +156,36 @@ func TestSessionResetAllocationFree(t *testing.T) {
 	}
 }
 
+// Every registered engine's Step allocates nothing once warm, at
+// NewEngine defaults on ZGB 64². The event engines (vssm, frm) warm for
+// 20,000 events so their enabled sets and queues reach working
+// capacity; the trial engines sweep the lattice every step and need
+// only a few.
+func TestEngineStepAllocationFree(t *testing.T) {
+	lat := parsurf.NewSquareLattice(64)
+	cm := parsurf.MustCompile(parsurf.NewZGBModel(parsurf.DefaultZGBRates()), lat)
+	for _, name := range parsurf.Engines() {
+		t.Run(name, func(t *testing.T) {
+			eng, err := parsurf.NewEngine(name, cm, parsurf.NewConfig(lat), parsurf.NewRNG(1))
+			if err != nil {
+				t.Fatal(err)
+			}
+			warm := 20
+			if name == "vssm" || name == "frm" {
+				warm = 20000
+			}
+			for i := 0; i < warm; i++ {
+				if !eng.Step() {
+					t.Fatalf("absorbed during warm-up after %d steps", i)
+				}
+			}
+			if allocs := testing.AllocsPerRun(20, func() { eng.Step() }); allocs != 0 {
+				t.Errorf("Step allocates %v objects per call, want 0", allocs)
+			}
+		})
+	}
+}
+
 // The ensemble runner pools sessions and rewinds them with Reset; a
 // width-1 RunReplicaRange builds its one replica fresh. Both must
 // produce bit-identical rows and Mean/Std — the pooled replicas
