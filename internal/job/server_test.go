@@ -11,6 +11,7 @@ import (
 	"testing"
 	"time"
 
+	"parsurf"
 	"parsurf/internal/store"
 )
 
@@ -700,4 +701,32 @@ func TestServerCacheHitOverHTTP(t *testing.T) {
 	if n := m.RunsStarted(); n != 2 {
 		t.Fatalf("RunsStarted %d after nocache, want 2", n)
 	}
+}
+
+// smokeHash is the content hash of smokeSpec: the result-cache key the
+// CI smoke workload is stored under. It derives from the canonical
+// spec bytes, so it is pinned — a change orphans every stored result.
+const smokeHash = "70b21ca34338b74921fee20838c1f7256b77b66b7f9211b3df835a829e5aa427"
+
+func TestSmokeRequestHashPinned(t *testing.T) {
+	var body SubmitRequest
+	if err := json.Unmarshal([]byte(smokeSpec), &body); err != nil {
+		t.Fatal(err)
+	}
+	m := newMemManager(t, 1, 0)
+	defer m.Close()
+	j, err := m.Submit(Request{
+		Specs:    []*parsurf.SessionSpec{body.Spec},
+		Replicas: body.Replicas,
+		Workers:  body.Workers,
+		Until:    body.Until,
+		Every:    body.Every,
+	})
+	if err != nil {
+		t.Fatal(err)
+	}
+	if got := j.Hash(); got != smokeHash {
+		t.Errorf("smoke request hash %s, want %s", got, smokeHash)
+	}
+	waitTerminal(t, j, 30*time.Second)
 }

@@ -2,6 +2,8 @@ package parsurf_test
 
 import (
 	"bytes"
+	"crypto/sha256"
+	"encoding/hex"
 	"encoding/json"
 	"strings"
 	"testing"
@@ -71,18 +73,93 @@ func fingerprintSpec(t *testing.T, spec *parsurf.SessionSpec, steps int) uint64 
 	return goldentrace.Fingerprint(sess.Engine(), steps)
 }
 
+// pinCase is one spec whose serialized bytes are pinned.
+type pinCase struct {
+	name string
+	spec *parsurf.SessionSpec
+}
+
+// pinCases returns the representative spec of every registered engine
+// plus three inputs the representative specs do not reach: an inline
+// model set via WithModel, the default lattice and seed, and an
+// explicit zero CO fraction.
+func pinCases(t *testing.T) []pinCase {
+	t.Helper()
+	var cases []pinCase
+	for _, name := range parsurf.Engines() {
+		cases = append(cases, pinCase{name, representativeSpec(t, name)})
+	}
+	extra := []struct {
+		name string
+		opts []parsurf.SessionOption
+	}{
+		{"inline-model", []parsurf.SessionOption{
+			parsurf.WithModel(parsurf.NewPtCOModel(parsurf.DefaultPtCORates())),
+			parsurf.WithLattice(goldentrace.Side, goldentrace.Side),
+			parsurf.WithEngine("rsm"),
+			parsurf.WithSeed(goldentrace.Seed),
+		}},
+		{"defaults", []parsurf.SessionOption{
+			parsurf.WithModelPreset("zgb", nil),
+			parsurf.WithEngine("rsm"),
+		}},
+		{"ziff-y0", []parsurf.SessionOption{
+			parsurf.WithLattice(goldentrace.Side, goldentrace.Side),
+			parsurf.WithEngine("ziff", parsurf.COFraction(0)),
+			parsurf.WithSeed(goldentrace.Seed),
+		}},
+	}
+	for _, c := range extra {
+		spec, err := parsurf.NewSpec(c.opts...)
+		if err != nil {
+			t.Fatalf("%s: %v", c.name, err)
+		}
+		cases = append(cases, pinCase{c.name, spec})
+	}
+	return cases
+}
+
+// specPins are the SHA-256 sums of json.Marshal(spec) for every pin
+// case. Every cache key derives from these bytes (Hash, the job content
+// hash, the checkpoint spec guard), so they are a fixed contract: a
+// change here orphans every stored result and checkpoint.
+var specPins = map[string]string{
+	"bca":          "81489056ffb2b8c3c670ea741ebf9fa27438e6220fba51ba40f63c164ffea027",
+	"ddrsm":        "e98e5f7e3f1989310aa4f72cc213ae96b1de9ef97b53a938dd8daacafeff6eed",
+	"frm":          "1bf92b04980fca518d9d28ab2ea1c599343cda0f140a35e9ac72af82a0a94b0e",
+	"lpndca":       "b288774c38581fe237b338aa5b510aa041240df5433307eb3a029dc2d5bad2fe",
+	"ndca":         "289d9347c2f7f31c3947f1c8870382bff6376f8146d1a2964d3fabdd1b986b43",
+	"pndca":        "2d5e81ce0cb941134d618adfa13205113375bf8fda4cc4b8f58c96e007bce9d6",
+	"rsm":          "93c6016f46340f7b3d4c0a66f5d08645ed8ce43a48553e8eb428f487f75b358b",
+	"syncndca":     "fa7c78a573b9477d3d6ca7feb9c00ec50e97fd7c139f8c8b2aaab8fd1bd2571e",
+	"typepart":     "67d33c67d02b57cdaea67ac6288082e496c467ee4ffc8bcaeb029e26152e7dc4",
+	"vssm":         "02a9339f6ffc83b5546dc40b3d3c9dd99606958ec0493d82ce6f8b22635e7f7d",
+	"ziff":         "9232c0795ec6e630e42455ba221eeb9ea1c0484a819aee7d6e8809a85ea138fd",
+	"inline-model": "5e7500fce39d0610d468a2163be7c427d95526af1a97a58e17b0066c80e2c956",
+	"defaults":     "740f7e59216d07c449fcffed895d4255b5f0d0bcad954bf2a30227c0ff7579c2",
+	"ziff-y0":      "abc8deb7a33b099b8b43394e8ee681d81d5cb6bd3681fc5a1b9481f11a9126f7",
+}
+
 // The registry-driven round-trip property: for every registered
 // engine, a representative spec survives Marshal → Unmarshal exactly —
 // the decoded spec reproduces the original's 500-step trajectory bit
 // for bit (configurations AND clock), and a second marshal is
 // byte-identical to the first (the serialization is a fixed point).
+// The marshalled bytes and Hash are pinned.
 func TestSpecJSONRoundTripAllEngines(t *testing.T) {
 	const steps = 500
-	for _, name := range parsurf.Engines() {
-		spec := representativeSpec(t, name)
+	for _, c := range pinCases(t) {
+		name, spec := c.name, c.spec
 		data, err := json.Marshal(spec)
 		if err != nil {
 			t.Fatalf("%s: marshal: %v", name, err)
+		}
+		sum := sha256.Sum256(data)
+		if got := hex.EncodeToString(sum[:]); got != specPins[name] {
+			t.Errorf("%s: spec bytes sha256 %s, want %s\n  %s", name, got, specPins[name], data)
+		}
+		if got := spec.Hash(); got != specPins[name] {
+			t.Errorf("%s: Hash() %s, want %s", name, got, specPins[name])
 		}
 		back, err := parsurf.ParseSpec(data)
 		if err != nil {
@@ -101,6 +178,21 @@ func TestSpecJSONRoundTripAllEngines(t *testing.T) {
 			t.Errorf("%s: decoded spec trajectory fingerprint 0x%016x, want 0x%016x — round trip not exact",
 				name, got, want)
 		}
+	}
+}
+
+// An explicit zero CO fraction is data, not "unset": it serializes.
+func TestSpecZeroCOFractionSerializes(t *testing.T) {
+	spec, err := parsurf.NewSpec(parsurf.WithEngine("ziff", parsurf.COFraction(0)))
+	if err != nil {
+		t.Fatal(err)
+	}
+	data, err := json.Marshal(spec)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if !strings.Contains(string(data), `"y":0`) {
+		t.Fatalf("COFraction(0) dropped from %s", data)
 	}
 }
 
