@@ -12,15 +12,10 @@ import (
 )
 
 // Hash fingerprints the spec: the hex SHA-256 of its canonical JSON
-// form. It returns "" for specs that cannot be serialized (raw
-// partitions or type splits supplied as Go pointers) — such specs still
-// checkpoint, but without the spec-mismatch guard.
+// form. Every spec serializes (NewSpec and ParseSpec reject one that
+// does not), so the hash is never empty.
 func (sp *SessionSpec) Hash() string {
-	data, err := sp.MarshalJSON()
-	if err != nil {
-		return ""
-	}
-	sum := sha256.Sum256(data)
+	sum := sha256.Sum256(sp.data)
 	return hex.EncodeToString(sum[:])
 }
 
@@ -53,7 +48,8 @@ func (s *Session) Checkpoint(w io.Writer) error {
 // checkpointed state into it, so the next Step continues the
 // interrupted run exactly where Checkpoint left it. The checkpoint must
 // come from the same spec: engine name, lattice extents, species count
-// and (when both sides are serializable) the spec hash are all checked.
+// and the spec hash are all checked (the hash only when the checkpoint
+// carries one).
 func ResumeSession(spec *SessionSpec, r io.Reader) (*Session, error) {
 	cp, err := persist.Load(r)
 	if err != nil {
@@ -70,20 +66,21 @@ func ResumeSession(spec *SessionSpec, r io.Reader) (*Session, error) {
 // last, in place (the engine holds the session's source pointer), so
 // nothing later in the sequence can advance it.
 func resumeSession(sp *SessionSpec, cp *persist.Checkpoint) (*Session, error) {
-	if cp.Engine != "" && cp.Engine != sp.engine {
-		return nil, fmt.Errorf("parsurf: checkpoint is from engine %q, spec builds %q", cp.Engine, sp.engine)
+	name, l0, l1 := sp.EngineName(), sp.doc.Lattice.L0, sp.doc.Lattice.L1
+	if cp.Engine != "" && cp.Engine != name {
+		return nil, fmt.Errorf("parsurf: checkpoint is from engine %q, spec builds %q", cp.Engine, name)
 	}
-	if h := sp.Hash(); h != "" && cp.SpecHash != "" && h != cp.SpecHash {
+	if h := sp.Hash(); cp.SpecHash != "" && h != cp.SpecHash {
 		return nil, fmt.Errorf("parsurf: checkpoint spec hash %s.. does not match this spec (%s..)", cp.SpecHash[:min(8, len(cp.SpecHash))], h[:8])
 	}
 	lat := cp.Config.Lattice()
-	if lat.L0 != sp.l0 || lat.L1 != sp.l1 {
-		return nil, fmt.Errorf("parsurf: checkpoint lattice %dx%d, spec has %dx%d", lat.L0, lat.L1, sp.l0, sp.l1)
+	if lat.L0 != l0 || lat.L1 != l1 {
+		return nil, fmt.Errorf("parsurf: checkpoint lattice %dx%d, spec has %dx%d", lat.L0, lat.L1, l0, l1)
 	}
 	if cp.NumSpecies != sp.NumSpecies() {
 		return nil, fmt.Errorf("parsurf: checkpoint has %d species, spec's model has %d", cp.NumSpecies, sp.NumSpecies())
 	}
-	s, err := sp.build(rng.New(sp.seed))
+	s, err := sp.build(rng.New(sp.Seed()))
 	if err != nil {
 		return nil, err
 	}
@@ -91,10 +88,10 @@ func resumeSession(sp *SessionSpec, cp *persist.Checkpoint) (*Session, error) {
 	s.eng.Reset(s.cfg, s.src)
 	pr := bytes.NewReader(cp.Payload)
 	if err := s.eng.LoadState(pr); err != nil {
-		return nil, fmt.Errorf("parsurf: restoring %s engine state: %w", sp.engine, err)
+		return nil, fmt.Errorf("parsurf: restoring %s engine state: %w", name, err)
 	}
 	if pr.Len() != 0 {
-		return nil, fmt.Errorf("parsurf: %d trailing bytes in %s engine payload", pr.Len(), sp.engine)
+		return nil, fmt.Errorf("parsurf: %d trailing bytes in %s engine payload", pr.Len(), name)
 	}
 	s.src.Restore(cp.RNG.State())
 	return s, nil

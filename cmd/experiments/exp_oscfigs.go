@@ -83,12 +83,12 @@ func runFig8(opt options) error {
 
 	cfg1 := parsurf.NewConfig(s.lat)
 	e1 := s.engine("lpndca", cfg1,
-		parsurf.UsePartition(parsurf.SingleChunk(s.lat)), parsurf.Trials(n))
+		parsurf.PartitionNamed("singlechunk"), parsurf.Trials(n))
 	co1 := s.coSeries(e1, cfg1)
 
 	cfgN := parsurf.NewConfig(s.lat)
 	eN := s.engine("lpndca", cfgN,
-		parsurf.UsePartition(parsurf.Singletons(s.lat)), parsurf.Trials(1))
+		parsurf.PartitionNamed("singletons"), parsurf.Trials(1))
 	coN := s.coSeries(eN, cfgN)
 
 	fmt.Printf("Pt(100) %dx%d to t=%.0f, identical seeds:\n", s.lat.L0, s.lat.L1, s.tEnd)
@@ -109,18 +109,13 @@ func runFig9(opt options) error {
 	if err != nil {
 		return err
 	}
-	part, err := parsurf.VonNeumann5(s.lat)
-	if err != nil {
-		return err
-	}
-
 	cfgR := parsurf.NewConfig(s.lat)
 	coR := s.coSeries(s.engine("rsm", cfgR), cfgR)
 
 	series := map[int]*stats.Series{}
 	for _, l := range []int{1, 100} {
 		cfg := parsurf.NewConfig(s.lat)
-		e := s.engine("lpndca", cfg, parsurf.UsePartition(part),
+		e := s.engine("lpndca", cfg, parsurf.PartitionNamed("vonneumann5"),
 			parsurf.Trials(l), parsurf.Strategy(parsurf.RandomReplacement))
 		series[l] = s.coSeries(e, cfg)
 	}
@@ -153,14 +148,14 @@ func runFig10(opt options) error {
 	coR := s.coSeries(s.engine("rsm", cfgR), cfgR)
 
 	cfgA := parsurf.NewConfig(s.lat)
-	eA := s.engine("lpndca", cfgA, parsurf.UsePartition(part),
+	eA := s.engine("lpndca", cfgA, parsurf.PartitionNamed("vonneumann5"),
 		parsurf.Trials(l), parsurf.Strategy(parsurf.AllRandomOrder))
 	coA := s.coSeries(eA, cfgA)
 
 	// Contrast: the same L with replacement selection (the failing mode
 	// of Fig. 9 pushed further).
 	cfgB := parsurf.NewConfig(s.lat)
-	eB := s.engine("lpndca", cfgB, parsurf.UsePartition(part),
+	eB := s.engine("lpndca", cfgB, parsurf.PartitionNamed("vonneumann5"),
 		parsurf.Trials(l), parsurf.Strategy(parsurf.RandomReplacement))
 	coB := s.coSeries(eB, cfgB)
 

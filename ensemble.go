@@ -392,7 +392,7 @@ func (r *replicaRun) start(spec *SessionSpec, slot *replicaSlot, variant, i int,
 		}
 	}
 	var root RNG
-	root.Seed(spec.seed)
+	root.Seed(spec.Seed())
 	root.SplitInto(&slot.stream, replicaStreamID(i))
 	if slot.sess == nil {
 		if slot.sess, err = spec.build(&slot.stream); err != nil {

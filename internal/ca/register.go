@@ -1,10 +1,9 @@
 package ca
 
 import (
-	"fmt"
-
 	"parsurf/internal/lattice"
 	"parsurf/internal/model"
+	"parsurf/internal/partition"
 	"parsurf/internal/registry"
 	"parsurf/internal/rng"
 )
@@ -46,7 +45,7 @@ func init() {
 		Name:    "ndca",
 		Doc:     "Non-Deterministic Cellular Automaton, site-sequential (§4)",
 		Accepts: registry.OptDeterministicTime,
-		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options) (registry.Engine, error) {
+		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options, _ *partition.Partition, _ *partition.TypeSplit) (registry.Engine, error) {
 			a := NewNDCA(cm, cfg, src)
 			a.DeterministicTime = o.DeterministicTime
 			return a, nil
@@ -56,7 +55,7 @@ func init() {
 		Name:    "syncndca",
 		Doc:     "fully synchronous NDCA with conflict resolution (§4, Fig. 2)",
 		Accepts: registry.OptDeterministicTime,
-		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options) (registry.Engine, error) {
+		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options, _ *partition.Partition, _ *partition.TypeSplit) (registry.Engine, error) {
 			a := NewSyncNDCA(cm, cfg, src)
 			a.DeterministicTime = o.DeterministicTime
 			return a, nil
@@ -66,13 +65,10 @@ func init() {
 		Name:    "bca",
 		Doc:     "Block Cellular Automaton with shifting tilings (§5, Fig. 3)",
 		Accepts: registry.OptBlocks | registry.OptDeterministicTime,
-		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options) (registry.Engine, error) {
+		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options, _ *partition.Partition, _ *partition.TypeSplit) (registry.Engine, error) {
 			bw, bh := o.BlockW, o.BlockH
 			if bw == 0 && bh == 0 {
 				bw, bh = defaultBlock, defaultBlock
-			}
-			if bw == 0 || bh == 0 {
-				return nil, fmt.Errorf("ca: bca needs both block dimensions, got %dx%d", bw, bh)
 			}
 			origins := []lattice.Vec{{DX: 0, DY: 0}, {DX: bw / 2, DY: bh / 2}}
 			b, err := NewBCA(cm, cfg, src, bw, bh, origins)

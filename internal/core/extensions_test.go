@@ -7,6 +7,7 @@ import (
 	"parsurf/internal/lattice"
 	"parsurf/internal/model"
 	"parsurf/internal/partition"
+	"parsurf/internal/registry"
 	"parsurf/internal/rng"
 )
 
@@ -189,5 +190,23 @@ func TestTypePartitionedAcceptIgnoresInvalid(t *testing.T) {
 	e.Step()
 	if e.Visits() == 0 {
 		t.Fatal("invalid Accept stalled the engine")
+	}
+}
+
+// The lpndca factory trusts registry.CheckOptions to have vetted the
+// strategy name, so the registry must accept exactly the names
+// ParseStrategy maps.
+func TestStrategyNamesMatchRegistry(t *testing.T) {
+	for s := AllInOrder; s <= RateWeighted; s++ {
+		name := s.String()
+		if got, err := ParseStrategy(name); err != nil || got != s {
+			t.Errorf("ParseStrategy(%q) = %v, %v; want %v", name, got, err, s)
+		}
+		if err := registry.CheckOptions("lpndca", registry.Options{Strategy: name}); err != nil {
+			t.Errorf("registry rejects strategy %q: %v", name, err)
+		}
+	}
+	if err := registry.CheckOptions("lpndca", registry.Options{Strategy: "bogus"}); err == nil {
+		t.Error("registry accepts an unknown strategy")
 	}
 }

@@ -87,8 +87,7 @@ func init() {
 		Name:    "pndca",
 		Doc:     "Partitioned NDCA, chunk sweeps on parallel goroutines (§5)",
 		Accepts: registry.OptPartition | registry.OptWorkers | registry.OptDeterministicTime,
-		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options) (registry.Engine, error) {
-			part := o.Partition
+		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options, part *partition.Partition, _ *partition.TypeSplit) (registry.Engine, error) {
 			if part == nil {
 				var err error
 				if part, err = defaultPartition(cm); err != nil {
@@ -105,28 +104,18 @@ func init() {
 		Name:    "lpndca",
 		Doc:     "generalised L-trials partitioned NDCA, four chunk strategies (§5)",
 		Accepts: registry.OptPartition | registry.OptL | registry.OptStrategy | registry.OptDeterministicTime,
-		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options) (registry.Engine, error) {
-			part := o.Partition
+		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options, part *partition.Partition, _ *partition.TypeSplit) (registry.Engine, error) {
 			if part == nil {
 				var err error
 				if part, err = defaultPartition(cm); err != nil {
 					return nil, err
 				}
 			}
-			l := o.L
-			if l == 0 {
-				l = 1
-			}
-			if l < 1 {
-				return nil, fmt.Errorf("core: lpndca needs L >= 1, got %d", l)
-			}
-			e := NewLPNDCA(cm, cfg, src, part, l)
+			e := NewLPNDCA(cm, cfg, src, part, max(o.L, 1))
 			if o.Strategy != "" {
-				s, err := ParseStrategy(o.Strategy)
-				if err != nil {
-					return nil, err
-				}
-				e.Strategy = s
+				// CheckOptions accepted the name, and its list matches
+				// ParseStrategy's (TestStrategyNamesMatchRegistry).
+				e.Strategy, _ = ParseStrategy(o.Strategy)
 			}
 			e.DeterministicTime = o.DeterministicTime
 			return e, nil
@@ -136,8 +125,7 @@ func init() {
 		Name:    "typepart",
 		Doc:     "Ω×T type-partitioned algorithm over checkerboards (§5, Table II)",
 		Accepts: registry.OptTypeSplit | registry.OptWorkers | registry.OptDeterministicTime,
-		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options) (registry.Engine, error) {
-			split := o.TypeSplit
+		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options, _ *partition.Partition, split *partition.TypeSplit) (registry.Engine, error) {
 			if split == nil {
 				var err error
 				if split, err = partition.SplitByDirection(cm.Model, cm.Lat); err != nil {

@@ -3,6 +3,7 @@ package dmc
 import (
 	"parsurf/internal/lattice"
 	"parsurf/internal/model"
+	"parsurf/internal/partition"
 	"parsurf/internal/registry"
 	"parsurf/internal/rng"
 )
@@ -47,7 +48,7 @@ func init() {
 		Name:    "rsm",
 		Doc:     "Random Selection Method, the paper's reference DMC (§3)",
 		Accepts: registry.OptDeterministicTime,
-		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options) (registry.Engine, error) {
+		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options, _ *partition.Partition, _ *partition.TypeSplit) (registry.Engine, error) {
 			r := NewRSM(cm, cfg, src)
 			r.DeterministicTime = o.DeterministicTime
 			return r, nil
@@ -56,14 +57,14 @@ func init() {
 	registry.Register(registry.Spec{
 		Name: "vssm",
 		Doc:  "Variable Step Size Method (Gillespie direct), exact DMC baseline (§3)",
-		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options) (registry.Engine, error) {
+		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options, _ *partition.Partition, _ *partition.TypeSplit) (registry.Engine, error) {
 			return NewVSSM(cm, cfg, src), nil
 		},
 	})
 	registry.Register(registry.Spec{
 		Name: "frm",
 		Doc:  "First Reaction Method with an event queue, exact DMC baseline (§3)",
-		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options) (registry.Engine, error) {
+		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options, _ *partition.Partition, _ *partition.TypeSplit) (registry.Engine, error) {
 			return NewFRM(cm, cfg, src), nil
 		},
 	})

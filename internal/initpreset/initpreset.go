@@ -9,6 +9,7 @@ package initpreset
 
 import (
 	"fmt"
+	"math"
 	"sort"
 	"strings"
 
@@ -178,13 +179,13 @@ func init() {
 			}
 			total := 0.0
 			for i, w := range p.Fractions {
-				if w < 0 {
-					return nil, fmt.Errorf("fraction %d is negative (%v)", i, w)
+				if !(w >= 0) || math.IsInf(w, 1) {
+					return nil, fmt.Errorf("fraction %d is not a finite non-negative weight (%v)", i, w)
 				}
 				total += w
 			}
-			if total <= 0 {
-				return nil, fmt.Errorf("fractions sum to %v, need a positive total", total)
+			if !(total > 0) || math.IsInf(total, 1) {
+				return nil, fmt.Errorf("fractions sum to %v, need a finite positive total", total)
 			}
 			weights := append([]float64(nil), p.Fractions...)
 			return func(cfg *lattice.Config, src *rng.Source) {

@@ -1,6 +1,7 @@
 package initpreset
 
 import (
+	"math"
 	"strings"
 	"testing"
 
@@ -98,6 +99,9 @@ func TestParamValidation(t *testing.T) {
 		{"random too few", "random", Params{Fractions: []float64{1}}, "at least two"},
 		{"random negative", "random", Params{Fractions: []float64{0.5, -0.1}}, "negative"},
 		{"random zero total", "random", Params{Fractions: []float64{0, 0}}, "positive total"},
+		{"random NaN", "random", Params{Fractions: []float64{0.5, math.NaN()}}, "finite"},
+		{"random +Inf", "random", Params{Fractions: []float64{math.Inf(1), 0.5}}, "finite"},
+		{"random total overflows", "random", Params{Fractions: []float64{math.MaxFloat64, math.MaxFloat64}}, "finite positive total"},
 		{"checkerboard one species", "checkerboard", Params{Species: []int{1}}, "exactly two"},
 	}
 	for _, tc := range cases {

@@ -689,15 +689,13 @@ type storedRequest struct {
 }
 
 // encodeRequest renders a normalized request in its stored form and
-// computes its content hash. Requests carrying specs that exist only
-// as Go pointers (raw partitions/type splits) cannot be persisted and
-// are rejected — a stored request needs named builders.
+// computes its content hash from the specs' canonical JSON.
 func encodeRequest(req Request) (json.RawMessage, string, error) {
 	specs := make([]json.RawMessage, len(req.Specs))
 	for i, sp := range req.Specs {
 		b, err := json.Marshal(sp)
 		if err != nil {
-			return nil, "", fmt.Errorf("job: spec %d is not serializable (a stored request needs named builders): %w", i, err)
+			return nil, "", fmt.Errorf("job: encoding spec %d: %w", i, err)
 		}
 		specs[i] = b
 	}

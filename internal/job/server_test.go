@@ -194,6 +194,7 @@ func TestServerSubmitErrors(t *testing.T) {
 		{"unknown field", `{"spec": {"engine": {"name": "ziff"}, "bogus": 1}, "until": 1, "every": 1}`, "bogus"},
 		{"missing model", `{"spec": {"engine": {"name": "rsm"}}, "until": 1, "every": 1}`, "needs a model"},
 		{"bad grid", `{"spec": {"engine": {"name": "ziff"}}, "until": 0, "every": 1}`, "grid"},
+		{"y out of range", `{"spec": {"engine": {"name": "ziff", "y": 1.5}}, "until": 1, "every": 1}`, "outside [0,1]"},
 	}
 	for _, tc := range cases {
 		code, body := postJSON(t, ts.URL+"/jobs", tc.body)

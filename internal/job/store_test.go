@@ -3,7 +3,6 @@ package job
 import (
 	"encoding/json"
 	"errors"
-	"strings"
 	"sync"
 	"testing"
 	"time"
@@ -603,30 +602,5 @@ func TestRecoveryQuarantinesCorruptRecord(t *testing.T) {
 	}
 	if m.RunsStarted() != 0 {
 		t.Fatalf("quarantined job ran %d times", m.RunsStarted())
-	}
-}
-
-// Specs that only exist as Go pointers cannot enter a manager: its
-// store keeps every request as named builders.
-func TestDurableSubmitRejectsUnserializableSpec(t *testing.T) {
-	spec, err := parsurf.NewSpec(
-		parsurf.WithLattice(16, 16),
-		parsurf.WithModelPreset("zgb", nil),
-		parsurf.WithEngine("lpndca", parsurf.PartitionWith(
-			func(m *parsurf.Model, lat *parsurf.Lattice) (*parsurf.Partition, error) {
-				return parsurf.SingleChunk(lat), nil
-			})),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	m := newStoreManager(t, store.NewMem())
-	defer m.Close()
-	_, err = m.Submit(Request{Specs: []*parsurf.SessionSpec{spec}, Until: 1, Every: 1})
-	if err == nil {
-		t.Fatal("unserializable spec accepted")
-	}
-	if !strings.Contains(err.Error(), "serializable") {
-		t.Fatalf("error %v does not explain serialization", err)
 	}
 }

@@ -3,6 +3,7 @@ package parallel
 import (
 	"parsurf/internal/lattice"
 	"parsurf/internal/model"
+	"parsurf/internal/partition"
 	"parsurf/internal/registry"
 	"parsurf/internal/rng"
 )
@@ -25,7 +26,7 @@ func init() {
 		Name:    "ddrsm",
 		Doc:     "domain-decomposition RSM over strips, Segers-style baseline (§3)",
 		Accepts: registry.OptWorkers | registry.OptDeterministicTime,
-		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options) (registry.Engine, error) {
+		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options, _ *partition.Partition, _ *partition.TypeSplit) (registry.Engine, error) {
 			workers := o.Workers
 			if workers == 0 {
 				workers = 2

@@ -16,9 +16,8 @@ import (
 // an optional ":<arg>" suffix (e.g. "modular:16"); the names are plain
 // data, so a partition choice can live in a serialized session spec and
 // be rebuilt deterministically on any machine. Builders receive the
-// model and lattice the engine is being built for, which is exactly the
-// information the closures they replace (PartitionWith et al.) closed
-// over.
+// model and lattice the engine is being built for; Resolve is the one
+// place that runs them.
 
 // partitionBuilder is one named site-partition builder.
 type partitionBuilder struct {
@@ -149,4 +148,25 @@ func BuildTypeSplit(spec string, m *model.Model, lat *lattice.Lattice) (*partiti
 		return nil, fmt.Errorf("registry: type-split builder %q: %w", spec, err)
 	}
 	return ts, nil
+}
+
+// Resolve builds the partition and type split o's builder names select
+// against a model and lattice (nil for an unnamed one). m may be nil for
+// builders that do not consult the model. A session spec resolves once
+// and shares the result, read-only, with every engine built from it.
+func Resolve(o Options, m *model.Model, lat *lattice.Lattice) (*partition.Partition, *partition.TypeSplit, error) {
+	var part *partition.Partition
+	var split *partition.TypeSplit
+	var err error
+	if o.Partition != "" {
+		if part, err = BuildPartition(o.Partition, m, lat); err != nil {
+			return nil, nil, err
+		}
+	}
+	if o.TypeSplit != "" {
+		if split, err = BuildTypeSplit(o.TypeSplit, m, lat); err != nil {
+			return nil, nil, err
+		}
+	}
+	return part, split, nil
 }

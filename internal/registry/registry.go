@@ -20,6 +20,7 @@ package registry
 import (
 	"fmt"
 	"io"
+	"slices"
 	"sort"
 	"strings"
 
@@ -129,45 +130,37 @@ func (s OptionSet) String() string {
 	return strings.Join(names, ", ")
 }
 
-// Options carries every per-engine construction parameter. The zero
-// value means "engine defaults"; each factory consumes the fields its
-// engine understands, and New rejects fields set for an engine that does
-// not accept them.
+// Options carries every per-engine construction parameter as plain
+// data; its JSON form is the "engine" section of a serialized spec
+// (internal/specfile). The zero value means "engine defaults"; each
+// factory consumes the fields its engine understands, and CheckOptions
+// rejects fields set for an engine that does not accept them and values
+// no engine could run.
 type Options struct {
 	// L is the L-PNDCA trials per chunk selection (0 = engine default).
-	L int
+	L int `json:"L,omitempty"`
 	// Strategy is the L-PNDCA chunk-selection rule by name: "order",
 	// "randomorder", "random" or "rates" ("" = engine default).
-	Strategy string
-	// Partition overrides the default site partition (nil = engine
-	// default, the five-chunk von Neumann partition with a modular
-	// colouring fallback). Caller-supplied partitions are trusted, so
-	// deliberately invalid partitions remain usable in experiments.
-	Partition *partition.Partition
-	// PartitionSpec names a registered partition builder (e.g.
-	// "vonneumann5", "modular:16") to be resolved against the model and
-	// lattice at build time. Unlike Partition it is plain data, so it
-	// survives spec serialization. Ignored when Partition is set.
-	PartitionSpec string
-	// TypeSplit overrides the default Ω×T split (nil = Table II split
-	// by direction).
-	TypeSplit *partition.TypeSplit
-	// TypeSplitSpec names a registered type-split builder (e.g.
-	// "bydirection"); the serializable counterpart of TypeSplit.
-	TypeSplitSpec string
+	Strategy string `json:"strategy,omitempty"`
+	// Partition names a partition builder ("vonneumann5", "modular:16";
+	// "" = engine default, the five-chunk von Neumann partition with a
+	// modular colouring fallback).
+	Partition string `json:"partition,omitempty"`
+	// TypeSplit names a type-split builder ("bydirection"; "" = engine
+	// default, the Table II split by direction).
+	TypeSplit string `json:"typesplit,omitempty"`
 	// Workers is the sweep-goroutine count (PNDCA, typepart) or strip
 	// count (DDRSM); 0 = sequential / engine default.
-	Workers int
-	// Y is the ZGB CO fraction; meaningful only when HasY is set.
-	Y float64
-	// HasY marks Y as explicitly set (y = 0 is a valid, if degenerate,
-	// CO fraction, so presence cannot be inferred from the value).
-	HasY bool
+	Workers int `json:"workers,omitempty"`
+	// Y is the ZGB CO fraction (nil = engine default; a pointer because
+	// y = 0 is a valid, if degenerate, fraction).
+	Y *float64 `json:"y,omitempty"`
 	// BlockW, BlockH are the BCA block dimensions (0 = engine default).
-	BlockW, BlockH int
+	BlockW int `json:"blockW,omitempty"`
+	BlockH int `json:"blockH,omitempty"`
 	// DeterministicTime replaces exponential clock increments with
 	// their mean 1/(N·K).
-	DeterministicTime bool
+	DeterministicTime bool `json:"deterministicTime,omitempty"`
 }
 
 // set returns the bitmask of fields that deviate from the zero value.
@@ -179,16 +172,16 @@ func (o Options) set() OptionSet {
 	if o.Strategy != "" {
 		s |= OptStrategy
 	}
-	if o.Partition != nil || o.PartitionSpec != "" {
+	if o.Partition != "" {
 		s |= OptPartition
 	}
-	if o.TypeSplit != nil || o.TypeSplitSpec != "" {
+	if o.TypeSplit != "" {
 		s |= OptTypeSplit
 	}
 	if o.Workers != 0 {
 		s |= OptWorkers
 	}
-	if o.HasY {
+	if o.Y != nil {
 		s |= OptY
 	}
 	if o.BlockW != 0 || o.BlockH != 0 {
@@ -201,8 +194,10 @@ func (o Options) set() OptionSet {
 }
 
 // Factory builds an engine over a compiled model, a configuration and a
-// random source. cm is nil for model-free engines (Spec.ModelFree).
-type Factory func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o Options) (Engine, error)
+// random source. cm is nil for model-free engines (Spec.ModelFree). o
+// has passed CheckOptions; part and split are the partition and type
+// split its builder names resolved to (nil when unnamed).
+type Factory func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o Options, part *partition.Partition, split *partition.TypeSplit) (Engine, error)
 
 // Spec describes one registered engine.
 type Spec struct {
@@ -258,8 +253,14 @@ func Lookup(name string) (Spec, bool) {
 	return s, ok
 }
 
-// CheckOptions validates that every set option is one the named engine
-// accepts, without building anything.
+// strategies are the L-PNDCA chunk-selection strategy names, in the
+// order of core.Strategy.
+var strategies = []string{"order", "randomorder", "random", "rates"}
+
+// CheckOptions validates, without building anything, that every set
+// option is one the named engine accepts and that its value is one an
+// engine can run: a finite CO fraction in [0,1], L ≥ 1, a known
+// strategy, positive block sizes and registered builder names.
 func CheckOptions(name string, o Options) error {
 	spec, ok := engines[name]
 	if !ok {
@@ -270,19 +271,35 @@ func CheckOptions(name string, o Options) error {
 		return fmt.Errorf("registry: engine %q does not accept option(s) %s (accepts: %s)",
 			name, extra, spec.Accepts)
 	}
+	switch {
+	case o.Y != nil && !(*o.Y >= 0 && *o.Y <= 1):
+		return fmt.Errorf("registry: CO fraction %v outside [0,1]", *o.Y)
+	case o.L < 0:
+		return fmt.Errorf("registry: L must be >= 1, got %d", o.L)
+	case o.Strategy != "" && !slices.Contains(strategies, o.Strategy):
+		return fmt.Errorf("registry: unknown chunk-selection strategy %q (want %s)",
+			o.Strategy, strings.Join(strategies, ", "))
+	case o.set()&OptBlocks != 0 && (o.BlockW < 1 || o.BlockH < 1):
+		return fmt.Errorf("registry: block sizes must both be positive, got %dx%d", o.BlockW, o.BlockH)
+	}
+	if o.Partition != "" {
+		if err := ValidatePartitionSpec(o.Partition); err != nil {
+			return err
+		}
+	}
+	if o.TypeSplit != "" {
+		return ValidateTypeSplitSpec(o.TypeSplit)
+	}
 	return nil
 }
 
-// New builds the engine registered under name, validating that every
-// set option is one the engine accepts. Named partition and type-split
-// builder specs are resolved here against the compiled model, so
-// factories only ever see the pointer fields.
+// New builds the engine registered under name after CheckOptions,
+// resolving o's builder names against the compiled model.
 func New(name string, cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o Options) (Engine, error) {
-	spec, ok := engines[name]
-	if !ok {
-		return nil, fmt.Errorf("registry: unknown engine %q (registered: %s)",
-			name, strings.Join(Names(), ", "))
+	if err := CheckOptions(name, o); err != nil {
+		return nil, err
 	}
+	spec := engines[name]
 	if cfg == nil {
 		return nil, fmt.Errorf("registry: engine %q needs a configuration", name)
 	}
@@ -292,23 +309,13 @@ func New(name string, cm *model.Compiled, cfg *lattice.Config, src *rng.Source, 
 	if cm == nil && !spec.ModelFree {
 		return nil, fmt.Errorf("registry: engine %q needs a compiled model", name)
 	}
-	if extra := o.set() &^ spec.Accepts; extra != 0 {
-		return nil, fmt.Errorf("registry: engine %q does not accept option(s) %s (accepts: %s)",
-			name, extra, spec.Accepts)
+	var m *model.Model
+	if cm != nil {
+		m = cm.Model
 	}
-	if o.Partition == nil && o.PartitionSpec != "" {
-		p, err := BuildPartition(o.PartitionSpec, cm.Model, cm.Lat)
-		if err != nil {
-			return nil, err
-		}
-		o.Partition = p
+	part, split, err := Resolve(o, m, cfg.Lattice())
+	if err != nil {
+		return nil, err
 	}
-	if o.TypeSplit == nil && o.TypeSplitSpec != "" {
-		ts, err := BuildTypeSplit(o.TypeSplitSpec, cm.Model, cm.Lat)
-		if err != nil {
-			return nil, err
-		}
-		o.TypeSplit = ts
-	}
-	return spec.New(cm, cfg, src, o)
+	return spec.New(cm, cfg, src, o, part, split)
 }

@@ -1,8 +1,15 @@
-// Package specfile defines the serialized form of a session spec: a
-// plain JSON document describing (model, lattice, engine, parameters,
-// seed, initial condition) with no Go values in it, so a workload that
-// ran yesterday is a file that reruns bit-identically today — locally
-// through `surfsim -spec`, or over HTTP through cmd/surfd.
+// Package specfile defines the session spec document: a plain JSON
+// value describing (model, lattice, engine, parameters, seed, initial
+// condition) with no Go values in it, so a workload that ran yesterday
+// is a file that reruns bit-identically today — locally through
+// `surfsim -spec`, or over HTTP through cmd/surfd.
+//
+// It is the only spec representation. The root package's NewSpec
+// options edit a Spec and ParseSpec decodes one; both then run the same
+// Validate and normalization, and the spec's canonical JSON (what its
+// Hash and every cache key derive from) is this document marshalled.
+// The engine section is a name plus registry.Options inline, so the
+// options a factory reads are the options the file carries.
 //
 // Every reference in a spec is a registry name: engines come from
 // internal/registry, partitions and type-splits from the named builders
@@ -10,7 +17,8 @@
 // internal/initpreset, and models either from the named presets of this
 // package or inline in the internal/modelfile text format. Validation
 // is registry-aware: an unknown name is reported together with the
-// registered alternatives.
+// registered alternatives, and option values no engine can run are
+// rejected here rather than when the engine is built.
 //
 // A minimal spec:
 //
@@ -75,30 +83,12 @@ type Extents struct {
 	L1 int `json:"l1"`
 }
 
-// EngineRef selects an engine and carries its options as plain data —
-// the serialized mirror of registry.Options.
+// EngineRef selects an engine by registry name, with its options inline:
+// {"name": "lpndca", "L": 100, "strategy": "rates"}.
 type EngineRef struct {
 	// Name is the engine's registry name ("rsm", "lpndca", …).
 	Name string `json:"name"`
-	// L is the L-PNDCA trials per chunk selection (0 = engine default).
-	L int `json:"L,omitempty"`
-	// Strategy is the L-PNDCA chunk-selection rule by CLI name.
-	Strategy string `json:"strategy,omitempty"`
-	// Partition names a partition builder ("vonneumann5", "modular:16").
-	Partition string `json:"partition,omitempty"`
-	// TypeSplit names a type-split builder ("bydirection").
-	TypeSplit string `json:"typesplit,omitempty"`
-	// Workers is the sweep-goroutine / strip count.
-	Workers int `json:"workers,omitempty"`
-	// Y is the ZGB CO impingement fraction (nil = engine default; a
-	// pointer because y = 0 is a valid, if degenerate, fraction).
-	Y *float64 `json:"y,omitempty"`
-	// BlockW, BlockH are the BCA block dimensions.
-	BlockW int `json:"blockW,omitempty"`
-	BlockH int `json:"blockH,omitempty"`
-	// DeterministicTime replaces exponential clock increments with
-	// their mean.
-	DeterministicTime bool `json:"deterministicTime,omitempty"`
+	registry.Options
 }
 
 // InitRef names an initial-configuration preset with its parameters.
@@ -114,24 +104,6 @@ type InitRef struct {
 // Params converts the reference to initpreset parameters.
 func (in *InitRef) Params() initpreset.Params {
 	return initpreset.Params{Fractions: in.Fractions, Species: in.Species}
-}
-
-// Options converts the engine reference to registry options.
-func (e *EngineRef) Options() registry.Options {
-	o := registry.Options{
-		L:                 e.L,
-		Strategy:          e.Strategy,
-		PartitionSpec:     e.Partition,
-		TypeSplitSpec:     e.TypeSplit,
-		Workers:           e.Workers,
-		BlockW:            e.BlockW,
-		BlockH:            e.BlockH,
-		DeterministicTime: e.DeterministicTime,
-	}
-	if e.Y != nil {
-		o.Y, o.HasY = *e.Y, true
-	}
-	return o
 }
 
 // Parse reads and validates a spec document. Unknown JSON fields are
@@ -170,18 +142,8 @@ func (s *Spec) Validate() error {
 		return fmt.Errorf("specfile: unknown engine %q (registered: %s)",
 			s.Engine.Name, strings.Join(registry.Names(), ", "))
 	}
-	if err := registry.CheckOptions(eng.Name, s.Engine.Options()); err != nil {
+	if err := registry.CheckOptions(eng.Name, s.Engine.Options); err != nil {
 		return fmt.Errorf("specfile: %w", err)
-	}
-	if s.Engine.Partition != "" {
-		if err := registry.ValidatePartitionSpec(s.Engine.Partition); err != nil {
-			return fmt.Errorf("specfile: %w", err)
-		}
-	}
-	if s.Engine.TypeSplit != "" {
-		if err := registry.ValidateTypeSplitSpec(s.Engine.TypeSplit); err != nil {
-			return fmt.Errorf("specfile: %w", err)
-		}
 	}
 	if s.Lattice != nil && (s.Lattice.L0 < 1 || s.Lattice.L1 < 1) {
 		return fmt.Errorf("specfile: lattice extents must be positive, got %dx%d", s.Lattice.L0, s.Lattice.L1)

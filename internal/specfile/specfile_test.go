@@ -26,12 +26,8 @@ func TestParseMinimalSpec(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	if s.Engine.Name != "lpndca" || s.Engine.L != 10 || s.Engine.Partition != "vonneumann5" {
+	if s.Engine.Name != "lpndca" || s.Engine.L != 10 || s.Engine.Strategy != "rates" || s.Engine.Partition != "vonneumann5" {
 		t.Errorf("engine decoded as %+v", s.Engine)
-	}
-	o := s.Engine.Options()
-	if o.L != 10 || o.Strategy != "rates" || o.PartitionSpec != "vonneumann5" {
-		t.Errorf("options %+v", o)
 	}
 	m, err := s.Model.Build()
 	if err != nil {

@@ -1,10 +1,9 @@
 package ziff
 
 import (
-	"fmt"
-
 	"parsurf/internal/lattice"
 	"parsurf/internal/model"
+	"parsurf/internal/partition"
 	"parsurf/internal/registry"
 	"parsurf/internal/rng"
 )
@@ -32,13 +31,10 @@ func init() {
 		Doc:       "classic adsorption-limited Ziff–Gulari–Barshad model (§1)",
 		Accepts:   registry.OptY,
 		ModelFree: true,
-		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options) (registry.Engine, error) {
+		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options, _ *partition.Partition, _ *partition.TypeSplit) (registry.Engine, error) {
 			y := defaultY
-			if o.HasY {
-				y = o.Y
-			}
-			if y < 0 || y > 1 {
-				return nil, fmt.Errorf("ziff: CO fraction %v outside [0,1]", y)
+			if o.Y != nil {
+				y = *o.Y
 			}
 			return NewOn(cfg, src, y), nil
 		},

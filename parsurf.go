@@ -35,9 +35,10 @@
 //	)
 //	stats, err := sess.Run(ctx, parsurf.Until(200), parsurf.SampleEvery(0.25, obs))
 //
-// A SessionSpec is closure-free plain data: partitions, type splits,
-// initial conditions and models are all named registry entries, so a
-// spec round-trips exactly through JSON (MarshalJSON/UnmarshalJSON,
+// A SessionSpec is one plain-data document: partitions, type splits,
+// initial conditions and models are all named registry entries (or
+// inline model text), and NewSpec and ParseSpec validate it the same
+// way, so a spec round-trips exactly through JSON (MarshalJSON,
 // ParseSpec; schema in internal/specfile) and reruns bit-identically —
 // from Go, from a file (`surfsim -spec run.json`), or over HTTP
 // (cmd/surfd, backed by the internal/job manager: bounded runner pool,

@@ -1,9 +1,12 @@
 package parsurf
 
 import (
+	"bytes"
 	"context"
 	"encoding/json"
 	"fmt"
+	"maps"
+	"slices"
 
 	"parsurf/internal/core"
 	"parsurf/internal/initpreset"
@@ -65,133 +68,62 @@ const (
 	OptDeterministicTime = registry.OptDeterministicTime
 )
 
-// EngineOption configures one engine construction. Options populate the
-// plain-data registry.Options value; the ones that consult the model or
-// lattice (PartitionWith) are applied when both are known — at NewSpec
-// time for sessions, at construction for NewEngine.
-type EngineOption func(m *Model, lat *Lattice, o *registry.Options) error
+// EngineOption sets one engine option in the plain-data options value
+// a spec serializes as its "engine" section.
+type EngineOption func(o *registry.Options)
 
 // Trials sets the L-PNDCA trials per chunk selection (the paper's L).
 func Trials(l int) EngineOption {
-	return func(_ *Model, _ *Lattice, o *registry.Options) error {
-		o.L = l
-		return nil
-	}
+	return func(o *registry.Options) { o.L = l }
 }
 
 // Strategy sets the L-PNDCA chunk-selection strategy (AllInOrder,
 // AllRandomOrder, RandomReplacement or RateWeighted).
 func Strategy(s core.Strategy) EngineOption {
-	return func(_ *Model, _ *Lattice, o *registry.Options) error {
-		o.Strategy = s.String()
-		return nil
-	}
+	return func(o *registry.Options) { o.Strategy = s.String() }
 }
 
 // StrategyName sets the L-PNDCA chunk-selection strategy by its CLI
 // name: "order", "randomorder", "random" or "rates".
 func StrategyName(name string) EngineOption {
-	return func(_ *Model, _ *Lattice, o *registry.Options) error {
-		o.Strategy = name
-		return nil
-	}
+	return func(o *registry.Options) { o.Strategy = name }
 }
 
 // Workers sets the sweep-goroutine count (pndca, typepart) or strip
 // count (ddrsm). Partitioned sweeps are bit-identical for every worker
 // count.
 func Workers(n int) EngineOption {
-	return func(_ *Model, _ *Lattice, o *registry.Options) error {
-		o.Workers = n
-		return nil
-	}
+	return func(o *registry.Options) { o.Workers = n }
 }
 
 // COFraction sets the ZGB CO impingement fraction y (ziff engine).
 func COFraction(y float64) EngineOption {
-	return func(_ *Model, _ *Lattice, o *registry.Options) error {
-		o.Y = y
-		o.HasY = true
-		return nil
-	}
+	return func(o *registry.Options) { o.Y = &y }
 }
 
 // BlockSize sets the BCA block dimensions.
 func BlockSize(w, h int) EngineOption {
-	return func(_ *Model, _ *Lattice, o *registry.Options) error {
-		o.BlockW, o.BlockH = w, h
-		return nil
-	}
+	return func(o *registry.Options) { o.BlockW, o.BlockH = w, h }
 }
 
 // DeterministicClock replaces the exponential clock increments of the
 // trial-based engines with their mean 1/(N·K).
 func DeterministicClock() EngineOption {
-	return func(_ *Model, _ *Lattice, o *registry.Options) error {
-		o.DeterministicTime = true
-		return nil
-	}
+	return func(o *registry.Options) { o.DeterministicTime = true }
 }
 
 // PartitionNamed selects the site partition for pndca/lpndca by the
 // name of a registered builder — "vonneumann5", "checkerboard",
-// "singlechunk", "singletons" or "modular[:K]". Unlike UsePartition the
-// choice is plain data: it survives JSON serialization and is rebuilt
-// deterministically from the spec's model and lattice.
-func PartitionNamed(spec string) EngineOption {
-	return func(_ *Model, _ *Lattice, o *registry.Options) error {
-		o.PartitionSpec = spec
-		return nil
-	}
+// "singlechunk", "singletons" or "modular[:K]" (PartitionBuilders lists
+// them). The partition is built from the spec's model and lattice.
+func PartitionNamed(name string) EngineOption {
+	return func(o *registry.Options) { o.Partition = name }
 }
 
 // TypeSplitNamed selects the Ω×T reaction-type split for typepart by
-// builder name ("bydirection"); the serializable counterpart of
-// UseTypeSplit.
-func TypeSplitNamed(spec string) EngineOption {
-	return func(_ *Model, _ *Lattice, o *registry.Options) error {
-		o.TypeSplitSpec = spec
-		return nil
-	}
-}
-
-// UsePartition supplies the site partition for pndca/lpndca directly.
-// A spec carrying a raw partition cannot be serialized; prefer
-// PartitionNamed unless the partition is deliberately hand-built.
-func UsePartition(p *Partition) EngineOption {
-	return func(_ *Model, _ *Lattice, o *registry.Options) error {
-		o.Partition = p
-		return nil
-	}
-}
-
-// PartitionWith builds the site partition for pndca/lpndca from the
-// session's model and lattice, e.g.
-//
-//	PartitionWith(func(m *Model, lat *Lattice) (*Partition, error) {
-//		return ModularColoring(m, lat, 16)
-//	})
-//
-// The builder runs once, at NewSpec time; like UsePartition the result
-// is a raw partition, so the spec cannot be serialized.
-func PartitionWith(build func(m *Model, lat *Lattice) (*Partition, error)) EngineOption {
-	return func(m *Model, lat *Lattice, o *registry.Options) error {
-		p, err := build(m, lat)
-		if err != nil {
-			return err
-		}
-		o.Partition = p
-		return nil
-	}
-}
-
-// UseTypeSplit supplies the Ω×T reaction-type split for typepart
-// directly (not serializable; prefer TypeSplitNamed).
-func UseTypeSplit(ts *TypeSplit) EngineOption {
-	return func(_ *Model, _ *Lattice, o *registry.Options) error {
-		o.TypeSplit = ts
-		return nil
-	}
+// builder name ("bydirection"; TypeSplitBuilders lists them).
+func TypeSplitNamed(name string) EngineOption {
+	return func(o *registry.Options) { o.TypeSplit = name }
 }
 
 // NewEngine constructs the named engine over explicit pieces (a
@@ -201,17 +133,8 @@ func UseTypeSplit(ts *TypeSplit) EngineOption {
 // wiring for everyday use.
 func NewEngine(name string, cm *Compiled, cfg *Config, src *RNG, opts ...EngineOption) (Engine, error) {
 	var o registry.Options
-	var m *Model
-	var lat *Lattice
-	if cm != nil {
-		m, lat = cm.Model, cm.Lat
-	} else if cfg != nil {
-		lat = cfg.Lattice()
-	}
 	for _, opt := range opts {
-		if err := opt(m, lat, &o); err != nil {
-			return nil, err
-		}
+		opt(&o)
 	}
 	return registry.New(name, cm, cfg, src, o)
 }
@@ -242,46 +165,56 @@ func CheckerboardInit(a, b int) InitSpec {
 	return InitSpec{Preset: "checkerboard", Species: []int{a, b}}
 }
 
-// SessionSpec is a replayable, closure-free description of a
-// simulation: model, lattice, engine (by name, with plain-data
-// options), seed and a named initial-configuration preset. Build one
-// with NewSpec (or decode one from JSON — the spec round-trips exactly
-// through MarshalJSON/UnmarshalJSON), instantiate with Session, or
+// SessionSpec is a replayable description of a simulation: model,
+// lattice, engine (by name, with plain-data options), seed and a named
+// initial-configuration preset. It holds one specfile document, and
+// NewSpec and ParseSpec both validate and normalize it the same way, so
+// a spec built either way marshals to the same canonical bytes, which
+// MarshalJSON emits and Hash fingerprints. Instantiate with Session, or
 // hand it to RunEnsemble to run many replicas.
 type SessionSpec struct {
-	model    *Model
-	modelRef *specfile.ModelRef // declarative origin; nil when set via WithModel
-	l0, l1   int
-	engine   string
-	engOpts  []EngineOption // pending until finish resolves them into opts
-	opts     registry.Options
-	seed     uint64
-	init     *specfile.InitRef
+	// doc is the normalized document: lattice and seed filled in, a
+	// WithModel model as inline text. data is its canonical JSON.
+	doc  specfile.Spec
+	data []byte
 
-	// lat, cm and initFn are resolved once by finish and shared,
-	// read-only, by every session and ensemble replica built from the
-	// spec: the compiled model arena is immutable after Compile, so a
+	// The rest is resolved once by finish and shared, read-only, by
+	// every session and ensemble replica built from the spec: the
+	// compiled model arena is immutable after Compile, so a
 	// 1000-replica sweep compiles the translation tables and dependency
-	// CSR exactly once instead of once per replica, and the built init
-	// preset (stateless: it reads only its captured parameters and
-	// writes only the config it is handed) is applied without
-	// re-validating or re-building per replica.
-	lat    *Lattice
-	cm     *Compiled
-	initFn initpreset.Func
+	// CSR exactly once instead of once per replica; the partition and
+	// type split are built once; and the built init preset (stateless:
+	// it reads only its captured parameters and writes only the config
+	// it is handed) is applied without re-validating or re-building per
+	// replica.
+	model   *Model
+	lat     *Lattice
+	cm      *Compiled
+	part    *Partition
+	split   *TypeSplit
+	initFn  initpreset.Func
+	factory registry.Factory
 }
 
-// SessionOption configures a SessionSpec.
-type SessionOption func(*SessionSpec) error
+// SessionOption edits the spec document NewSpec validates.
+type SessionOption func(*specfile.Spec) error
 
 // WithModel sets the reaction model. Required for every engine except
-// the model-free ones (ziff). A model set this way serializes as an
-// inline definition in the modelfile text format; WithModelPreset
-// keeps the compact named form.
+// the model-free ones (ziff). The model is stored as an inline
+// definition in the modelfile text format; WithModelPreset keeps the
+// compact named form.
 func WithModel(m *Model) SessionOption {
-	return func(sp *SessionSpec) error {
-		sp.model = m
-		sp.modelRef = nil
+	var ref *specfile.ModelRef
+	var err error
+	if m != nil {
+		ref = new(specfile.ModelRef)
+		ref.Text, err = specfile.ModelText(m)
+	}
+	return func(d *specfile.Spec) error {
+		if err != nil {
+			return fmt.Errorf("parsurf: serializing model: %w", err)
+		}
+		d.Model = ref
 		return nil
 	}
 }
@@ -291,40 +224,31 @@ func WithModel(m *Model) SessionOption {
 // the declarative counterpart of WithModel. ModelPresets lists the
 // names; unknown parameters are rejected with the accepted set.
 func WithModelPreset(name string, params map[string]float64) SessionOption {
-	return func(sp *SessionSpec) error {
-		m, err := specfile.BuildNamedModel(name, params)
-		if err != nil {
-			return err
-		}
-		ref := &specfile.ModelRef{Name: name}
-		if len(params) > 0 {
-			ref.Params = make(map[string]float64, len(params))
-			for k, v := range params {
-				ref.Params[k] = v
-			}
-		}
-		sp.model = m
-		sp.modelRef = ref
+	ref := &specfile.ModelRef{Name: name}
+	if len(params) > 0 {
+		ref.Params = maps.Clone(params)
+	}
+	return func(d *specfile.Spec) error {
+		d.Model = ref
 		return nil
 	}
 }
 
 // WithLattice sets the periodic lattice extents (default 100×100).
 func WithLattice(l0, l1 int) SessionOption {
-	return func(sp *SessionSpec) error {
-		if l0 < 1 || l1 < 1 {
-			return fmt.Errorf("parsurf: lattice extents must be positive, got %dx%d", l0, l1)
-		}
-		sp.l0, sp.l1 = l0, l1
+	return func(d *specfile.Spec) error {
+		d.Lattice = &specfile.Extents{L0: l0, L1: l1}
 		return nil
 	}
 }
 
 // WithEngine selects the engine by registry name with its options.
 func WithEngine(name string, opts ...EngineOption) SessionOption {
-	return func(sp *SessionSpec) error {
-		sp.engine = name
-		sp.engOpts = opts
+	return func(d *specfile.Spec) error {
+		d.Engine = specfile.EngineRef{Name: name}
+		for _, opt := range opts {
+			opt(&d.Engine.Options)
+		}
 		return nil
 	}
 }
@@ -333,8 +257,8 @@ func WithEngine(name string, opts ...EngineOption) SessionOption {
 // draws from NewRNG(seed) exactly as the direct constructors do, so a
 // Session reproduces their trajectories bit for bit.
 func WithSeed(seed uint64) SessionOption {
-	return func(sp *SessionSpec) error {
-		sp.seed = seed
+	return func(d *specfile.Spec) error {
+		d.Seed = &seed
 		return nil
 	}
 }
@@ -346,13 +270,12 @@ func WithSeed(seed uint64) SessionOption {
 // The preset draws from a random stream split off the session seed (so
 // ensemble replicas, which run on split streams of their own, get
 // distinct initial surfaces), and being plain data it survives the
-// spec's JSON round-trip — unlike the init closures it replaces.
+// spec's JSON round-trip.
 func WithInit(init InitSpec) SessionOption {
-	return func(sp *SessionSpec) error {
-		cp := init
-		cp.Fractions = append([]float64(nil), init.Fractions...)
-		cp.Species = append([]int(nil), init.Species...)
-		sp.init = &cp
+	init.Fractions = slices.Clone(init.Fractions)
+	init.Species = slices.Clone(init.Species)
+	return func(d *specfile.Spec) error {
+		d.Init = &init
 		return nil
 	}
 }
@@ -361,15 +284,13 @@ func WithInit(init InitSpec) SessionOption {
 // any fixed id distinct from the ensemble replica ids works.
 const initStreamID = 0x696e6974 // "init"
 
-// NewSpec validates and returns a replayable session spec. Engine
-// options are resolved into plain data here — including named partition
-// and type-split builders, which are built once against the spec's
-// model and lattice and shared (read-only) by every session and
-// ensemble replica built from the spec.
+// NewSpec validates and returns a replayable session spec. It accepts
+// exactly the specs ParseSpec accepts: the options edit a specfile
+// document, and both entry points finish it the same way.
 func NewSpec(opts ...SessionOption) (*SessionSpec, error) {
-	sp := &SessionSpec{l0: 100, l1: 100, seed: 1}
+	sp := new(SessionSpec)
 	for _, opt := range opts {
-		if err := opt(sp); err != nil {
+		if err := opt(&sp.doc); err != nil {
 			return nil, err
 		}
 	}
@@ -379,59 +300,72 @@ func NewSpec(opts ...SessionOption) (*SessionSpec, error) {
 	return sp, nil
 }
 
-// finish validates the spec and resolves every pending option into the
-// plain-data options value. It is the shared tail of NewSpec and
-// UnmarshalJSON.
-func (sp *SessionSpec) finish() error {
-	if sp.engine == "" {
-		return fmt.Errorf("parsurf: session needs an engine (WithEngine); registered: %v", Engines())
+// ParseSpec decodes a serialized spec — the programmatic form of
+// `surfsim -spec file.json`.
+func ParseSpec(data []byte) (*SessionSpec, error) {
+	sp := new(SessionSpec)
+	if err := sp.UnmarshalJSON(data); err != nil {
+		return nil, err
 	}
-	spec, ok := registry.Lookup(sp.engine)
-	if !ok {
-		return fmt.Errorf("parsurf: unknown engine %q (registered: %v)", sp.engine, Engines())
-	}
-	if sp.model == nil && !spec.ModelFree {
-		return fmt.Errorf("parsurf: engine %q needs a model (WithModel)", sp.engine)
-	}
-	lat := NewLattice(sp.l0, sp.l1)
-	sp.lat = lat
-	for _, opt := range sp.engOpts {
-		if err := opt(sp.model, lat, &sp.opts); err != nil {
-			return err
-		}
-	}
-	sp.engOpts = nil
-	if sp.opts.Partition != nil && sp.opts.PartitionSpec != "" {
-		return fmt.Errorf("parsurf: both a raw partition and the named builder %q are set; pick one", sp.opts.PartitionSpec)
-	}
-	if sp.opts.TypeSplit != nil && sp.opts.TypeSplitSpec != "" {
-		return fmt.Errorf("parsurf: both a raw type split and the named builder %q are set; pick one", sp.opts.TypeSplitSpec)
-	}
-	if err := registry.CheckOptions(sp.engine, sp.opts); err != nil {
+	return sp, nil
+}
+
+// UnmarshalJSON decodes and validates a specfile JSON document (see
+// internal/specfile for the schema). Unknown fields and unknown names
+// are rejected with registry-aware messages.
+func (sp *SessionSpec) UnmarshalJSON(data []byte) error {
+	f, err := specfile.ParseBytes(data)
+	if err != nil {
 		return err
 	}
-	// Resolve named builders once; the result is read-only during
-	// stepping, so sessions and replicas can share it.
-	if sp.opts.PartitionSpec != "" {
-		p, err := registry.BuildPartition(sp.opts.PartitionSpec, sp.model, lat)
-		if err != nil {
+	ns := &SessionSpec{doc: *f}
+	if err := ns.finish(); err != nil {
+		return err
+	}
+	*sp = *ns
+	return nil
+}
+
+// MarshalJSON returns the spec's canonical JSON document; the exact
+// inverse of UnmarshalJSON (decode → encode is byte-stable, and the
+// decoded spec reproduces the original's trajectories bit for bit).
+func (sp *SessionSpec) MarshalJSON() ([]byte, error) {
+	return bytes.Clone(sp.data), nil
+}
+
+// finish is the shared tail of NewSpec and UnmarshalJSON: it normalizes
+// and validates the document, marshals it once, and resolves everything
+// a session build needs.
+func (sp *SessionSpec) finish() error {
+	d := &sp.doc
+	if d.Engine.Name == "" {
+		return fmt.Errorf("parsurf: session needs an engine (WithEngine); registered: %v", Engines())
+	}
+	if d.Lattice == nil {
+		d.Lattice = &specfile.Extents{L0: 100, L1: 100}
+	}
+	if d.Seed == nil {
+		seed := uint64(1)
+		d.Seed = &seed
+	}
+	if err := d.Validate(); err != nil {
+		return err
+	}
+	data, err := json.Marshal(d)
+	if err != nil {
+		return fmt.Errorf("parsurf: spec does not serialize: %w", err)
+	}
+	sp.data = data
+	if d.Model != nil {
+		if sp.model, err = d.Model.Build(); err != nil {
 			return err
 		}
-		sp.opts.Partition = p
 	}
-	if sp.opts.TypeSplitSpec != "" {
-		ts, err := registry.BuildTypeSplit(sp.opts.TypeSplitSpec, sp.model, lat)
-		if err != nil {
-			return err
-		}
-		sp.opts.TypeSplit = ts
-	}
-	if sp.init != nil {
-		fn, err := initpreset.Build(sp.init.Preset, sp.init.Params())
-		if err != nil {
+	sp.lat = NewLattice(d.Lattice.L0, d.Lattice.L1)
+	if d.Init != nil {
+		if sp.initFn, err = initpreset.Build(d.Init.Preset, d.Init.Params()); err != nil {
 			return fmt.Errorf("parsurf: %w", err)
 		}
-		sp.initFn = fn
 	}
 	// Compile once, here: the arena (translation tables, dependency
 	// CSR, cumulative rates) is immutable after Compile, so every
@@ -439,28 +373,31 @@ func (sp *SessionSpec) finish() error {
 	// compile errors (e.g. a pattern self-colliding on a too-small
 	// lattice) at NewSpec instead of first build.
 	if sp.model != nil {
-		cm, err := Compile(sp.model, lat)
-		if err != nil {
+		if sp.cm, err = Compile(sp.model, sp.lat); err != nil {
 			return err
 		}
-		sp.cm = cm
 	}
+	if sp.part, sp.split, err = registry.Resolve(d.Engine.Options, sp.model, sp.lat); err != nil {
+		return err
+	}
+	eng, _ := registry.Lookup(d.Engine.Name)
+	sp.factory = eng.New
 	return nil
 }
 
 // Session returns a ready-to-run session built from the spec.
 func (sp *SessionSpec) Session() (*Session, error) {
-	return sp.build(rng.New(sp.seed))
+	return sp.build(rng.New(sp.Seed()))
 }
 
 // EngineName returns the spec's engine registry name.
-func (sp *SessionSpec) EngineName() string { return sp.engine }
+func (sp *SessionSpec) EngineName() string { return sp.doc.Engine.Name }
 
 // Seed returns the spec's base seed.
-func (sp *SessionSpec) Seed() uint64 { return sp.seed }
+func (sp *SessionSpec) Seed() uint64 { return *sp.doc.Seed }
 
 // Extents returns the spec's lattice extents.
-func (sp *SessionSpec) Extents() (l0, l1 int) { return sp.l0, sp.l1 }
+func (sp *SessionSpec) Extents() (l0, l1 int) { return sp.doc.Lattice.L0, sp.doc.Lattice.L1 }
 
 // NumSpecies returns the number of species of the spec's model, or the
 // three ZGB species for the model-free ziff engine — known without
@@ -482,135 +419,16 @@ func (sp *SessionSpec) SpeciesNames() []string {
 	return zgbSpeciesNames
 }
 
-// File renders the spec in its serialized form. It fails when the spec
-// carries values that exist only as Go pointers — a partition from
-// UsePartition/PartitionWith, a type split from UseTypeSplit — since
-// those cannot be rebuilt from a file; use the named builders instead.
-func (sp *SessionSpec) File() (*specfile.Spec, error) {
-	if sp.opts.Partition != nil && sp.opts.PartitionSpec == "" {
-		return nil, fmt.Errorf("parsurf: spec carries a raw partition; use PartitionNamed for a serializable spec")
-	}
-	if sp.opts.TypeSplit != nil && sp.opts.TypeSplitSpec == "" {
-		return nil, fmt.Errorf("parsurf: spec carries a raw type split; use TypeSplitNamed for a serializable spec")
-	}
-	f := &specfile.Spec{
-		Lattice: &specfile.Extents{L0: sp.l0, L1: sp.l1},
-		Engine: specfile.EngineRef{
-			Name:              sp.engine,
-			L:                 sp.opts.L,
-			Strategy:          sp.opts.Strategy,
-			Partition:         sp.opts.PartitionSpec,
-			TypeSplit:         sp.opts.TypeSplitSpec,
-			Workers:           sp.opts.Workers,
-			BlockW:            sp.opts.BlockW,
-			BlockH:            sp.opts.BlockH,
-			DeterministicTime: sp.opts.DeterministicTime,
-		},
-	}
-	seed := sp.seed
-	f.Seed = &seed
-	if sp.opts.HasY {
-		y := sp.opts.Y
-		f.Engine.Y = &y
-	}
-	if sp.init != nil {
-		init := *sp.init
-		f.Init = &init
-	}
-	// The model section is omitted for model-free engines: the strict
-	// decoder rejects a model a spec cannot use.
-	if eng, ok := registry.Lookup(sp.engine); ok && !eng.ModelFree {
-		switch {
-		case sp.modelRef != nil:
-			ref := *sp.modelRef
-			f.Model = &ref
-		case sp.model != nil:
-			text, err := specfile.ModelText(sp.model)
-			if err != nil {
-				return nil, fmt.Errorf("parsurf: serializing model: %w", err)
-			}
-			f.Model = &specfile.ModelRef{Text: text}
-		}
-	}
-	return f, nil
-}
-
-// MarshalJSON renders the spec as a specfile JSON document; the exact
-// inverse of UnmarshalJSON (decode → encode is byte-stable, and the
-// decoded spec reproduces the original's trajectories bit for bit).
-func (sp *SessionSpec) MarshalJSON() ([]byte, error) {
-	f, err := sp.File()
-	if err != nil {
-		return nil, err
-	}
-	return json.Marshal(f)
-}
-
-// UnmarshalJSON decodes and validates a specfile JSON document (see
-// internal/specfile for the schema). Unknown fields and unknown names
-// are rejected with registry-aware messages.
-func (sp *SessionSpec) UnmarshalJSON(data []byte) error {
-	f, err := specfile.ParseBytes(data)
-	if err != nil {
-		return err
-	}
-	ns, err := specFromFile(f)
-	if err != nil {
-		return err
-	}
-	*sp = *ns
-	return nil
-}
-
-// ParseSpec decodes a serialized spec — the programmatic form of
-// `surfsim -spec file.json`.
-func ParseSpec(data []byte) (*SessionSpec, error) {
-	sp := new(SessionSpec)
-	if err := sp.UnmarshalJSON(data); err != nil {
-		return nil, err
-	}
-	return sp, nil
-}
-
-// specFromFile builds the runnable spec from its serialized form.
-func specFromFile(f *specfile.Spec) (*SessionSpec, error) {
-	sp := &SessionSpec{l0: 100, l1: 100, seed: 1, engine: f.Engine.Name}
-	if f.Lattice != nil {
-		sp.l0, sp.l1 = f.Lattice.L0, f.Lattice.L1
-	}
-	if f.Seed != nil {
-		sp.seed = *f.Seed
-	}
-	if f.Model != nil {
-		m, err := f.Model.Build()
-		if err != nil {
-			return nil, err
-		}
-		ref := *f.Model
-		sp.model = m
-		sp.modelRef = &ref
-	}
-	sp.opts = f.Engine.Options()
-	if f.Init != nil {
-		init := *f.Init
-		sp.init = &init
-	}
-	if err := sp.finish(); err != nil {
-		return nil, err
-	}
-	return sp, nil
-}
-
 // build wires configuration → init preset → engine around the given
-// engine stream. The lattice and compiled model arena come from the
-// spec (compiled once in finish) and are shared, read-only, by every
-// session built from it.
+// engine stream. The lattice, compiled model arena and partition come
+// from the spec (resolved once in finish) and are shared, read-only, by
+// every session built from it.
 func (sp *SessionSpec) build(src *RNG) (*Session, error) {
 	cfg := NewConfig(sp.lat)
 	if sp.initFn != nil {
 		sp.initFn(cfg, src.Split(initStreamID))
 	}
-	eng, err := registry.New(sp.engine, sp.cm, cfg, src, sp.opts)
+	eng, err := sp.factory(sp.cm, cfg, src, sp.doc.Engine.Options, sp.part, sp.split)
 	if err != nil {
 		return nil, err
 	}

@@ -5,6 +5,7 @@ import (
 	"crypto/sha256"
 	"encoding/hex"
 	"encoding/json"
+	"math"
 	"strings"
 	"testing"
 
@@ -224,27 +225,6 @@ func TestSpecInlineModelRoundTrip(t *testing.T) {
 	}
 }
 
-// Specs carrying raw Go pointers refuse to serialize, with a hint
-// toward the named builders.
-func TestSpecRawPartitionNotSerializable(t *testing.T) {
-	lat := parsurf.NewSquareLattice(20)
-	part, err := parsurf.VonNeumann5(lat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	spec, err := parsurf.NewSpec(
-		parsurf.WithModelPreset("zgb", nil),
-		parsurf.WithLattice(20, 20),
-		parsurf.WithEngine("pndca", parsurf.UsePartition(part)),
-	)
-	if err != nil {
-		t.Fatal(err)
-	}
-	if _, err := json.Marshal(spec); err == nil || !strings.Contains(err.Error(), "PartitionNamed") {
-		t.Fatalf("marshal of raw-partition spec: %v, want a PartitionNamed hint", err)
-	}
-}
-
 // Decoding rejects unknown names with registry-aware messages.
 func TestSpecDecodeErrors(t *testing.T) {
 	cases := []struct {
@@ -268,6 +248,64 @@ func TestSpecDecodeErrors(t *testing.T) {
 		}
 		if !strings.Contains(err.Error(), tc.wantSubstr) {
 			t.Errorf("%s: error %q does not mention %q", tc.name, err, tc.wantSubstr)
+		}
+	}
+}
+
+// NewSpec rejects exactly what ParseSpec rejects: option values no
+// engine can run are spec errors, whichever entry point builds the spec.
+func TestSpecInvalidValuesRejected(t *testing.T) {
+	zgb := parsurf.WithModelPreset("zgb", nil)
+	cases := []struct {
+		name string
+		opts []parsurf.SessionOption // nil: not expressible through NewSpec
+		doc  string                  // "": not expressible in JSON
+		want string
+	}{
+		{"y above 1",
+			[]parsurf.SessionOption{parsurf.WithEngine("ziff", parsurf.COFraction(1.5))},
+			`{"engine": {"name": "ziff", "y": 1.5}}`, "outside [0,1]"},
+		{"y negative",
+			[]parsurf.SessionOption{parsurf.WithEngine("ziff", parsurf.COFraction(-0.1))},
+			`{"engine": {"name": "ziff", "y": -0.1}}`, "outside [0,1]"},
+		{"y NaN",
+			[]parsurf.SessionOption{parsurf.WithEngine("ziff", parsurf.COFraction(math.NaN()))},
+			"", "outside [0,1]"},
+		{"L negative",
+			[]parsurf.SessionOption{zgb, parsurf.WithEngine("lpndca", parsurf.Trials(-1))},
+			`{"model": {"name": "zgb"}, "engine": {"name": "lpndca", "L": -1}}`, "L must be"},
+		{"unknown strategy",
+			[]parsurf.SessionOption{zgb, parsurf.WithEngine("lpndca", parsurf.StrategyName("bogus"))},
+			`{"model": {"name": "zgb"}, "engine": {"name": "lpndca", "strategy": "bogus"}}`, "strategy"},
+		{"one block size unset",
+			[]parsurf.SessionOption{zgb, parsurf.WithEngine("bca", parsurf.BlockSize(4, 0))},
+			`{"model": {"name": "zgb"}, "engine": {"name": "bca", "blockW": 4}}`, "block sizes"},
+		{"negative block sizes",
+			[]parsurf.SessionOption{zgb, parsurf.WithEngine("bca", parsurf.BlockSize(-2, -2))},
+			`{"model": {"name": "zgb"}, "engine": {"name": "bca", "blockW": -2, "blockH": -2}}`, "block sizes"},
+		{"unknown partition",
+			[]parsurf.SessionOption{zgb, parsurf.WithEngine("pndca", parsurf.PartitionNamed("hexagons"))},
+			`{"model": {"name": "zgb"}, "engine": {"name": "pndca", "partition": "hexagons"}}`, "partition builder"},
+		{"model for model-free engine",
+			[]parsurf.SessionOption{parsurf.WithModelPreset("ptco", nil), parsurf.WithEngine("ziff")},
+			`{"model": {"name": "ptco"}, "engine": {"name": "ziff"}}`, "model-free"},
+		{"NaN init fraction",
+			[]parsurf.SessionOption{zgb, parsurf.WithEngine("rsm"), parsurf.WithInit(parsurf.RandomInit(math.NaN(), 1))},
+			"", "finite"},
+		{"non-positive lattice",
+			[]parsurf.SessionOption{zgb, parsurf.WithEngine("rsm"), parsurf.WithLattice(0, 5)},
+			`{"model": {"name": "zgb"}, "lattice": {"l0": 0, "l1": 5}, "engine": {"name": "rsm"}}`, "positive"},
+	}
+	for _, tc := range cases {
+		if tc.opts != nil {
+			if _, err := parsurf.NewSpec(tc.opts...); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: NewSpec error %v, want one mentioning %q", tc.name, err, tc.want)
+			}
+		}
+		if tc.doc != "" {
+			if _, err := parsurf.ParseSpec([]byte(tc.doc)); err == nil || !strings.Contains(err.Error(), tc.want) {
+				t.Errorf("%s: ParseSpec error %v, want one mentioning %q", tc.name, err, tc.want)
+			}
 		}
 	}
 }
