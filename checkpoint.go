@@ -66,7 +66,8 @@ func ResumeSession(spec *SessionSpec, r io.Reader) (*Session, error) {
 // last, in place (the engine holds the session's source pointer), so
 // nothing later in the sequence can advance it.
 func resumeSession(sp *SessionSpec, cp *persist.Checkpoint) (*Session, error) {
-	name, l0, l1 := sp.EngineName(), sp.doc.Lattice.L0, sp.doc.Lattice.L1
+	name := sp.EngineName()
+	l0, l1 := sp.Extents()
 	if cp.Engine != "" && cp.Engine != name {
 		return nil, fmt.Errorf("parsurf: checkpoint is from engine %q, spec builds %q", cp.Engine, name)
 	}

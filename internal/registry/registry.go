@@ -272,7 +272,7 @@ func CheckOptions(name string, o Options) error {
 			name, extra, spec.Accepts)
 	}
 	switch {
-	case o.Y != nil && !(*o.Y >= 0 && *o.Y <= 1):
+	case o.Y != nil && !(*o.Y >= 0 && *o.Y <= 1): // NaN fails both
 		return fmt.Errorf("registry: CO fraction %v outside [0,1]", *o.Y)
 	case o.L < 0:
 		return fmt.Errorf("registry: L must be >= 1, got %d", o.L)

@@ -380,7 +380,7 @@ func (sp *SessionSpec) finish() error {
 	if sp.part, sp.split, err = registry.Resolve(d.Engine.Options, sp.model, sp.lat); err != nil {
 		return err
 	}
-	eng, _ := registry.Lookup(d.Engine.Name)
+	eng, _ := registry.Lookup(d.Engine.Name) // Validate found it
 	sp.factory = eng.New
 	return nil
 }
