@@ -221,6 +221,16 @@ func TestSessionValidation(t *testing.T) {
 	if _, err := sess.Run(context.Background(), parsurf.Until(1), parsurf.ForSteps(3)); err == nil {
 		t.Error("Run with both Until and ForSteps should fail")
 	}
+	// A non-positive sample interval is an error, as it is for
+	// RunEnsemble and Sample, not a run that silently takes no samples.
+	for _, dt := range []float64{0, -1} {
+		calls := 0
+		obs := parsurf.ObserverFunc(func(float64, *parsurf.Config) { calls++ })
+		st, err := sess.Run(context.Background(), parsurf.Until(2), parsurf.SampleEvery(dt, obs))
+		if err == nil || st.Steps != 0 || calls != 0 {
+			t.Errorf("SampleEvery(%v): err %v after %d steps and %d samples, want an error before any step", dt, err, st.Steps, calls)
+		}
+	}
 }
 
 func TestSessionContextCancellation(t *testing.T) {

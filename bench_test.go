@@ -1,11 +1,12 @@
 // Benchmarks regenerating the computational core of every table and
-// figure in the paper's evaluation, plus the ablations called out in
-// DESIGN.md. Sizes are scaled down from the paper's 100×100/1000×1000 so
+// figure in the paper's evaluation, the per-engine step cost, and a few
+// ablations. Sizes are scaled down from the paper's 100×100/1000×1000 so
 // `go test -bench=.` completes quickly; cmd/experiments runs the
-// full-size versions and EXPERIMENTS.md records the results.
+// full-size versions and README.md records the results.
 package parsurf_test
 
 import (
+	"fmt"
 	"testing"
 
 	"parsurf"
@@ -208,46 +209,53 @@ func BenchmarkZGBPhaseDiagram(b *testing.B) {
 	}
 }
 
-// --- Ablations -------------------------------------------------------
+// --- Engine step cost ------------------------------------------------
 
-// BenchmarkAblationEngines compares the exact DMC engines per unit of
-// work on identical ZGB systems: RSM per N trials, VSSM and FRM per N
-// events.
-func BenchmarkAblationEngines(b *testing.B) {
-	lat := parsurf.NewSquareLattice(64)
-	cm := parsurf.MustCompile(parsurf.NewZGBModel(parsurf.DefaultZGBRates()), lat)
-	b.Run("rsm", func(b *testing.B) {
-		sim := parsurf.NewRSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(1))
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			sim.Step()
-		}
-	})
-	b.Run("vssm", func(b *testing.B) {
-		sim := parsurf.NewVSSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(1))
-		n := lat.N()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < n; j++ {
-				if !sim.Step() {
-					b.Fatal("absorbed")
+// BenchmarkEngineStep times one Step of every registered engine at
+// NewEngine defaults on the ZGB model at 64², 128² and 256², reporting
+// ns/event: an event is one reaction trial for the trial-based engines
+// (one Step = one MC step of N trials) and one executed reaction for
+// the event-based vssm and frm. The engine warms up first so its
+// enabled sets, queues and scratch buffers are at working capacity and
+// the timed steps are the allocation-free steady state. Profile one
+// engine with
+//
+//	go test -run '^$' -bench 'EngineStep/vssm/256' -cpuprofile cpu.pprof .
+func BenchmarkEngineStep(b *testing.B) {
+	m := parsurf.NewZGBModel(parsurf.DefaultZGBRates())
+	for _, name := range parsurf.Engines() {
+		for _, side := range []int{64, 128, 256} {
+			b.Run(fmt.Sprintf("%s/%d", name, side), func(b *testing.B) {
+				lat := parsurf.NewSquareLattice(side)
+				eng, err := parsurf.NewEngine(name, parsurf.MustCompile(m, lat),
+					parsurf.NewConfig(lat), parsurf.NewRNG(2003))
+				if err != nil {
+					b.Fatal(err)
 				}
-			}
-		}
-	})
-	b.Run("frm", func(b *testing.B) {
-		sim := parsurf.NewFRM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(1))
-		n := lat.N()
-		b.ResetTimer()
-		for i := 0; i < b.N; i++ {
-			for j := 0; j < n; j++ {
-				if !sim.Step() {
-					b.Fatal("absorbed")
+				events, warm := lat.N(), 10
+				if name == "vssm" || name == "frm" {
+					events, warm = 1, 10*lat.N()
 				}
-			}
+				for i := 0; i < warm; i++ {
+					if !eng.Step() {
+						b.Fatalf("absorbed during warm-up after %d steps", i)
+					}
+				}
+				b.ReportAllocs()
+				b.ResetTimer()
+				for i := 0; i < b.N; i++ {
+					if !eng.Step() {
+						b.Fatalf("absorbed after %d timed steps", i)
+					}
+				}
+				b.StopTimer()
+				b.ReportMetric(float64(b.Elapsed().Nanoseconds())/float64(b.N*events), "ns/event")
+			})
 		}
-	})
+	}
 }
+
+// --- Ablations -------------------------------------------------------
 
 // BenchmarkAblationChunkStrategies compares the four §5 chunk-selection
 // strategies of L-PNDCA.

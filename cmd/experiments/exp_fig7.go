@@ -8,9 +8,10 @@ import (
 )
 
 // runFig7 regenerates the speedup surface T(1,N)/T(p,N) of Fig. 7 on
-// the simulated parallel machine (see DESIGN.md §5 substitution 1),
-// validates the real goroutine executor's bit-identity, and contrasts
-// the Segers-style domain decomposition overhead.
+// the simulated parallel machine (internal/machine, standing in for the
+// paper's parallel hardware), validates the real goroutine executor's
+// bit-identity, and contrasts the Segers-style domain decomposition
+// overhead.
 func runFig7(opt options) error {
 	mm := parsurf.DefaultMachine()
 	sides := []int{200, 300, 400, 500, 600, 700, 800, 900, 1000}

@@ -2,7 +2,10 @@ package main
 
 import (
 	"bytes"
+	"errors"
+	"flag"
 	"os"
+	"os/exec"
 	"path/filepath"
 	"testing"
 
@@ -128,5 +131,29 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	if !bytes.Equal(glued, full.Bytes()) {
 		t.Errorf("resumed run differs from uninterrupted control\ncontrol:\n%s\nglued:\n%s",
 			full.String(), string(glued))
+	}
+}
+
+// A non-positive -dt on a single session is an error that exits
+// non-zero, as it already is with -replicas: before, the run printed
+// only the CSV header and exited 0. The test re-runs its own binary
+// with the surfsim flags after "--"; that child runs main.
+func TestNonPositiveDtExitsNonZero(t *testing.T) {
+	if args := flag.Args(); len(args) > 0 {
+		os.Args = append([]string{"surfsim"}, args...)
+		flag.CommandLine = flag.NewFlagSet("surfsim", flag.ExitOnError)
+		main()
+		return
+	}
+	for _, dt := range []string{"0", "-1"} {
+		cmd := exec.Command(os.Args[0], "-test.run=^TestNonPositiveDtExitsNonZero$", "--",
+			"-dt", dt, "-size", "20", "-t", "1")
+		var stdout bytes.Buffer
+		cmd.Stdout = &stdout
+		err := cmd.Run()
+		var exit *exec.ExitError
+		if !errors.As(err, &exit) || exit.ExitCode() == 0 {
+			t.Errorf("-dt %s: err %v, want a non-zero exit (stdout %q)", dt, err, stdout.String())
+		}
 	}
 }

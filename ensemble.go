@@ -7,6 +7,7 @@ import (
 
 	"parsurf/internal/ensemble"
 	"parsurf/internal/sim"
+	"parsurf/internal/timegrid"
 )
 
 // TimeGrid is the shared sampling-and-merge grid of the ensemble
@@ -17,12 +18,12 @@ import (
 // the Mean/Std series and every replica's coverage series always share
 // the same exact float64 time points — no interpolation, no
 // truncated-grid misalignment.
-type TimeGrid = ensemble.TimeGrid
+type TimeGrid = timegrid.Grid
 
 // NewTimeGrid returns the grid RunEnsemble and RunSweep use for the
 // given horizon and sampling interval.
 func NewTimeGrid(until, every float64) (TimeGrid, error) {
-	return ensemble.NewTimeGrid(until, every)
+	return timegrid.New(until, every)
 }
 
 // Ensemble is the merged outcome of RunEnsemble (or one variant of
@@ -292,7 +293,7 @@ func newReplicaRun(specs []*SessionSpec, lo, hi int, until, every float64, opts 
 	if until <= 0 || every <= 0 {
 		return nil, fmt.Errorf("parsurf: ensemble needs positive until and every, got %v and %v", until, every)
 	}
-	grid, err := ensemble.NewTimeGrid(until, every)
+	grid, err := timegrid.New(until, every)
 	if err != nil {
 		return nil, fmt.Errorf("parsurf: %w", err)
 	}

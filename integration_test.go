@@ -108,7 +108,8 @@ func TestIntegrationNDCARandomOrderReducesBias(t *testing.T) {
 }
 
 // Headline integration: the Pt(100) model oscillates under exact DMC
-// with the period recorded in EXPERIMENTS.md.
+// with a period of about 14 time units (8–22 allowed for finite-size
+// scatter at 50²; `experiments fig8` prints the measured period).
 func TestIntegrationPtCOOscillates(t *testing.T) {
 	if testing.Short() {
 		t.Skip("oscillation run is slow")

@@ -1,3 +1,13 @@
+// Package ensemble orchestrates replicated simulation runs: a
+// worker-pool runner with first-error sibling cancellation, and a
+// streaming moment accumulator that merges members in index order for
+// worker-count-independent results. Replicas sample on the shared
+// internal/timegrid grid, and the merge takes its point count from the
+// same grid, so the two can never disagree on grid size or placement.
+//
+// The package is deliberately engine-agnostic: jobs are opaque
+// functions and samples are plain float64 grids, so the facade owns all
+// session wiring while the concurrency and float discipline live here.
 package ensemble
 
 import (

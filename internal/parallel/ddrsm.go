@@ -8,9 +8,9 @@
 // the boundary — is what internal/machine quantifies.
 //
 // The MPI communication of the original is rebuilt with goroutines and
-// channels (see DESIGN.md §5): boundary trials are shipped over a
-// channel to a sequential resolution phase, a window-synchronisation
-// scheme used by parallel KMC codes.
+// channels: boundary trials are shipped over a channel to a sequential
+// resolution phase, a window-synchronisation scheme used by parallel
+// KMC codes.
 package parallel
 
 import (

@@ -298,38 +298,6 @@ func (g *MomentGrid) MeanStd() (mean, std [][]float64) {
 	return mean, std
 }
 
-// Aggregate merges replica series into pointwise mean and sample
-// standard deviation series: every input is resampled (with linear
-// interpolation and clamping) onto n evenly spaced times across
-// [lo, hi] and the moments are taken across replicas at each grid
-// point. It panics on an empty input set, n < 2, or an empty member
-// series.
-//
-// The ensemble runner no longer uses it: replicas now sample directly
-// on a shared ensemble.TimeGrid and merge through MomentGrid with no
-// interpolation. Aggregate remains for series whose sample times
-// genuinely differ.
-func Aggregate(series []*Series, lo, hi float64, n int) (mean, std *Series) {
-	if len(series) == 0 {
-		panic("stats: Aggregate of no series")
-	}
-	resampled := make([][]float64, len(series))
-	for i, s := range series {
-		resampled[i] = s.Resample(lo, hi, n)
-	}
-	mean, std = &Series{}, &Series{}
-	for j := 0; j < n; j++ {
-		t := lo + (hi-lo)*float64(j)/float64(n-1)
-		var w Welford
-		for i := range resampled {
-			w.Add(resampled[i][j])
-		}
-		mean.Append(t, w.Mean())
-		std.Append(t, w.Std())
-	}
-	return mean, std
-}
-
 // KSExponential runs a one-sample Kolmogorov–Smirnov test of xs against
 // the exponential distribution with the given rate. It returns the KS
 // statistic D and the asymptotic p-value. Used for Segers criterion 1

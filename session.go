@@ -515,6 +515,7 @@ type runSpec struct {
 	steps    int
 	hasSteps bool
 	dt       float64
+	sampled  bool
 	obs      []sim.Observer
 }
 
@@ -542,10 +543,12 @@ func ForSteps(n int) RunOption {
 // index-derived TimeGrid (the same grid arithmetic the ensemble merge
 // uses), so the k-th sample targets exactly k·dt — never an
 // accumulated, drifting sum — and a final sample is taken at the end
-// time exactly when it is not on the dt grid.
+// time exactly when it is not on the dt grid. Run rejects a dt that is
+// not positive.
 func SampleEvery(dt float64, obs ...Observer) RunOption {
 	return func(r *runSpec) {
 		r.dt = dt
+		r.sampled = true
 		r.obs = append(r.obs, obs...)
 	}
 }
@@ -581,6 +584,9 @@ func (s *Session) Run(ctx context.Context, opts ...RunOption) (RunStats, error) 
 		}
 		steps, err := sim.StepContext(ctx, s.eng, r.steps)
 		return RunStats{Steps: steps, Time: s.eng.Time()}, err
+	}
+	if r.sampled && !(r.dt > 0) {
+		return RunStats{}, fmt.Errorf("parsurf: SampleEvery interval %v must be > 0", r.dt)
 	}
 	steps, samples, err := sim.RunContext(ctx, s.eng, r.dt, r.tEnd, r.obs...)
 	return RunStats{Steps: steps, Samples: samples, Time: s.eng.Time()}, err
