@@ -2,7 +2,7 @@
 // figure in the paper's evaluation, the per-engine step cost, and a few
 // ablations. Sizes are scaled down from the paper's 100×100/1000×1000 so
 // `go test -bench=.` completes quickly; cmd/experiments runs the
-// full-size versions and README.md records the results.
+// full-size versions.
 package parsurf_test
 
 import (

@@ -1,5 +1,5 @@
 // Command experiments regenerates every table and figure of the paper's
-// evaluation and prints each measured result beside the paper's.
+// evaluation; the list below is the experiment index.
 //
 // Usage:
 //

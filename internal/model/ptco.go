@@ -6,7 +6,7 @@ import "parsurf/internal/lattice"
 // after Kuzovkov et al. and Kortlüke et al.). Every site carries a
 // surface phase — hexagonal (hex) or reconstructed square (1×1, "sq") —
 // and an adsorbate. The paper does not reproduce Kuzovkov's full rate
-// table; the rates below reformulate the model in the paper's own
+// table; NewPtCO reformulates the model in the paper's own
 // reaction-type formalism.
 const (
 	PtHexEmpty lattice.Species = 0 // hex phase, vacant
