@@ -23,7 +23,6 @@ type rateTracker struct {
 	enabled []uint64 // bitset over rt*N + s
 	n       int
 	weights *fenwick.Tree
-	scratch []int
 }
 
 func newRateTracker(cm *model.Compiled, cells []lattice.Species, part *partition.Partition) *rateTracker {
@@ -71,9 +70,9 @@ func (t *rateTracker) bit(rt, s int) (word int, mask uint64) {
 	return int(i >> 6), 1 << (i & 63)
 }
 
-// refresh re-evaluates (rt, s) and adjusts the owning chunk's weight.
-func (t *rateTracker) refresh(rt, s int) {
-	now := t.cm.Enabled(t.cells, rt, s)
+// refresh sets the enabledness of (rt, s) to now and adjusts the
+// owning chunk's weight if it changed.
+func (t *rateTracker) refresh(rt, s int, now bool) {
 	w, m := t.bit(rt, s)
 	was := t.enabled[w]&m != 0
 	if now == was {
@@ -87,15 +86,17 @@ func (t *rateTracker) refresh(rt, s int) {
 	t.weights.Add(t.part.ChunkOf(s), delta)
 }
 
-// afterExecute updates the weights after reaction rt fired at site s.
-// It must be called after the configuration change.
+// afterExecute updates the weights after reaction rt fired at site s,
+// walking the type's refresh plan (model.Change). It must be called
+// after the configuration change.
 func (t *rateTracker) afterExecute(rt, s int) {
-	t.scratch = t.cm.ChangedSites(t.scratch[:0], rt, s)
-	for _, z := range t.scratch {
-		// Closure-free dependency scan over the compiled CSR tables.
-		rts, sites := t.cm.DepPairs(z)
-		for j, r := range rts {
-			t.refresh(int(r), int(sites[j]))
+	plan := t.cm.Plan(rt)
+	for i := range plan {
+		c := &plan[i]
+		row := t.cm.DepRow(t.cm.ChangedSite(c, s))
+		for _, d := range c.Deps {
+			r, site := int(d.RT), int(row[d.Col])
+			t.refresh(r, site, !d.Drop && t.cm.Enabled(t.cells, r, site))
 		}
 	}
 	if t.weights.NeedsRebuild() {

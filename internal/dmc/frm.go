@@ -20,10 +20,9 @@ type FRM struct {
 	src   *rng.Source
 	time  float64
 
-	queue          *eventq.Queue
-	n              int // cached lattice size (key arithmetic)
-	changedScratch []int
-	events         uint64
+	queue  *eventq.Queue
+	n      int // cached lattice size (key arithmetic)
+	events uint64
 	// scheduled[rt] counts the queued instances of each reaction type.
 	// Integer counts are exact, so TotalRate (Σ scheduled[rt]·k_rt,
 	// O(types)) carries no floating-point drift no matter how long the
@@ -121,7 +120,14 @@ func (f *FRM) refresh(rt, s int) {
 			f.queue.Schedule(k, f.time+f.src.Exp(f.cm.Types[rt].Rate))
 			f.scheduled[rt]++
 		}
-	} else if f.queue.Remove(k) {
+	} else {
+		f.remove(rt, s)
+	}
+}
+
+// remove cancels the queue entry for (rt, s), if any.
+func (f *FRM) remove(rt, s int) {
+	if f.queue.Remove(f.key(rt, s)) {
 		f.scheduled[rt]--
 	}
 }
@@ -139,19 +145,19 @@ func (f *FRM) Step() bool {
 	rt, s := f.unkey(ev.Key)
 	f.scheduled[rt]--
 
-	f.changedScratch = f.cm.ChangedSites(f.changedScratch[:0], rt, s)
 	f.cm.Execute(f.cells, rt, s)
-	for _, z := range f.changedScratch {
-		// Closure-free dependency scan over the compiled CSR tables.
-		rts, sites := f.cm.DepPairs(z)
-		for j, r := range rts {
-			f.refresh(int(r), int(sites[j]))
+	plan := f.cm.Plan(rt)
+	for i := range plan {
+		c := &plan[i]
+		row := f.cm.DepRow(f.cm.ChangedSite(c, s))
+		for _, d := range c.Deps {
+			if d.Drop {
+				f.remove(int(d.RT), int(row[d.Col]))
+			} else {
+				f.refresh(int(d.RT), int(row[d.Col]))
+			}
 		}
 	}
-	// If the executed instance is enabled again (e.g. a desorption that
-	// re-enables an adsorption elsewhere covered above; the instance
-	// itself is re-examined through Dependencies since reactions change
-	// their own sites), nothing more to do here.
 	f.events++
 	return true
 }

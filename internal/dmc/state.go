@@ -8,6 +8,7 @@
 package dmc
 
 import (
+	"fmt"
 	"io"
 
 	"parsurf/internal/eventq"
@@ -64,7 +65,9 @@ func (v *VSSM) SaveState(w io.Writer) error {
 
 // LoadState restores a payload written by SaveState. Reset has already
 // rebuilt the enabled sets from the configuration; the saved ordering
-// and tree nodes overwrite them.
+// and tree nodes overwrite them, and the restored lists must then name
+// exactly the enabled (type, site) pairs of that configuration — a
+// stray site would let Step execute a disabled reaction.
 func (v *VSSM) LoadState(rd io.Reader) error {
 	d := persist.NewReader(rd)
 	simTime := d.F64()
@@ -108,6 +111,9 @@ func (v *VSSM) LoadState(rd io.Reader) error {
 	if err := v.typeRates.Restore(nodes, adds); err != nil {
 		return err
 	}
+	if rt, s, ok := v.CheckConsistency(); !ok {
+		return fmt.Errorf("dmc: vssm payload disagrees with the configuration on reaction %d at site %d", rt, s)
+	}
 	v.time = simTime
 	v.events = events
 	return nil
@@ -133,7 +139,10 @@ func (f *FRM) SaveState(w io.Writer) error {
 	return e.Err()
 }
 
-// LoadState restores a payload written by SaveState.
+// LoadState restores a payload written by SaveState. The heap must be
+// a valid heap (eventq.Restore checks it), the per-type counts must
+// tally its keys, and its keys must be exactly the enabled (type, site)
+// pairs of the configuration Reset installed.
 func (f *FRM) LoadState(rd io.Reader) error {
 	d := persist.NewReader(rd)
 	simTime := d.F64()
@@ -162,7 +171,19 @@ func (f *FRM) LoadState(rd io.Reader) error {
 	if err := f.queue.Restore(snap); err != nil {
 		return err
 	}
-	copy(f.scheduled, counts)
+	clear(f.scheduled)
+	for _, ev := range snap {
+		rt, _ := f.unkey(ev.Key)
+		f.scheduled[rt]++
+	}
+	for rt, n := range counts {
+		if n != f.scheduled[rt] {
+			return fmt.Errorf("dmc: frm payload counts %d scheduled instances of reaction %d, its heap holds %d", n, rt, f.scheduled[rt])
+		}
+	}
+	if rt, s, ok := f.CheckConsistency(); !ok {
+		return fmt.Errorf("dmc: frm payload disagrees with the configuration on reaction %d at site %d", rt, s)
+	}
 	f.time = simTime
 	f.events = events
 	return nil

@@ -30,8 +30,7 @@ type VSSM struct {
 	enabled [][]int32
 	pos     [][]int32
 
-	changedScratch []int
-	events         uint64
+	events uint64
 }
 
 // NewVSSM builds the engine and initialises the enabled sets with a full
@@ -101,17 +100,28 @@ func (v *VSSM) insert(rt, s int) {
 }
 
 // refresh re-evaluates enabledness of (rt, s) and fixes the sets. It is
-// the body of the post-execution dependency scan: one position lookup
-// decides both directions, and the common no-change case returns
-// without touching the enabled lists or the rate tree.
+// the body of the post-execution dependency scan for the plan columns
+// that may have become enabled: one position lookup decides both
+// directions, and the common no-change case returns without touching
+// the enabled lists or the rate tree.
 func (v *VSSM) refresh(rt, s int) {
 	now := v.cm.Enabled(v.cells, rt, s)
-	p := v.pos[rt][s]
-	if now == (p != 0) {
+	if now == (v.pos[rt][s] != 0) {
 		return
 	}
 	if now {
 		v.insert(rt, s)
+		return
+	}
+	v.remove(rt, s)
+}
+
+// remove takes site s out of rt's enabled list by swapping the last
+// entry into its slot, and subtracts its rate. A no-op when (rt, s) is
+// absent.
+func (v *VSSM) remove(rt, s int) {
+	p := v.pos[rt][s]
+	if p == 0 {
 		return
 	}
 	list := v.enabled[rt]
@@ -165,13 +175,17 @@ func (v *VSSM) Step() bool {
 	list := v.enabled[rt]
 	s := int(list[v.src.Intn(len(list))])
 
-	v.changedScratch = v.cm.ChangedSites(v.changedScratch[:0], rt, s)
 	v.cm.Execute(v.cells, rt, s)
-	for _, z := range v.changedScratch {
-		// Closure-free dependency scan over the compiled CSR tables.
-		rts, sites := v.cm.DepPairs(z)
-		for j, r := range rts {
-			v.refresh(int(r), int(sites[j]))
+	plan := v.cm.Plan(rt)
+	for i := range plan {
+		c := &plan[i]
+		row := v.cm.DepRow(v.cm.ChangedSite(c, s))
+		for _, d := range c.Deps {
+			if d.Drop {
+				v.remove(int(d.RT), int(row[d.Col]))
+			} else {
+				v.refresh(int(d.RT), int(row[d.Col]))
+			}
 		}
 	}
 	if v.typeRates.NeedsRebuild() {

@@ -8,6 +8,15 @@
 // uses rt·N + site), so the key → heap-position index is a flat slice
 // rather than a hash map — no hashing, no map churn on the reschedule
 // path that runs after every executed reaction.
+//
+// Sifts move a hole rather than swapping pairwise: the displaced event
+// is held aside, each level shifts one neighbour into the hole and
+// writes one index entry, and the event lands once at the end. The
+// comparisons, their order and the resulting array are exactly those
+// of the textbook swap-based sift (a test-only reference implementation
+// and FuzzQueueMatchesReference pin this), so Snapshot bytes — and with
+// them FRM checkpoints and tie-breaks between equal times — do not
+// depend on which of the two runs.
 package eventq
 
 import "fmt"
@@ -61,8 +70,10 @@ func (q *Queue) Snapshot(dst []Event) []Event {
 
 // Restore replaces the queue's contents with a Snapshot, placing the
 // events verbatim (no sifting) and rebuilding the key index. Events
-// must have keys in [0, KeySpace()) with no duplicates; the slice must
-// already satisfy the heap property, which Snapshot output does.
+// must have keys in [0, KeySpace()) with no duplicates, and every
+// event's time must be no earlier than its parent's (the heap
+// property, which Snapshot output satisfies); otherwise Restore leaves
+// the queue empty and returns an error.
 func (q *Queue) Restore(events []Event) error {
 	for _, ev := range q.heap {
 		q.pos[ev.Key] = 0
@@ -76,6 +87,11 @@ func (q *Queue) Restore(events []Event) error {
 		if q.pos[ev.Key] != 0 {
 			q.Reset()
 			return fmt.Errorf("eventq: duplicate restored key %d", ev.Key)
+		}
+		if parent := (i - 1) / 2; i > 0 && !(events[parent].Time <= ev.Time) {
+			q.Reset()
+			return fmt.Errorf("eventq: restored event %d (time %v) is earlier than its parent %d (time %v)",
+				i, ev.Time, parent, events[parent].Time)
 		}
 		q.heap = append(q.heap, ev)
 		q.pos[ev.Key] = int32(i + 1)
@@ -117,10 +133,13 @@ func (q *Queue) Remove(key int64) bool {
 	}
 	i := int(p - 1)
 	last := len(q.heap) - 1
-	q.swap(i, last)
+	moved := q.heap[last]
 	q.heap = q.heap[:last]
 	q.pos[key] = 0
 	if i < last {
+		// Move the last event into the freed slot, then sift it.
+		q.heap[i] = moved
+		q.pos[moved.Key] = p
 		if !q.down(i) {
 			q.up(i)
 		}
@@ -152,60 +171,85 @@ func (q *Queue) Peek() (Event, bool) {
 }
 
 // Pop removes and returns the earliest event. ok is false when empty.
+// It is Remove of the root without the key lookup: the last event
+// moves into the root and sifts down (a root cannot move up).
 func (q *Queue) Pop() (Event, bool) {
-	if len(q.heap) == 0 {
+	n := len(q.heap)
+	if n == 0 {
 		return Event{}, false
 	}
 	ev := q.heap[0]
-	q.Remove(ev.Key)
+	q.pos[ev.Key] = 0
+	moved := q.heap[n-1]
+	q.heap = q.heap[:n-1]
+	if n > 1 {
+		q.heap[0] = moved
+		q.pos[moved.Key] = 1
+		q.down(0)
+	}
 	return ev, true
 }
 
-func (q *Queue) swap(i, j int) {
-	if i == j {
-		return
-	}
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.pos[q.heap[i].Key] = int32(i + 1)
-	q.pos[q.heap[j].Key] = int32(j + 1)
-}
-
-// up restores the heap property moving index i toward the root; returns
-// whether the element moved.
+// up moves the event at index i toward the root until its parent is
+// not later, shifting each later parent down into the hole instead of
+// swapping pairwise; it reports whether the event moved. The
+// comparisons, their order and the final array are those of a
+// swap-based sift, but each level writes one index entry instead of
+// two.
 func (q *Queue) up(i int) bool {
-	moved := false
+	ev := q.heap[i]
+	start := i
 	for i > 0 {
 		parent := (i - 1) / 2
-		if q.heap[parent].Time <= q.heap[i].Time {
+		p := q.heap[parent]
+		if p.Time <= ev.Time {
 			break
 		}
-		q.swap(i, parent)
+		q.heap[i] = p
+		q.pos[p.Key] = int32(i + 1)
 		i = parent
-		moved = true
 	}
-	return moved
+	if i == start {
+		return false
+	}
+	q.heap[i] = ev
+	q.pos[ev.Key] = int32(i + 1)
+	return true
 }
 
-// down restores the heap property moving index i toward the leaves;
-// returns whether the element moved.
+// down moves the event at index i toward the leaves until no child is
+// strictly earlier, shifting the earlier child (the left one on a tie)
+// up into the hole; it reports whether the event moved. Same
+// comparisons and final array as a swap-based sift, one index write per
+// level.
 func (q *Queue) down(i int) bool {
-	moved := false
+	ev := q.heap[i]
+	start := i
 	n := len(q.heap)
 	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.heap[l].Time < q.heap[smallest].Time {
-			smallest = l
-		}
-		if r < n && q.heap[r].Time < q.heap[smallest].Time {
-			smallest = r
-		}
-		if smallest == i {
+		l := 2*i + 1
+		if l >= n {
 			break
 		}
-		q.swap(i, smallest)
-		i = smallest
-		moved = true
+		c, ct := i, ev.Time
+		if t := q.heap[l].Time; t < ct {
+			c, ct = l, t
+		}
+		if r := l + 1; r < n && q.heap[r].Time < ct {
+			c = r
+		}
+		if c == i {
+			break
+		}
+		child := q.heap[c]
+		q.heap[i] = child
+		q.pos[child.Key] = int32(i + 1)
+		i = c
 	}
-	return moved
+	if i == start {
+		return false
+	}
+	q.heap[i] = ev
+	q.pos[ev.Key] = int32(i + 1)
+	return true
 }

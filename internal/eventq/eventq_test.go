@@ -184,3 +184,27 @@ func TestKeySpace(t *testing.T) {
 	}()
 	q.Schedule(16, 1)
 }
+
+// Restore must refuse an event array that breaks parent ≤ child: a
+// queue restored from it would pop events out of time order.
+func TestRestoreRejectsBrokenHeap(t *testing.T) {
+	q := New(16)
+	for k, tm := range []float64{3, 1, 4, 1.5, 9, 2.6} {
+		q.Schedule(int64(k), tm)
+	}
+	snap := q.Snapshot(nil)
+	if err := New(16).Restore(snap); err != nil {
+		t.Fatalf("valid snapshot rejected: %v", err)
+	}
+	// Swap the root with a later child: still a permutation of the
+	// events, no longer a heap.
+	bad := append([]Event(nil), snap...)
+	bad[0], bad[len(bad)-1] = bad[len(bad)-1], bad[0]
+	r := New(16)
+	if err := r.Restore(bad); err == nil {
+		t.Fatal("snapshot with a child earlier than its parent restored without error")
+	}
+	if r.Len() != 0 {
+		t.Fatalf("failed Restore left %d events", r.Len())
+	}
+}

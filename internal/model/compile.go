@@ -16,18 +16,20 @@ import (
 //     per-trial modular arithmetic;
 //   - per reaction type, the triples fused into parallel table-offset /
 //     source / target arrays (no struct-of-slices pointer chasing);
-//   - the dependency pairs of every site in a flat CSR layout
-//     (depStart/depRT/depSite), so the VSSM/FRM/tracker bookkeeping
-//     after an executed reaction is a closure-free slice scan.
+//   - the dependency rows of every site in a flat CSR layout, and per
+//     reaction type a refresh plan naming, for each site an execution
+//     changes, the row columns that can see the change (see Change), so
+//     the VSSM/FRM/tracker bookkeeping after an executed reaction is a
+//     closure-free scan that skips every pair the change cannot affect.
 //
 // A Compiled is immutable after Compile returns: no method writes to
-// the arena, the CSR tables, or the per-type arrays, and the slices
-// DepPairs hands out alias the shared tables read-only. It is therefore
-// safe to share one Compiled across any number of engines and
-// goroutines — SessionSpec compiles once per spec and every session,
-// ensemble replica and job worker reads the same tables (covered by
-// the -race replica tests). Anything mutable lives in the engines, in
-// the Config, or in per-call scratch the caller owns.
+// the arena, the CSR tables, the plans or the per-type arrays, and the
+// slices DepRow and Plan hand out alias the shared tables read-only. It
+// is therefore safe to share one Compiled across any number of engines
+// and goroutines — SessionSpec compiles once per spec and every
+// session, ensemble replica and job worker reads the same tables
+// (covered by the -race replica tests). Anything mutable lives in the
+// engines, in the Config, or in per-call scratch the caller owns.
 type Compiled struct {
 	Model *Model
 	Lat   *lattice.Lattice
@@ -45,16 +47,15 @@ type Compiled struct {
 	// ordinal's offset.
 	flat []int32
 
-	// CSR dependency tables: for a changed site z, the (reaction type,
-	// application site) pairs whose enabledness may have changed are
-	// (depRT[j], depSite[depStart[z]+j]) for j in [0, len(depRT)).
-	// Every row has the same width (one pair per triple of every type)
-	// and the same type sequence, so the reaction-type column is stored
-	// once and shared by all sites instead of repeated n times —
-	// half the memory traffic on the post-execution refresh path.
-	depStart []int32
-	depRT    []int32
-	depSite  []int32
+	// depSite holds the dependency rows: row z is
+	// depSite[z*depW : (z+1)*depW], and column j of every row is one
+	// (reaction type, triple) pair in type-ascending, triple-ascending
+	// order. Entry j of row z is the application site at which that
+	// triple lands on z — z translated by the triple's negated offset.
+	// The column → type map is the same for every row, so it lives in
+	// the plans rather than beside each row.
+	depW    int
+	depSite []int32
 }
 
 // CompiledType is a reaction type with its offsets resolved to shared
@@ -72,9 +73,42 @@ type CompiledType struct {
 	// contiguous arrays.
 	src []lattice.Species
 	tgt []lattice.Species
-	// changedIdx indexes the triples with src != tgt (the sites an
-	// execution actually modifies).
-	changedIdx []int32
+	// plan has one Change per triple with src != tgt (the sites an
+	// execution actually modifies), in triple order.
+	plan []Change
+}
+
+// Change is one site that executing a reaction type modifies — a
+// triple whose source species (old) differs from its target (new) —
+// together with the dependency columns that can see the change. A
+// column (type r, triple i) whose triple lands on the changed site is
+// classified once, at compile time, by the species src_i it requires
+// there:
+//
+//   - src_i is neither old nor new: the pair was disabled before the
+//     execution and is disabled after it. It is skipped (not listed).
+//   - src_i is old: the pair is certainly disabled after the execution.
+//     It is listed with Drop set: remove it if present, no Enabled call.
+//   - src_i is new: the pair may have become enabled. It is listed
+//     without Drop: re-evaluate it with Enabled.
+//
+// The classification assumes the execution was enabled, so that the
+// changed site held old before it. Deps keeps the row's column order
+// (types ascending, triples ascending), and skipped columns are no-ops under a full refresh, so
+// consuming the plan performs every effective insert, removal and
+// random draw in the order a refresh of the full row would.
+type Change struct {
+	// tabOff is the arena offset of the changed triple's table.
+	tabOff int32
+	Deps   []Dep
+}
+
+// Dep is one listed dependency column of a Change: the pair (RT, the
+// application site in column Col of the changed site's DepRow).
+type Dep struct {
+	Col  int32
+	RT   int32
+	Drop bool
 }
 
 // CompiledTriple mirrors Triple with a resolved translation table:
@@ -166,9 +200,6 @@ func Compile(m *Model, lat *lattice.Lattice) (*Compiled, error) {
 			ct.tabOff[j] = ordinals[tr.Off] * int32(n)
 			ct.src[j] = tr.Src
 			ct.tgt[j] = tr.Tgt
-			if tr.Src != tr.Tgt {
-				ct.changedIdx = append(ct.changedIdx, int32(j))
-			}
 		}
 		// Detect wrap-around self-collision: the resolved sites of an
 		// application at site 0 must be pairwise distinct.
@@ -185,30 +216,47 @@ func Compile(m *Model, lat *lattice.Lattice) (*Compiled, error) {
 		cm.Types[i] = ct
 	}
 
-	// Build the dependency CSR. For a changed site z the affected pairs
-	// are, for every type r and triple offset o, (r, z translated by
-	// −o); the enumeration order (types ascending, triples ascending)
-	// is part of the engines' reproducibility contract and must match
-	// the order the closure-based Dependencies historically used.
-	cm.depStart = make([]int32, n+1)
-	cm.depRT = make([]int32, 0, numTriples)
-	cm.depSite = make([]int32, n*numTriples)
+	// Build the dependency rows. Column j is one (type, triple) pair,
+	// types ascending and triples ascending; the enumeration order is
+	// part of the engines' reproducibility contract.
+	type column struct {
+		rt  int32
+		src lattice.Species
+	}
+	cols := make([]column, 0, numTriples)
 	inv := make([][]int32, 0, numTriples)
 	for r := range m.Types {
 		for _, tr := range m.Types[r].Triples {
 			inv = append(inv, tableOf(tr.Off.Neg()))
-			cm.depRT = append(cm.depRT, int32(r))
+			cols = append(cols, column{int32(r), tr.Src})
 		}
 	}
-	j := 0
+	cm.depW = numTriples
+	cm.depSite = make([]int32, n*numTriples)
 	for z := 0; z < n; z++ {
-		cm.depStart[z] = int32(j)
-		for _, table := range inv {
-			cm.depSite[j] = table[z]
-			j++
+		row := cm.depSite[z*numTriples : (z+1)*numTriples]
+		for j, table := range inv {
+			row[j] = table[z]
 		}
 	}
-	cm.depStart[n] = int32(j)
+
+	// Classify the columns for every changed triple (see Change).
+	for i := range cm.Types {
+		ct := &cm.Types[i]
+		for k, from := range ct.src {
+			to := ct.tgt[k]
+			if from == to {
+				continue
+			}
+			c := Change{tabOff: ct.tabOff[k]}
+			for j, col := range cols {
+				if col.src == from || col.src == to {
+					c.Deps = append(c.Deps, Dep{Col: int32(j), RT: col.rt, Drop: col.src == from})
+				}
+			}
+			ct.plan = append(ct.plan, c)
+		}
+	}
 	return cm, nil
 }
 
@@ -298,38 +346,22 @@ func (cm *Compiled) PickType(u float64) int {
 	return len(cm.Cum) - 1
 }
 
-// ChangedSites appends to dst the sites whose contents executing rt at s
-// modifies (triples with Src != Tgt), and returns the extended slice.
-func (cm *Compiled) ChangedSites(dst []int, rt, s int) []int {
-	ct := &cm.Types[rt]
-	flat := cm.flat
-	for _, i := range ct.changedIdx {
-		dst = append(dst, int(flat[int(ct.tabOff[i])+s]))
-	}
-	return dst
+// Plan returns the refresh plan of reaction type rt: one Change per
+// site an execution modifies, in triple order. The slice aliases the
+// compiled tables and must not be modified.
+func (cm *Compiled) Plan(rt int) []Change { return cm.Types[rt].plan }
+
+// ChangedSite returns the site that change c of a reaction type's plan
+// modifies when the type executes at s.
+func (cm *Compiled) ChangedSite(c *Change, s int) int {
+	return int(cm.flat[int(c.tabOff)+s])
 }
 
-// DepPairs returns the precomputed dependency pairs of changed site z as
-// parallel slices: for every j, reaction type rts[j] at application site
-// sites[j] may have changed enabledness. The slices alias the compiled
-// CSR tables and must not be modified. Pair order is fixed (types
-// ascending, triples ascending), which the incremental engines rely on
-// for bit-identical trajectories.
-func (cm *Compiled) DepPairs(z int) (rts, sites []int32) {
-	a, b := cm.depStart[z], cm.depStart[z+1]
-	return cm.depRT, cm.depSite[a:b]
-}
-
-// Dependencies enumerates, for a changed site z, all (reaction type,
-// application site) pairs whose enabledness may have changed. The visit
-// function is called once per pair, in DepPairs order. Hot loops should
-// consume DepPairs directly; this closure form remains for tests and
-// non-critical callers.
-func (cm *Compiled) Dependencies(z int, visit func(rt, s int)) {
-	rts, sites := cm.DepPairs(z)
-	for j, rt := range rts {
-		visit(int(rt), int(sites[j]))
-	}
+// DepRow returns the dependency row of site z: entry j is the
+// application site at which column j's (type, triple) lands on z. The
+// slice aliases the compiled tables and must not be modified.
+func (cm *Compiled) DepRow(z int) []int32 {
+	return cm.depSite[z*cm.depW : (z+1)*cm.depW]
 }
 
 // NbSites appends to dst the resolved neighbourhood sites of reaction

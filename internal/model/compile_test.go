@@ -124,9 +124,9 @@ func TestChangedSites(t *testing.T) {
 	// Ising flips change only the centre site even though the pattern
 	// reads five sites.
 	for rt := 0; rt < cm.NumTypes(); rt++ {
-		changed := cm.ChangedSites(nil, rt, 7)
-		if len(changed) != 1 || changed[0] != 7 {
-			t.Fatalf("Ising type %d changes %v, want [7]", rt, changed)
+		plan := cm.Plan(rt)
+		if len(plan) != 1 || cm.ChangedSite(&plan[0], 7) != 7 {
+			t.Fatalf("Ising type %d plan has %d changes, want one at site 7", rt, len(plan))
 		}
 		nb := cm.NbSites(nil, rt, 7)
 		if len(nb) != 5 {
@@ -135,15 +135,23 @@ func TestChangedSites(t *testing.T) {
 	}
 }
 
-// Dependencies must enumerate exactly the (type, site) pairs whose
-// pattern covers the changed site.
+// Every dependency row must list exactly the (type, site) pairs whose
+// pattern covers the row's site.
 func TestDependenciesComplete(t *testing.T) {
 	m := NewZGB(DefaultZGBRates())
 	lat := lattice.New(8, 8)
 	cm := MustCompile(m, lat)
+	var colRT []int
+	for r := range m.Types {
+		for range m.Types[r].Triples {
+			colRT = append(colRT, r)
+		}
+	}
 	z := lat.Index(4, 4)
 	got := make(map[[2]int]bool)
-	cm.Dependencies(z, func(rt, s int) { got[[2]int{rt, s}] = true })
+	for j, s := range cm.DepRow(z) {
+		got[[2]int{colRT[j], int(s)}] = true
+	}
 	// Brute force: all (rt, s) with z in the resolved pattern.
 	want := make(map[[2]int]bool)
 	for rt := range cm.Types {
@@ -156,7 +164,7 @@ func TestDependenciesComplete(t *testing.T) {
 		}
 	}
 	if len(got) != len(want) {
-		t.Fatalf("Dependencies visited %d pairs, want %d", len(got), len(want))
+		t.Fatalf("dependency row lists %d pairs, want %d", len(got), len(want))
 	}
 	for k := range want {
 		if !got[k] {
@@ -198,38 +206,36 @@ func BenchmarkCompiledTrial(b *testing.B) {
 	}
 }
 
-// DepPairs (the CSR fast path) must enumerate, for every changed site,
-// exactly the pairs the closure-based enumeration historically produced
-// and in the same order — types ascending, triples ascending, each
-// application site the changed site translated by the negated offset.
-// The reference here is computed independently from the model offsets
-// (not through Dependencies, which is itself a DepPairs wrapper), so
-// the test pins the order against a reordered CSR build.
-func TestDepPairsMatchesDependencies(t *testing.T) {
+// Column j of every dependency row is the j-th (type, triple) pair in
+// type-ascending, triple-ascending order, and its entry is the changed
+// site translated by that triple's negated offset. The reference is
+// computed independently from the model offsets, so the test pins the
+// column order the refresh plans (and with them the engines'
+// trajectories) depend on.
+func TestDepRowsMatchReference(t *testing.T) {
 	m := NewPtCO(DefaultPtCORates())
 	lat := lattice.New(10, 12)
 	cm := MustCompile(m, lat)
 	for z := 0; z < lat.N(); z++ {
-		var want [][2]int
+		var want []int
 		for r := range m.Types {
 			for _, tr := range m.Types[r].Triples {
-				want = append(want, [2]int{r, lat.Translate(z, tr.Off.Neg())})
+				want = append(want, lat.Translate(z, tr.Off.Neg()))
 			}
 		}
-		rts, sites := cm.DepPairs(z)
-		if len(rts) != len(want) || len(sites) != len(want) {
-			t.Fatalf("z=%d: DepPairs %d pairs, want %d", z, len(rts), len(want))
+		row := cm.DepRow(z)
+		if len(row) != len(want) {
+			t.Fatalf("z=%d: row has %d columns, want %d", z, len(row), len(want))
 		}
-		for j := range rts {
-			if int(rts[j]) != want[j][0] || int(sites[j]) != want[j][1] {
-				t.Fatalf("z=%d pair %d: CSR (%d,%d) != reference %v",
-					z, j, rts[j], sites[j], want[j])
+		for j := range row {
+			if int(row[j]) != want[j] {
+				t.Fatalf("z=%d column %d: site %d != reference %d", z, j, row[j], want[j])
 			}
 		}
 	}
 }
 
-// The CSR rows must all have the same width (one entry per triple of
+// The CSR rows must all have the same width (one column per triple of
 // every type) and cover every site.
 func TestDepCSRShape(t *testing.T) {
 	m := NewZGB(DefaultZGBRates())
@@ -239,11 +245,108 @@ func TestDepCSRShape(t *testing.T) {
 	for i := range m.Types {
 		want += len(m.Types[i].Triples)
 	}
+	if len(cm.depSite) != want*lat.N() {
+		t.Fatalf("CSR holds %d entries, want %d rows of %d", len(cm.depSite), lat.N(), want)
+	}
 	for z := 0; z < lat.N(); z++ {
-		rts, _ := cm.DepPairs(z)
-		if len(rts) != want {
-			t.Fatalf("site %d has %d dependency pairs, want %d", z, len(rts), want)
+		if got := len(cm.DepRow(z)); got != want {
+			t.Fatalf("site %d has %d dependency columns, want %d", z, got, want)
 		}
+	}
+}
+
+// builtinModels are the six built-in models with a random-configuration
+// weight per species, for property tests over every pattern shape.
+func builtinModels() []struct {
+	name    string
+	m       *Model
+	weights []float64
+} {
+	return []struct {
+		name    string
+		m       *Model
+		weights []float64
+	}{
+		{"zgb", NewZGB(DefaultZGBRates()), []float64{0.5, 0.2, 0.3}},
+		{"ptco", NewPtCO(DefaultPtCORates()), []float64{3, 1, 1, 2, 1, 1}},
+		{"ising", NewIsing(0.4), []float64{1, 1}},
+		{"diffusion", NewDimerDiffusion(1), []float64{0.6, 0.4}},
+		{"singlefile", NewSingleFile(1), []float64{0.5, 0.5}},
+		{"ab", NewAB(1, 1, 5), []float64{0.4, 0.3, 0.3}},
+	}
+}
+
+// The refresh plan is sound: for every enabled (rt, s) of random
+// configurations of every built-in model, executing rt at s changes
+// the enabledness only of pairs the plan visits, every Drop pair is
+// disabled afterwards, and every column of a changed site's row that
+// the plan skips kept its enabledness.
+func TestPlanSound(t *testing.T) {
+	for _, mc := range builtinModels() {
+		t.Run(mc.name, func(t *testing.T) {
+			lat := lattice.New(6, 5)
+			cm := MustCompile(mc.m, lat)
+			n, types := lat.N(), cm.NumTypes()
+			var colRT []int
+			for r := range mc.m.Types {
+				for range mc.m.Types[r].Triples {
+					colRT = append(colRT, r)
+				}
+			}
+			enabled := func(cells []lattice.Species) []bool {
+				e := make([]bool, types*n)
+				for r := 0; r < types; r++ {
+					for s := 0; s < n; s++ {
+						e[r*n+s] = cm.Enabled(cells, r, s)
+					}
+				}
+				return e
+			}
+			src := rng.New(17)
+			for trial := 0; trial < 4; trial++ {
+				c := lattice.NewConfig(lat)
+				c.Randomize(mc.weights, src.Float64)
+				before := enabled(c.Cells())
+				for rt := 0; rt < types; rt++ {
+					for s := 0; s < n; s++ {
+						if !before[rt*n+s] {
+							continue
+						}
+						d := c.Clone()
+						cm.Execute(d.Cells(), rt, s)
+						after := enabled(d.Cells())
+						visited := make(map[int]bool)
+						plan := cm.Plan(rt)
+						for i := range plan {
+							row := cm.DepRow(cm.ChangedSite(&plan[i], s))
+							listed := make(map[int32]bool)
+							for _, dep := range plan[i].Deps {
+								key := int(dep.RT)*n + int(row[dep.Col])
+								visited[key] = true
+								listed[dep.Col] = true
+								if dep.Drop && after[key] {
+									t.Fatalf("rt=%d s=%d: Drop pair (%d,%d) enabled after execution",
+										rt, s, dep.RT, row[dep.Col])
+								}
+							}
+							for j, site := range row {
+								key := colRT[j]*n + int(site)
+								if !listed[int32(j)] && before[key] != after[key] {
+									t.Fatalf("rt=%d s=%d: skipped column %d pair (%d,%d) changed enabledness",
+										rt, s, j, colRT[j], site)
+								}
+							}
+						}
+						for key := range after {
+							if before[key] != after[key] && !visited[key] {
+								t.Fatalf("rt=%d s=%d: pair (%d,%d) changed enabledness but the plan never visits it",
+									rt, s, key/n, key%n)
+							}
+						}
+					}
+				}
+			}
+		})
 	}
 }
 
