@@ -191,11 +191,8 @@ func (q *Queue) Pop() (Event, bool) {
 }
 
 // up moves the event at index i toward the root until its parent is
-// not later, shifting each later parent down into the hole instead of
-// swapping pairwise; it reports whether the event moved. The
-// comparisons, their order and the final array are those of a
-// swap-based sift, but each level writes one index entry instead of
-// two.
+// not later, shifting each later parent down into the hole; it reports
+// whether the event moved.
 func (q *Queue) up(i int) bool {
 	ev := q.heap[i]
 	start := i
@@ -219,9 +216,7 @@ func (q *Queue) up(i int) bool {
 
 // down moves the event at index i toward the leaves until no child is
 // strictly earlier, shifting the earlier child (the left one on a tie)
-// up into the hole; it reports whether the event moved. Same
-// comparisons and final array as a swap-based sift, one index write per
-// level.
+// up into the hole; it reports whether the event moved.
 func (q *Queue) down(i int) bool {
 	ev := q.heap[i]
 	start := i

@@ -94,9 +94,10 @@ type CompiledType struct {
 //
 // The classification assumes the execution was enabled, so that the
 // changed site held old before it. Deps keeps the row's column order
-// (types ascending, triples ascending), and skipped columns are no-ops under a full refresh, so
-// consuming the plan performs every effective insert, removal and
-// random draw in the order a refresh of the full row would.
+// (types ascending, triples ascending), and a full refresh of a skipped
+// column changes nothing, so consuming the plan performs every
+// effective insert, removal and random draw in the order a refresh of
+// the full row would.
 type Change struct {
 	// tabOff is the arena offset of the changed triple's table.
 	tabOff int32
