@@ -7,6 +7,7 @@ import (
 
 	"parsurf"
 	"parsurf/internal/goldentrace"
+	"parsurf/internal/sim"
 	"parsurf/internal/stats"
 )
 
@@ -105,22 +106,19 @@ func TestRegistryOptionValidation(t *testing.T) {
 	}
 }
 
-// coverageSeries samples per-species coverages of a running simulator
-// the way the Session observers do.
-func coverageSeries(sim parsurf.Simulator, numSpecies int, dt, tEnd float64) []*stats.Series {
-	series := make([]*stats.Series, numSpecies)
+// coverageObserver appends per-species coverages to series at every
+// sample, the way the Session observers do.
+func coverageObserver(series []*stats.Series) parsurf.Observer {
 	for i := range series {
 		series[i] = &stats.Series{}
 	}
-	cfg := sim.Config()
-	n := float64(cfg.Lattice().N())
-	parsurf.Sample(sim, dt, tEnd, func(t float64) {
-		counts := cfg.CountAll(numSpecies)
+	return parsurf.ObserverFunc(func(t float64, cfg *parsurf.Config) {
+		counts := cfg.CountAll(len(series))
+		n := float64(cfg.Lattice().N())
 		for sp := range series {
 			series[sp].Append(t, float64(counts[sp])/n)
 		}
 	})
-	return series
 }
 
 func seriesEqual(a, b []*stats.Series) bool {
@@ -140,62 +138,40 @@ func seriesEqual(a, b []*stats.Series) bool {
 	return true
 }
 
-// A Session reproduces the direct-constructor trajectories bit for bit:
-// same seed + engine name ⇒ identical coverage series.
+// A Session reproduces its engine's direct construction bit for bit:
+// for every registered engine, NewEngine over the session's compiled
+// model, a fresh configuration and NewRNG(seed) yields identical
+// coverage series.
 func TestSessionMatchesDirectConstructors(t *testing.T) {
 	const side, seed = 20, 99
 	const dt, tEnd = 0.5, 5.0
 	m := parsurf.NewZGBModel(parsurf.DefaultZGBRates())
-	lat := parsurf.NewSquareLattice(side)
-	cm := parsurf.MustCompile(m, lat)
-	part, err := parsurf.VonNeumann5(lat)
-	if err != nil {
-		t.Fatal(err)
-	}
-
-	direct := map[string]func() parsurf.Simulator{
-		"rsm":  func() parsurf.Simulator { return parsurf.NewRSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(seed)) },
-		"vssm": func() parsurf.Simulator { return parsurf.NewVSSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(seed)) },
-		"frm":  func() parsurf.Simulator { return parsurf.NewFRM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(seed)) },
-		"ndca": func() parsurf.Simulator { return parsurf.NewNDCA(cm, parsurf.NewConfig(lat), parsurf.NewRNG(seed)) },
-		"pndca": func() parsurf.Simulator {
-			return parsurf.NewPNDCA(cm, parsurf.NewConfig(lat), parsurf.NewRNG(seed), part)
-		},
-		"lpndca": func() parsurf.Simulator {
-			return parsurf.NewLPNDCA(cm, parsurf.NewConfig(lat), parsurf.NewRNG(seed), part, 10)
-		},
-	}
-	sessionOpts := map[string][]parsurf.EngineOption{
-		"lpndca": {parsurf.Trials(10)},
-	}
-	for name, mk := range direct {
-		want := coverageSeries(mk(), m.NumSpecies(), dt, tEnd)
-
-		sess, err := parsurf.NewSession(
-			parsurf.WithModel(m),
+	for _, name := range parsurf.Engines() {
+		opts := []parsurf.SessionOption{
 			parsurf.WithLattice(side, side),
-			parsurf.WithEngine(name, sessionOpts[name]...),
+			parsurf.WithEngine(name),
 			parsurf.WithSeed(seed),
-		)
+		}
+		if spec, _ := parsurf.LookupEngine(name); !spec.ModelFree {
+			opts = append(opts, parsurf.WithModel(m))
+		}
+		sess, err := parsurf.NewSession(opts...)
 		if err != nil {
 			t.Fatalf("%s: %v", name, err)
 		}
-		got := make([]*stats.Series, m.NumSpecies())
-		for i := range got {
-			got[i] = &stats.Series{}
+		numSpecies := sess.NumSpecies()
+		got := make([]*stats.Series, numSpecies)
+		if _, err := sess.Run(context.Background(), parsurf.Until(tEnd), parsurf.SampleEvery(dt, coverageObserver(got))); err != nil {
+			t.Fatalf("%s session run: %v", name, err)
 		}
-		n := float64(lat.N())
-		obs := parsurf.ObserverFunc(func(tm float64, cfg *parsurf.Config) {
-			counts := cfg.CountAll(m.NumSpecies())
-			for sp := range got {
-				got[sp].Append(tm, float64(counts[sp])/n)
-			}
-		})
-		if _, err := sess.Run(context.Background(), parsurf.Until(tEnd), parsurf.SampleEvery(dt, obs)); err != nil {
-			t.Fatalf("%s run: %v", name, err)
+
+		eng := newEngine(t, name, sess.Compiled(), sess.Lattice(), seed)
+		want := make([]*stats.Series, numSpecies)
+		if _, _, err := sim.RunContext(context.Background(), eng, dt, tEnd, coverageObserver(want)); err != nil {
+			t.Fatalf("%s direct run: %v", name, err)
 		}
-		if !seriesEqual(want, got) {
-			t.Errorf("%s: session series differ from direct constructor", name)
+		if len(want[0].T) < 2 || !seriesEqual(want, got) {
+			t.Errorf("%s: session series differ from NewEngine's", name)
 		}
 	}
 }
@@ -222,7 +198,7 @@ func TestSessionValidation(t *testing.T) {
 		t.Error("Run with both Until and ForSteps should fail")
 	}
 	// A non-positive sample interval is an error, as it is for
-	// RunEnsemble and Sample, not a run that silently takes no samples.
+	// RunEnsemble, not a run that silently takes no samples.
 	for _, dt := range []float64{0, -1} {
 		calls := 0
 		obs := parsurf.ObserverFunc(func(float64, *parsurf.Config) { calls++ })
@@ -333,29 +309,47 @@ func TestEnsembleValidation(t *testing.T) {
 	}
 }
 
-// The final sample lands on tEnd exactly even when tEnd is off the dt
-// grid (the old Sample dropped the tail).
-func TestSampleTakesFinalSampleAtTEnd(t *testing.T) {
-	lat := parsurf.NewSquareLattice(12)
-	m := parsurf.NewZGBModel(parsurf.DefaultZGBRates())
-	cm := parsurf.MustCompile(m, lat)
-	sim := parsurf.NewRSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(3))
-	const dt, tEnd = 0.25, 1.1
+// sampleTimes runs a fresh RSM session on a side² ZGB lattice until
+// tEnd, sampling every dt, and returns the sample times.
+func sampleTimes(t *testing.T, side int, seed uint64, dt, tEnd float64) ([]float64, parsurf.RunStats, error) {
+	t.Helper()
+	sess, err := parsurf.NewSession(
+		parsurf.WithModel(parsurf.NewZGBModel(parsurf.DefaultZGBRates())),
+		parsurf.WithLattice(side, side),
+		parsurf.WithEngine("rsm"),
+		parsurf.WithSeed(seed),
+	)
+	if err != nil {
+		t.Fatal(err)
+	}
 	var times []float64
-	parsurf.Sample(sim, dt, tEnd, func(tm float64) { times = append(times, tm) })
+	obs := parsurf.ObserverFunc(func(tm float64, _ *parsurf.Config) { times = append(times, tm) })
+	st, err := sess.Run(context.Background(), parsurf.Until(tEnd), parsurf.SampleEvery(dt, obs))
+	return times, st, err
+}
+
+// The final sample lands on tEnd exactly even when tEnd is off the dt
+// grid (an accumulated-sum loop once dropped the tail).
+func TestSampleTakesFinalSampleAtTEnd(t *testing.T) {
+	const dt, tEnd = 0.25, 1.1
+	times, st, err := sampleTimes(t, 12, 3, dt, tEnd)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(times) == 0 {
 		t.Fatal("no samples")
 	}
 	if last := times[len(times)-1]; last < tEnd {
 		t.Fatalf("run tail dropped: last sample at %v < tEnd %v", last, tEnd)
 	}
-	if sim.Time() < tEnd {
-		t.Fatalf("simulation stopped at %v before tEnd %v", sim.Time(), tEnd)
+	if st.Time < tEnd {
+		t.Fatalf("simulation stopped at %v before tEnd %v", st.Time, tEnd)
 	}
 	// On-grid horizons take no duplicate final sample.
-	sim2 := parsurf.NewRSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(3))
-	times = times[:0]
-	parsurf.Sample(sim2, 0.25, 1.0, func(tm float64) { times = append(times, tm) })
+	times, _, err = sampleTimes(t, 12, 3, 0.25, 1.0)
+	if err != nil {
+		t.Fatal(err)
+	}
 	if len(times) != 5 { // t = 0, 0.25, 0.5, 0.75, 1.0
 		t.Fatalf("on-grid sampling took %d samples, want 5", len(times))
 	}
@@ -365,12 +359,10 @@ func TestSampleTakesFinalSampleAtTEnd(t *testing.T) {
 // last grid sample already covers tEnd; the tail branch must not
 // observe a second time at the identical clock value.
 func TestSampleNoDuplicateOnGridDrift(t *testing.T) {
-	lat := parsurf.NewSquareLattice(8)
-	m := parsurf.NewZGBModel(parsurf.DefaultZGBRates())
-	cm := parsurf.MustCompile(m, lat)
-	sim := parsurf.NewRSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(3))
-	var times []float64
-	parsurf.Sample(sim, 0.1, 100, func(tm float64) { times = append(times, tm) })
+	times, _, err := sampleTimes(t, 8, 3, 0.1, 100)
+	if err != nil {
+		t.Fatal(err)
+	}
 	for i := 1; i < len(times); i++ {
 		if times[i] == times[i-1] {
 			t.Fatalf("duplicate sample at t=%v (index %d)", times[i], i)
@@ -382,13 +374,12 @@ func TestSampleNoDuplicateOnGridDrift(t *testing.T) {
 }
 
 func TestSample(t *testing.T) {
-	lat := parsurf.NewSquareLattice(8)
-	cm := parsurf.MustCompile(parsurf.NewZGBModel(parsurf.DefaultZGBRates()), lat)
-	sim := parsurf.NewRSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(31))
-	var times []float64
-	parsurf.Sample(sim, 0.5, 5, func(tm float64) { times = append(times, tm) })
-	if len(times) < 10 {
-		t.Fatalf("Sample recorded %d points", len(times))
+	times, st, err := sampleTimes(t, 8, 31, 0.5, 5)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if len(times) < 10 || st.Samples != len(times) {
+		t.Fatalf("run recorded %d points, reported %d", len(times), st.Samples)
 	}
 	for i := 1; i < len(times); i++ {
 		if times[i] < times[i-1] {
@@ -397,21 +388,15 @@ func TestSample(t *testing.T) {
 	}
 }
 
-// A degenerate sampling schedule must panic loudly, not silently
-// produce an empty series (Sample has no error return).
-func TestSamplePanicsOnDegenerateDt(t *testing.T) {
-	lat := parsurf.NewSquareLattice(8)
-	cm := parsurf.MustCompile(parsurf.NewZGBModel(parsurf.DefaultZGBRates()), lat)
+// A degenerate sampling schedule — a zero dt, or one too small to
+// advance the clock's floats — is an error before any step, not an
+// empty series.
+func TestSampleRejectsDegenerateDt(t *testing.T) {
 	for _, dt := range []float64{1e-300, 0} {
-		func() {
-			sim := parsurf.NewRSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(3))
-			defer func() {
-				if recover() == nil {
-					t.Errorf("no panic for dt=%v", dt)
-				}
-			}()
-			parsurf.Sample(sim, dt, 1e3, func(float64) {})
-		}()
+		times, st, err := sampleTimes(t, 8, 3, dt, 1e3)
+		if err == nil || st.Steps != 0 || len(times) != 0 {
+			t.Errorf("dt=%v: err %v after %d steps and %d samples, want an error before any step", dt, err, st.Steps, len(times))
+		}
 	}
 }
 

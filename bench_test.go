@@ -11,6 +11,7 @@ import (
 
 	"parsurf"
 	"parsurf/internal/ca"
+	"parsurf/internal/core"
 	"parsurf/internal/lattice"
 	"parsurf/internal/stats"
 	"parsurf/internal/ziff"
@@ -23,7 +24,7 @@ import (
 func BenchmarkTable1ZGBTrials(b *testing.B) {
 	lat := parsurf.NewSquareLattice(64)
 	cm := parsurf.MustCompile(parsurf.NewZGBModel(parsurf.DefaultZGBRates()), lat)
-	sim := parsurf.NewRSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(1))
+	sim := newEngine(b, "rsm", cm, lat, 1).(*parsurf.RSM)
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Trial()
@@ -36,13 +37,8 @@ func BenchmarkTable1ZGBTrials(b *testing.B) {
 // over the Table II split.
 func BenchmarkTable2TypePartitioned(b *testing.B) {
 	lat := parsurf.NewSquareLattice(64)
-	m := parsurf.NewZGBModel(parsurf.DefaultZGBRates())
-	cm := parsurf.MustCompile(m, lat)
-	ts, err := parsurf.SplitByDirection(m, lat)
-	if err != nil {
-		b.Fatal(err)
-	}
-	sim := parsurf.NewTypePartitioned(cm, parsurf.NewConfig(lat), parsurf.NewRNG(1), ts)
+	cm := parsurf.MustCompile(parsurf.NewZGBModel(parsurf.DefaultZGBRates()), lat)
+	sim := newEngine(b, "typepart", cm, lat, 1, parsurf.TypeSplitNamed("bydirection"))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Step()
@@ -128,12 +124,8 @@ func BenchmarkFig7PNDCAWorkers(b *testing.B) {
 		b.Run(benchName("workers", workers), func(b *testing.B) {
 			lat := parsurf.NewSquareLattice(50)
 			cm := parsurf.MustCompile(parsurf.NewPtCOModel(parsurf.DefaultPtCORates()), lat)
-			part, err := parsurf.VonNeumann5(lat)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim := parsurf.NewPNDCA(cm, parsurf.NewConfig(lat), parsurf.NewRNG(1), part)
-			sim.Workers = workers
+			sim := newEngine(b, "pndca", cm, lat, 1,
+				parsurf.PartitionNamed("vonneumann5"), parsurf.Workers(workers))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sim.Step()
@@ -149,8 +141,8 @@ func BenchmarkFig7PNDCAWorkers(b *testing.B) {
 func BenchmarkFig8Limits(b *testing.B) {
 	lat := parsurf.NewSquareLattice(40)
 	cm := parsurf.MustCompile(parsurf.NewPtCOModel(parsurf.DefaultPtCORates()), lat)
-	sim := parsurf.NewLPNDCA(cm, parsurf.NewConfig(lat), parsurf.NewRNG(1),
-		parsurf.SingleChunk(lat), lat.N())
+	sim := newEngine(b, "lpndca", cm, lat, 1,
+		parsurf.PartitionNamed("singlechunk"), parsurf.Trials(lat.N()))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Step()
@@ -165,11 +157,8 @@ func BenchmarkFig9L(b *testing.B) {
 		b.Run(benchName("L", l), func(b *testing.B) {
 			lat := parsurf.NewSquareLattice(40)
 			cm := parsurf.MustCompile(parsurf.NewPtCOModel(parsurf.DefaultPtCORates()), lat)
-			part, err := parsurf.VonNeumann5(lat)
-			if err != nil {
-				b.Fatal(err)
-			}
-			sim := parsurf.NewLPNDCA(cm, parsurf.NewConfig(lat), parsurf.NewRNG(1), part, l)
+			sim := newEngine(b, "lpndca", cm, lat, 1,
+				parsurf.PartitionNamed("vonneumann5"), parsurf.Trials(l))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sim.Step()
@@ -189,9 +178,8 @@ func BenchmarkFig10RandomOrder(b *testing.B) {
 	if err != nil {
 		b.Fatal(err)
 	}
-	sim := parsurf.NewLPNDCA(cm, parsurf.NewConfig(lat), parsurf.NewRNG(1), part,
-		lat.N()/part.NumChunks())
-	sim.Strategy = parsurf.AllRandomOrder
+	sim := newEngine(b, "lpndca", cm, lat, 1, parsurf.PartitionNamed("vonneumann5"),
+		parsurf.Trials(lat.N()/part.NumChunks()), parsurf.Strategy(parsurf.AllRandomOrder))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Step()
@@ -262,30 +250,18 @@ func BenchmarkEngineStep(b *testing.B) {
 func BenchmarkAblationChunkStrategies(b *testing.B) {
 	lat := parsurf.NewSquareLattice(50)
 	cm := parsurf.MustCompile(parsurf.NewZGBModel(parsurf.DefaultZGBRates()), lat)
-	part, err := parsurf.VonNeumann5(lat)
-	if err != nil {
-		b.Fatal(err)
-	}
 	for _, s := range []struct {
 		name     string
-		strategy int
+		strategy core.Strategy
 	}{
-		{"order", int(parsurf.AllInOrder)},
-		{"randomorder", int(parsurf.AllRandomOrder)},
-		{"replacement", int(parsurf.RandomReplacement)},
-		{"rates", int(parsurf.RateWeighted)},
+		{"order", parsurf.AllInOrder},
+		{"randomorder", parsurf.AllRandomOrder},
+		{"replacement", parsurf.RandomReplacement},
+		{"rates", parsurf.RateWeighted},
 	} {
 		b.Run(s.name, func(b *testing.B) {
-			sim := parsurf.NewLPNDCA(cm, parsurf.NewConfig(lat), parsurf.NewRNG(1), part, 10)
-			sim.Strategy = parsurf.AllInOrder
-			switch s.strategy {
-			case int(parsurf.AllRandomOrder):
-				sim.Strategy = parsurf.AllRandomOrder
-			case int(parsurf.RandomReplacement):
-				sim.Strategy = parsurf.RandomReplacement
-			case int(parsurf.RateWeighted):
-				sim.Strategy = parsurf.RateWeighted
-			}
+			sim := newEngine(b, "lpndca", cm, lat, 1, parsurf.PartitionNamed("vonneumann5"),
+				parsurf.Trials(10), parsurf.Strategy(s.strategy))
 			b.ResetTimer()
 			for i := 0; i < b.N; i++ {
 				sim.Step()
@@ -301,7 +277,10 @@ func BenchmarkAblationSyncConflicts(b *testing.B) {
 	cm := parsurf.MustCompile(parsurf.NewDiffusionModel(1), lat)
 	cfg := parsurf.NewConfig(lat)
 	cfg.Randomize([]float64{0.5, 0.5}, parsurf.NewRNG(2).Float64)
-	sim := parsurf.NewSyncNDCA(cm, cfg, parsurf.NewRNG(1))
+	sim, err := parsurf.NewEngine("syncndca", cm, cfg, parsurf.NewRNG(1))
+	if err != nil {
+		b.Fatal(err)
+	}
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Step()
@@ -313,10 +292,7 @@ func BenchmarkAblationSyncConflicts(b *testing.B) {
 func BenchmarkAblationDDRSM(b *testing.B) {
 	lat := parsurf.NewSquareLattice(64)
 	cm := parsurf.MustCompile(parsurf.NewZGBModel(parsurf.DefaultZGBRates()), lat)
-	sim, err := parsurf.NewDDRSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(1), 4)
-	if err != nil {
-		b.Fatal(err)
-	}
+	sim := newEngine(b, "ddrsm", cm, lat, 1, parsurf.Workers(4))
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
 		sim.Step()

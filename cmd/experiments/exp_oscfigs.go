@@ -1,9 +1,11 @@
 package main
 
 import (
+	"context"
 	"fmt"
 
 	"parsurf"
+	"parsurf/internal/sim"
 	"parsurf/internal/stats"
 	"parsurf/internal/trace"
 )
@@ -44,13 +46,16 @@ func (s *oscSetup) engine(name string, cfg *parsurf.Config, opts ...parsurf.Engi
 	return eng
 }
 
-// coSeries runs the simulator to tEnd sampling the CO coverage.
-func (s *oscSetup) coSeries(sim parsurf.Simulator, cfg *parsurf.Config) *stats.Series {
+// coSeries runs the engine to tEnd sampling the CO coverage.
+func (s *oscSetup) coSeries(eng parsurf.Engine, cfg *parsurf.Config) *stats.Series {
 	out := &stats.Series{}
-	parsurf.Sample(sim, s.dt, s.tEnd, func(t float64) {
+	_, _, err := sim.RunContext(context.Background(), eng, s.dt, s.tEnd, sim.ObserverFunc(func(t float64, _ *parsurf.Config) {
 		co, _, _ := parsurf.PtCoverages(cfg)
 		out.Append(t, co)
-	})
+	}))
+	if err != nil {
+		panic(err) // static dt and horizon; cannot fail at run time
+	}
 	return out
 }
 

@@ -9,7 +9,6 @@ import (
 	"parsurf/internal/sim"
 	"parsurf/internal/stats"
 	"parsurf/internal/trace"
-	"parsurf/internal/ziff"
 )
 
 // Observation layer (internal/sim).
@@ -59,12 +58,6 @@ func Clusters(c *Config, sp Species) ClusterStats {
 // detection).
 func DetectOscillation(s *Series, n int, minStrength float64) (Oscillation, bool) {
 	return stats.DetectOscillation(s, n, minStrength)
-}
-
-// NewZiffWithDesorption returns the classic ZGB dynamics extended with
-// CO desorption probability pdes per trial.
-func NewZiffWithDesorption(lat *Lattice, src *RNG, y, pdes float64) *ziff.WithDesorption {
-	return ziff.NewWithDesorption(lat, src, y, pdes)
 }
 
 // WriteSVG renders series as an SVG line chart.

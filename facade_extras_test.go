@@ -7,6 +7,7 @@ import (
 	"testing"
 
 	"parsurf"
+	"parsurf/internal/ziff"
 )
 
 func TestFacadeObserversAndCheckpoint(t *testing.T) {
@@ -95,7 +96,7 @@ func TestFacadeClustersAndOscillation(t *testing.T) {
 }
 
 func TestFacadeZiffDesorptionAndSVG(t *testing.T) {
-	z := parsurf.NewZiffWithDesorption(parsurf.NewSquareLattice(12), parsurf.NewRNG(2), 0.6, 0.05)
+	z := ziff.NewWithDesorption(parsurf.NewSquareLattice(12), parsurf.NewRNG(2), 0.6, 0.05)
 	for i := 0; i < 50; i++ {
 		z.Step()
 	}

@@ -1,6 +1,7 @@
 package parsurf_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
@@ -10,6 +11,7 @@ import (
 	"parsurf/internal/lattice"
 	"parsurf/internal/model"
 	"parsurf/internal/rng"
+	"parsurf/internal/sim"
 	"parsurf/internal/stats"
 )
 
@@ -49,6 +51,20 @@ func stepMSD(t *testing.T, cm *model.Compiled, lat *lattice.Lattice,
 		}
 	}
 	return sumSq / (reps * steps), sum / (reps * steps)
+}
+
+// coSeries runs eng to tEnd, sampling the Pt(100) CO coverage every dt.
+func coSeries(t *testing.T, eng parsurf.Engine, dt, tEnd float64) *stats.Series {
+	t.Helper()
+	co := &stats.Series{}
+	_, _, err := sim.RunContext(context.Background(), eng, dt, tEnd, parsurf.ObserverFunc(func(tm float64, cfg *parsurf.Config) {
+		c, _, _ := parsurf.PtCoverages(cfg)
+		co.Append(tm, c)
+	}))
+	if err != nil {
+		t.Fatal(err)
+	}
+	return co
 }
 
 // The paper (§4, citing Vichniac) notes that NDCA gives degenerate
@@ -116,13 +132,7 @@ func TestIntegrationPtCOOscillates(t *testing.T) {
 	}
 	lat := parsurf.NewSquareLattice(50)
 	cm := parsurf.MustCompile(parsurf.NewPtCOModel(parsurf.DefaultPtCORates()), lat)
-	cfg := parsurf.NewConfig(lat)
-	simr := parsurf.NewVSSM(cm, cfg, parsurf.NewRNG(11))
-	co := &stats.Series{}
-	parsurf.Sample(simr, 0.25, 120, func(tm float64) {
-		c, _, _ := parsurf.PtCoverages(cfg)
-		co.Append(tm, c)
-	})
+	co := coSeries(t, newEngine(t, "vssm", cm, lat, 11), 0.25, 120)
 	oscn, ok := stats.DetectOscillation(co.Window(30, 120), 600, 0.3)
 	if !ok {
 		t.Fatal("no oscillation under exact DMC")
@@ -149,34 +159,16 @@ func TestIntegrationLPNDCAAccuracyOrdering(t *testing.T) {
 	}
 	lat := parsurf.NewSquareLattice(50)
 	cm := parsurf.MustCompile(parsurf.NewPtCOModel(parsurf.DefaultPtCORates()), lat)
-	part, err := parsurf.VonNeumann5(lat)
-	if err != nil {
-		t.Fatal(err)
+	run := func(name string, seed uint64, opts ...parsurf.EngineOption) *stats.Series {
+		return coSeries(t, newEngine(t, name, cm, lat, 400+seed, opts...), 0.25, 60)
 	}
-	run := func(mk func(cfg *parsurf.Config, seed uint64) parsurf.Simulator, seed uint64) *stats.Series {
-		cfg := parsurf.NewConfig(lat)
-		s := mk(cfg, seed)
-		out := &stats.Series{}
-		parsurf.Sample(s, 0.25, 60, func(tm float64) {
-			c, _, _ := parsurf.PtCoverages(cfg)
-			out.Append(tm, c)
-		})
-		return out
-	}
+	vn5 := parsurf.PartitionNamed("vonneumann5")
 	var rmsd1, rmsd500 float64
 	const seeds = 3
 	for seed := uint64(0); seed < seeds; seed++ {
-		ref := run(func(cfg *parsurf.Config, s uint64) parsurf.Simulator {
-			return parsurf.NewRSM(cm, cfg, parsurf.NewRNG(400+s))
-		}, seed)
-		l1 := run(func(cfg *parsurf.Config, s uint64) parsurf.Simulator {
-			return parsurf.NewLPNDCA(cm, cfg, parsurf.NewRNG(400+s), part, 1)
-		}, seed)
-		l500 := run(func(cfg *parsurf.Config, s uint64) parsurf.Simulator {
-			e := parsurf.NewLPNDCA(cm, cfg, parsurf.NewRNG(400+s), part, 500)
-			e.Strategy = parsurf.RandomReplacement
-			return e
-		}, seed)
+		ref := run("rsm", seed)
+		l1 := run("lpndca", seed, vn5, parsurf.Trials(1))
+		l500 := run("lpndca", seed, vn5, parsurf.Trials(500), parsurf.Strategy(parsurf.RandomReplacement))
 		rmsd1 += stats.RMSD(ref, l1, 15, 60, 300)
 		rmsd500 += stats.RMSD(ref, l500, 15, 60, 300)
 	}
@@ -195,26 +187,16 @@ func TestIntegrationRSMVSSMSameOscillation(t *testing.T) {
 	}
 	lat := parsurf.NewSquareLattice(50)
 	cm := parsurf.MustCompile(parsurf.NewPtCOModel(parsurf.DefaultPtCORates()), lat)
-	period := func(mk func(cfg *parsurf.Config) parsurf.Simulator) float64 {
-		cfg := parsurf.NewConfig(lat)
-		s := mk(cfg)
-		co := &stats.Series{}
-		parsurf.Sample(s, 0.25, 120, func(tm float64) {
-			c, _, _ := parsurf.PtCoverages(cfg)
-			co.Append(tm, c)
-		})
+	period := func(name string, seed uint64) float64 {
+		co := coSeries(t, newEngine(t, name, cm, lat, seed), 0.25, 120)
 		o, ok := stats.DetectOscillation(co.Window(30, 120), 600, 0.25)
 		if !ok {
 			t.Fatal("oscillation missing")
 		}
 		return o.Period
 	}
-	pRSM := period(func(cfg *parsurf.Config) parsurf.Simulator {
-		return parsurf.NewRSM(cm, cfg, parsurf.NewRNG(21))
-	})
-	pVSSM := period(func(cfg *parsurf.Config) parsurf.Simulator {
-		return parsurf.NewVSSM(cm, cfg, parsurf.NewRNG(22))
-	})
+	pRSM := period("rsm", 21)
+	pVSSM := period("vssm", 22)
 	if math.Abs(pRSM-pVSSM) > 0.35*pRSM {
 		t.Fatalf("period disagreement: RSM %v vs VSSM %v", pRSM, pVSSM)
 	}

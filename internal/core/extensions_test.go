@@ -11,64 +11,13 @@ import (
 	"parsurf/internal/rng"
 )
 
-func TestPNDCAUsePartitionsCycles(t *testing.T) {
+// Reset keeps the partition and the chunk permutation buffer, and the
+// rewound engine reproduces a freshly built one with the same source.
+func TestPNDCAResetMatchesFresh(t *testing.T) {
 	cm, lat := zgbOn(t, 10)
-	cfg := lattice.NewConfig(lat)
-	p := NewPNDCA(cm, cfg, rng.New(50), vn5(t, lat))
-	p.UsePartitions([]*partition.Partition{vn5(t, lat), partition.Singletons(lat)})
-	for i := 0; i < 4; i++ {
-		p.Step()
-	}
-	if p.Steps() != 4 || p.Successes() == 0 {
-		t.Fatal("cycled partitions did not run")
-	}
-}
-
-func TestPNDCAUsePartitionsChangesTrajectory(t *testing.T) {
-	cm, lat := zgbOn(t, 10)
-	run := func(cycle bool) *lattice.Config {
-		cfg := lattice.NewConfig(lat)
-		p := NewPNDCA(cm, cfg, rng.New(51), vn5(t, lat))
-		if cycle {
-			p.UsePartitions([]*partition.Partition{vn5(t, lat), partition.Singletons(lat)})
-		}
-		for i := 0; i < 6; i++ {
-			p.Step()
-		}
-		return cfg
-	}
-	if run(false).Equal(run(true)) {
-		t.Fatal("partition cycling had no effect")
-	}
-}
-
-func TestPNDCAUsePartitionsValidates(t *testing.T) {
-	cm, lat := zgbOn(t, 10)
-	p := NewPNDCA(cm, lattice.NewConfig(lat), rng.New(52), vn5(t, lat))
-	for _, bad := range [][]*partition.Partition{
-		nil,
-		{partition.Singletons(lattice.NewSquare(15))},
-	} {
-		func() {
-			defer func() {
-				if recover() == nil {
-					t.Error("invalid partition set accepted")
-				}
-			}()
-			p.UsePartitions(bad)
-		}()
-	}
-}
-
-// Reset after a partition cycle keeps the permutation buffer sized for
-// the cycle's largest partition, and the rewound engine reproduces a
-// freshly built one with the same cycle and source.
-func TestPNDCAResetAfterCycleMatchesFresh(t *testing.T) {
-	cm, lat := zgbOn(t, 10)
-	cycle := []*partition.Partition{vn5(t, lat), partition.Singletons(lat)}
 	build := func() *PNDCA {
 		p := NewPNDCA(cm, lattice.NewConfig(lat), rng.New(54), vn5(t, lat))
-		p.UsePartitions(cycle)
+		p.Order = RandomOrder
 		return p
 	}
 	fresh := build()
@@ -88,27 +37,6 @@ func TestPNDCAResetAfterCycleMatchesFresh(t *testing.T) {
 		fresh.Successes() != reused.Successes() {
 		t.Errorf("Reset engine: time %v successes %d, fresh: time %v successes %d",
 			reused.Time(), reused.Successes(), fresh.Time(), fresh.Successes())
-	}
-}
-
-func TestPNDCAParallelBitIdenticalWithCycling(t *testing.T) {
-	cm, lat := zgbOn(t, 20)
-	run := func(workers int) *lattice.Config {
-		cfg := lattice.NewConfig(lat)
-		p := NewPNDCA(cm, cfg, rng.New(53), vn5(t, lat))
-		p.UsePartitions([]*partition.Partition{vn5(t, lat), partition.SingleChunk(lat)})
-		// Note: SingleChunk violates non-overlap for ZGB; with workers
-		// it would race. Only the von Neumann partition is swept in
-		// parallel here, so restrict cycling to valid partitions.
-		p.UsePartitions([]*partition.Partition{vn5(t, lat), partition.Singletons(lat)})
-		p.Workers = workers
-		for i := 0; i < 6; i++ {
-			p.Step()
-		}
-		return cfg
-	}
-	if !run(1).Equal(run(4)) {
-		t.Fatal("cycling broke parallel bit-identity")
 	}
 }
 

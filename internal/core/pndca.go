@@ -46,7 +46,6 @@ type PNDCA struct {
 	cells []lattice.Species
 	src   *rng.Source
 	part  *partition.Partition
-	parts []*partition.Partition // optional per-step cycle (UsePartitions)
 
 	// Workers is the number of goroutines sweeping each chunk. The
 	// non-overlap rule makes in-chunk updates commute, and per-site
@@ -84,47 +83,11 @@ func NewPNDCA(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, part *pa
 	return p
 }
 
-// UsePartitions installs a cycle of partitions: step k sweeps
-// partitions[k mod len]. This realises the "choose a partition P" of
-// the §5 algorithm (as the BCA of Fig. 3 alternates tilings). All
-// partitions must live on the compiled lattice shape and each must
-// satisfy the non-overlap rule.
-func (p *PNDCA) UsePartitions(parts []*partition.Partition) {
-	if len(parts) == 0 {
-		panic("core: UsePartitions with no partitions")
-	}
-	maxChunks := len(p.perm)
-	for _, part := range parts {
-		if !part.Lat.SameShape(p.cm.Lat) {
-			panic("core: partition lattice differs from compiled lattice")
-		}
-		if n := part.NumChunks(); n > maxChunks {
-			maxChunks = n
-		}
-	}
-	// Size perm for the largest partition of the cycle now, so Step
-	// re-slices without ever allocating mid-run.
-	if cap(p.perm) < maxChunks {
-		p.perm = make([]int, maxChunks)
-	}
-	p.parts = parts
-}
-
-// currentPartition returns the partition for this step.
-func (p *PNDCA) currentPartition() *partition.Partition {
-	if len(p.parts) == 0 {
-		return p.part
-	}
-	return p.parts[int(p.steps)%len(p.parts)]
-}
-
 // Step performs one PNDCA step: every chunk swept once, every site of
 // the lattice trialled once (N trials = one MC step).
 //
 //surflint:hotpath
 func (p *PNDCA) Step() bool {
-	part := p.currentPartition()
-	p.perm = p.perm[:part.NumChunks()]
 	if p.Order == RandomOrder {
 		p.src.Perm(p.perm)
 	} else {
@@ -133,7 +96,7 @@ func (p *PNDCA) Step() bool {
 		}
 	}
 	for _, ci := range p.perm {
-		dt, succ := p.sweep.run(p.src, part.Chunks[ci], p.Workers)
+		dt, succ := p.sweep.run(p.src, p.part.Chunks[ci], p.Workers)
 		p.time += dt
 		p.successes += succ
 	}
@@ -164,11 +127,9 @@ func (p *PNDCA) visit(base *rng.Source, sites []int32, dts []float64) (succ uint
 }
 
 // Reset rewinds the engine over a fresh configuration (see
-// registry.Engine.Reset). The partition (and any UsePartitions cycle)
-// is kept, and so is the chunk permutation buffer, which Step rewrites
-// and which stays sized for the largest partition of the cycle. The
-// sweep stream counter rewinds so replica trajectories reproduce fresh
-// builds exactly.
+// registry.Engine.Reset). The partition is kept, and so is the chunk
+// permutation buffer, which Step rewrites. The sweep stream counter
+// rewinds so replica trajectories reproduce fresh builds exactly.
 func (p *PNDCA) Reset(cfg *lattice.Config, src *rng.Source) {
 	if !cfg.Lattice().SameShape(p.cm.Lat) {
 		panic("core: Reset configuration lattice differs from compiled lattice")

@@ -66,7 +66,8 @@ func (e *LPNDCA) SaveState(w io.Writer) error {
 // carries tracker weights and the engine has no tracker yet (Reset
 // leaves a lazily-built tracker nil on a fresh engine), the tracker is
 // built first — its enabled bitset is a pure function of the already
-// restored cells — and its drifted weights are then overwritten.
+// restored cells — and its drifted weights are then overwritten; they
+// must match the chunk sums of that bitset up to drift.
 func (e *LPNDCA) LoadState(rd io.Reader) error {
 	d := persist.NewReader(rd)
 	simTime := d.F64()
@@ -81,7 +82,9 @@ func (e *LPNDCA) LoadState(rd io.Reader) error {
 	if d.Err() == nil && cursor >= uint64(max(int(m), 1)) {
 		d.Failf("core: lpndca payload cursor %d with %d chunks", cursor, m)
 	}
-	perm := make([]int, 0, m)
+	// Sized by the partition, not the claims, so a corrupt count cannot
+	// force a huge allocation.
+	perm := make([]int, 0, len(e.perm))
 	for i := 0; i < int(m) && d.Err() == nil; i++ {
 		ci := d.U32()
 		if d.Err() == nil && int(ci) >= len(e.perm) {
@@ -99,7 +102,7 @@ func (e *LPNDCA) LoadState(rd io.Reader) error {
 	if hasTracker == 1 && d.Err() == nil {
 		adds = d.U64()
 		nn := d.U32()
-		nodes = make([]float64, 0, nn)
+		nodes = make([]float64, 0, len(e.perm)+1)
 		for i := 0; i < int(nn) && d.Err() == nil; i++ {
 			nodes = append(nodes, d.F64())
 		}
@@ -111,7 +114,8 @@ func (e *LPNDCA) LoadState(rd io.Reader) error {
 		if e.tracker == nil {
 			e.tracker = newRateTracker(e.cm, e.cells, e.part)
 		}
-		if err := e.tracker.weights.Restore(nodes, adds); err != nil {
+		sums, bound := e.tracker.chunkSums(), float64(len(e.cells))*e.cm.K
+		if err := e.tracker.weights.Restore(nodes, adds, func(ci int) float64 { return sums[ci] }, bound); err != nil {
 			return err
 		}
 	}

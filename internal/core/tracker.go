@@ -109,6 +109,13 @@ func (t *rateTracker) afterExecute(rt, s int) {
 // Adds accumulate over long runs. Triggered by the Fenwick tree's Add
 // counter; O(T·N/64 + set bits), so amortised cost is negligible.
 func (t *rateTracker) rebuild() {
+	sums := t.chunkSums()
+	t.weights.Rebuild(func(ci int) float64 { return sums[ci] })
+}
+
+// chunkSums returns the exact enabled rate of every chunk, summed from
+// the enabled bitset.
+func (t *rateTracker) chunkSums() []float64 {
 	sums := make([]float64, t.part.NumChunks())
 	for rt := 0; rt < t.cm.NumTypes(); rt++ {
 		rate := t.cm.Types[rt].Rate
@@ -126,7 +133,7 @@ func (t *rateTracker) rebuild() {
 			}
 		}
 	}
-	t.weights.Rebuild(func(ci int) float64 { return sums[ci] })
+	return sums
 }
 
 // pick draws a chunk with probability proportional to its enabled rate.

@@ -10,6 +10,7 @@ package dmc
 import (
 	"fmt"
 	"io"
+	"math"
 
 	"parsurf/internal/eventq"
 	"parsurf/internal/persist"
@@ -65,12 +66,18 @@ func (v *VSSM) SaveState(w io.Writer) error {
 
 // LoadState restores a payload written by SaveState. Reset has already
 // rebuilt the enabled sets from the configuration; the saved ordering
-// and tree nodes overwrite them, and the restored lists must then name
+// and tree nodes overwrite them. The restored lists must then name
 // exactly the enabled (type, site) pairs of that configuration — a
-// stray site would let Step execute a disabled reaction.
+// stray site would let Step execute a disabled reaction — and each tree
+// weight must match k_rt·|enabled_rt| up to drift, or the resumed draws
+// and clock would be skewed (or NaN). The clock must be finite and
+// non-negative.
 func (v *VSSM) LoadState(rd io.Reader) error {
 	d := persist.NewReader(rd)
 	simTime := d.F64()
+	if d.Err() == nil && (math.IsNaN(simTime) || math.IsInf(simTime, 0) || simTime < 0) {
+		d.Failf("dmc: vssm payload clock %v", simTime)
+	}
 	events := d.U64()
 	numTypes := d.U32()
 	if d.Err() == nil && int(numTypes) != len(v.enabled) {
@@ -101,18 +108,20 @@ func (v *VSSM) LoadState(rd io.Reader) error {
 	}
 	adds := d.U64()
 	nn := d.U32()
-	nodes := make([]float64, 0, nn)
+	// Sized by the engine, not the claim, so a corrupt count cannot
+	// force a huge allocation; Restore rejects a wrong count.
+	nodes := make([]float64, 0, v.typeRates.Len()+1)
 	for i := 0; i < int(nn) && d.Err() == nil; i++ {
 		nodes = append(nodes, d.F64())
 	}
 	if err := d.Err(); err != nil {
 		return err
 	}
-	if err := v.typeRates.Restore(nodes, adds); err != nil {
-		return err
-	}
 	if rt, s, ok := v.CheckConsistency(); !ok {
 		return fmt.Errorf("dmc: vssm payload disagrees with the configuration on reaction %d at site %d", rt, s)
+	}
+	if err := v.typeRates.Restore(nodes, adds, v.typeRate, float64(n)*v.cm.K); err != nil {
+		return err
 	}
 	v.time = simTime
 	v.events = events
@@ -151,7 +160,7 @@ func (f *FRM) LoadState(rd io.Reader) error {
 	if d.Err() == nil && int(k) > f.queue.KeySpace() {
 		d.Failf("dmc: frm payload schedules %d events in a key space of %d", k, f.queue.KeySpace())
 	}
-	snap := make([]eventq.Event, 0, k)
+	snap := make([]eventq.Event, 0, min(int(k), f.queue.KeySpace()))
 	for i := 0; i < int(k) && d.Err() == nil; i++ {
 		t := d.F64()
 		key := d.I64()

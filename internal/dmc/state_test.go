@@ -3,6 +3,8 @@ package dmc
 import (
 	"bytes"
 	"encoding/binary"
+	"math"
+	"runtime"
 	"testing"
 
 	"parsurf/internal/rng"
@@ -94,24 +96,36 @@ func TestFRMLoadStateRejectsStrayKey(t *testing.T) {
 	}
 }
 
-// A payload whose enabled list names a site where the reaction is not
-// enabled must not load: Step would execute the disabled reaction and
-// corrupt the lattice.
-func TestVSSMLoadStateRejectsStraySite(t *testing.T) {
+// runVSSM returns a VSSM advanced 2,000 events on a 16² ZGB lattice
+// with its SaveState payload.
+func runVSSM(t testing.TB) (*VSSM, []byte) {
+	t.Helper()
 	cm, cfg, src := zgbSetup(t, 16, 5)
 	v := NewVSSM(cm, cfg, src)
 	for i := 0; i < 2000; i++ {
 		v.Step()
 	}
-	load := func(payload []byte) error {
-		w := NewVSSM(cm, cfg.Clone(), rng.New(1))
-		return w.LoadState(bytes.NewReader(payload))
-	}
-	var good bytes.Buffer
-	if err := v.SaveState(&good); err != nil {
+	var buf bytes.Buffer
+	if err := v.SaveState(&buf); err != nil {
 		t.Fatal(err)
 	}
-	if err := load(good.Bytes()); err != nil {
+	return v, buf.Bytes()
+}
+
+// loadVSSM loads payload into a fresh VSSM over a copy of v's
+// configuration, the state ResumeSession hands LoadState.
+func loadVSSM(v *VSSM, payload []byte) (*VSSM, error) {
+	w := NewVSSM(v.cm, v.cfg.Clone(), rng.New(1))
+	return w, w.LoadState(bytes.NewReader(payload))
+}
+
+// A payload whose enabled list names a site where the reaction is not
+// enabled must not load: Step would execute the disabled reaction and
+// corrupt the lattice.
+func TestVSSMLoadStateRejectsStraySite(t *testing.T) {
+	v, good := runVSSM(t)
+	cm := v.cm
+	if _, err := loadVSSM(v, good); err != nil {
 		t.Fatalf("own payload rejected: %v", err)
 	}
 	rt := -1
@@ -138,7 +152,61 @@ func TestVSSMLoadStateRejectsStraySite(t *testing.T) {
 		t.Fatal(err)
 	}
 	v.enabled[rt][0] = saved
-	if err := load(bad.Bytes()); err == nil {
+	if _, err := loadVSSM(v, bad.Bytes()); err == nil {
 		t.Fatalf("payload listing disabled site %d for reaction %d loaded without error", stray, rt)
+	}
+}
+
+// A payload whose last Fenwick node (the weight of the last reaction
+// type alone) is NaN or far from k·|enabled| must not load: with NaN
+// every later clock is NaN, and a wrong finite weight skews the draws.
+func TestVSSMLoadStateRejectsCorruptTreeNode(t *testing.T) {
+	v, payload := runVSSM(t)
+	if _, err := loadVSSM(v, payload); err != nil {
+		t.Fatalf("own payload rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		node float64
+	}{{"NaN", math.NaN()}, {"1e6", 1e6}} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), payload...)
+			binary.LittleEndian.PutUint64(bad[len(bad)-8:], math.Float64bits(tc.node))
+			if _, err := loadVSSM(v, bad); err == nil {
+				t.Fatalf("payload with last tree node %v loaded without error", tc.node)
+			}
+		})
+	}
+}
+
+// allocatedBy returns the bytes f allocates.
+func allocatedBy(f func()) uint64 {
+	var before, after runtime.MemStats
+	runtime.ReadMemStats(&before)
+	f()
+	runtime.ReadMemStats(&after)
+	return after.TotalAlloc - before.TotalAlloc
+}
+
+// A payload claiming 2³²-1 heap entries or tree nodes must fail
+// without allocating for the claim: the count is untrusted input.
+func TestLoadStateInflatedCountsAllocateNothing(t *testing.T) {
+	f := runFRM(t)
+	frmPayload := saveFRM(t, f)
+	binary.LittleEndian.PutUint32(frmPayload[16:], math.MaxUint32)
+	v, vssmPayload := runVSSM(t)
+	// The node count precedes the Fenwick nodes at the payload's end.
+	binary.LittleEndian.PutUint32(vssmPayload[len(vssmPayload)-8*(v.typeRates.Len()+1)-4:], math.MaxUint32)
+	for name, load := range map[string]func() error{
+		"frm heap length":      func() error { return loadFRM(f, frmPayload) },
+		"vssm tree node count": func() error { _, err := loadVSSM(v, vssmPayload); return err },
+	} {
+		var err error
+		if n := allocatedBy(func() { err = load() }); n > 1<<20 {
+			t.Errorf("%s: loading allocated %d bytes", name, n)
+		}
+		if err == nil {
+			t.Errorf("%s: inflated payload loaded without error", name)
+		}
 	}
 }

@@ -145,10 +145,12 @@ func (v *VSSM) EnabledCount(rt int) int { return len(v.enabled[rt]) }
 // (adds and removes of the same rate interleave with other types);
 // resync clears it. It runs both reactively (Search landed on an empty
 // type) and proactively (the tree's Add counter trips NeedsRebuild).
-func (v *VSSM) resync() {
-	v.typeRates.Rebuild(func(rt int) float64 {
-		return v.cm.Types[rt].Rate * float64(len(v.enabled[rt]))
-	})
+func (v *VSSM) resync() { v.typeRates.Rebuild(v.typeRate) }
+
+// typeRate is the exact weight of reaction rt in the type-rate tree,
+// k_rt·|enabled_rt|.
+func (v *VSSM) typeRate(rt int) float64 {
+	return v.cm.Types[rt].Rate * float64(len(v.enabled[rt]))
 }
 
 // Step executes one reaction event. It reports false from an absorbing

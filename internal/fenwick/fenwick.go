@@ -5,7 +5,10 @@
 // to its rate) and for rate-weighted chunk selection in L-PNDCA.
 package fenwick
 
-import "fmt"
+import (
+	"fmt"
+	"math"
+)
 
 // Tree is a Fenwick tree over n float64 weights, indexed 0..n-1.
 type Tree struct {
@@ -161,13 +164,36 @@ func (t *Tree) State(dst []float64) ([]float64, uint64) {
 	return append(dst, t.tree...), t.adds
 }
 
+// driftTolerance bounds, as a share of the largest total the weights
+// can reach, how far floating-point drift can move a leaf. Each of at
+// most RebuildEvery Adds rounds every node it touches by at most half
+// an ulp of that total, and a leaf is read as the difference of two
+// prefix sums of at most 64 nodes each, so drift stays within
+// 128·2²⁰·2⁻⁵³ = 2⁻²⁶ ≈ 1.5e-8; the tolerance leaves a wide margin.
+const driftTolerance = 1e-6
+
 // Restore overwrites the internal nodes and Add counter with a state
-// captured by State. The node slice must match the tree's size.
-func (t *Tree) Restore(nodes []float64, adds uint64) error {
+// captured by State. The node slice must match the tree's size, every
+// node must be finite and the unused 0th slot zero, and every restored
+// weight must lie within drift of leaf(i), the true value its owner
+// derives, where bound is the largest total the weights can reach. A
+// rejected state leaves the tree unusable until Reset or Rebuild.
+func (t *Tree) Restore(nodes []float64, adds uint64, leaf func(i int) float64, bound float64) error {
 	if len(nodes) != t.n+1 {
 		return fmt.Errorf("fenwick: restoring %d nodes into a tree of %d", len(nodes), t.n+1)
 	}
+	for i, v := range nodes {
+		if math.IsNaN(v) || math.IsInf(v, 0) || (i == 0 && v != 0) {
+			return fmt.Errorf("fenwick: restored node %d is %v", i, v)
+		}
+	}
 	copy(t.tree, nodes)
 	t.adds = adds
+	tol := driftTolerance * bound
+	for i := 0; i < t.n; i++ {
+		if got, want := t.Get(i), leaf(i); !(math.Abs(got-want) <= tol) {
+			return fmt.Errorf("fenwick: restored weight %d is %v, want %v within %v", i, got, want, tol)
+		}
+	}
 	return nil
 }

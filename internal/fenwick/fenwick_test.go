@@ -306,3 +306,67 @@ func TestNeedsRebuildThreshold(t *testing.T) {
 		t.Fatal("Reset did not clear the counter")
 	}
 }
+
+// A state captured after many interleaved signed Adds restores, drift
+// and all, against its true leaf values: the check admits drift.
+func TestRestoreAcceptsDriftedState(t *testing.T) {
+	const n = 7
+	tr := New(n)
+	leaves := make([]float64, n)
+	src := rng.New(9)
+	for i := 0; i < 200000; i++ {
+		slot := src.Intn(n)
+		delta := 0.1 * float64(1+src.Intn(7))
+		if leaves[slot] >= delta && src.Intn(2) == 0 {
+			delta = -delta
+		}
+		tr.Add(slot, delta)
+		leaves[slot] += delta
+	}
+	nodes, adds := tr.State(nil)
+	back := New(n)
+	if err := back.Restore(nodes, adds, func(i int) float64 { return leaves[i] }, 0.7*200000); err != nil {
+		t.Fatalf("drifted state rejected: %v", err)
+	}
+	for i := 0; i < n; i++ {
+		if math.Float64bits(back.Get(i)) != math.Float64bits(tr.Get(i)) {
+			t.Fatalf("restored weight %d is %v, saved %v", i, back.Get(i), tr.Get(i))
+		}
+	}
+	if back.Adds() != adds {
+		t.Fatalf("restored Adds %d, saved %d", back.Adds(), adds)
+	}
+}
+
+// Restore rejects a node that is not finite, a nonzero unused slot and
+// a weight further from its true value than drift can reach.
+func TestRestoreRejectsCorruptNodes(t *testing.T) {
+	leaves := []float64{1, 2, 3, 4, 5}
+	tr := FromWeights(leaves)
+	good, _ := tr.State(nil)
+	leaf := func(i int) float64 { return leaves[i] }
+	if err := New(len(leaves)).Restore(good, 0, leaf, 15); err != nil {
+		t.Fatalf("own state rejected: %v", err)
+	}
+	for _, tc := range []struct {
+		name string
+		node int
+		v    float64
+	}{
+		{"NaN", 5, math.NaN()},
+		{"+Inf", 4, math.Inf(1)},
+		{"-Inf", 1, math.Inf(-1)},
+		{"unused slot", 0, 1},
+		{"wrong weight", 5, 1e6},
+		{"slightly wrong weight", 3, good[3] + 1e-3},
+	} {
+		nodes := append([]float64(nil), good...)
+		nodes[tc.node] = tc.v
+		if err := New(len(leaves)).Restore(nodes, 0, leaf, 15); err == nil {
+			t.Errorf("%s: node %d = %v restored without error", tc.name, tc.node, tc.v)
+		}
+	}
+	if err := New(len(leaves)).Restore(good[:3], 0, leaf, 15); err == nil {
+		t.Error("short state restored without error")
+	}
+}

@@ -49,9 +49,11 @@
 // TimeGrid and streaming them through a per-grid-point moment merge;
 // RunSweep runs one such ensemble per spec variant over a single
 // worker pool — the workhorses for phase-diagram and criteria sweeps.
-// The direct constructors (NewRSM, NewLPNDCA, …) remain for
-// fine-grained control; a Session with the same seed reproduces their
-// trajectories bit for bit.
+// For fine-grained control, NewEngine builds a named engine with the
+// same options over an explicit compiled model, configuration and
+// random source. It and Session.Engine return the Engine interface;
+// type-assert it to the concrete engine types (*RSM, *LPNDCA, …) for
+// engine-specific counters.
 //
 // The façade in this package re-exports the pieces needed for everyday
 // use; the sub-packages under internal/ carry the implementations and
@@ -59,8 +61,6 @@
 package parsurf
 
 import (
-	"context"
-
 	"parsurf/internal/ca"
 	"parsurf/internal/core"
 	"parsurf/internal/dmc"
@@ -70,9 +70,7 @@ import (
 	"parsurf/internal/parallel"
 	"parsurf/internal/partition"
 	"parsurf/internal/rng"
-	"parsurf/internal/sim"
 	"parsurf/internal/stats"
-	"parsurf/internal/timegrid"
 	"parsurf/internal/ziff"
 )
 
@@ -98,8 +96,6 @@ type (
 	Partition = partition.Partition
 	// TypeSplit is the Ω×T partitioning of the type-partitioned method.
 	TypeSplit = partition.TypeSplit
-	// Simulator is the common interface of every engine.
-	Simulator = dmc.Simulator
 	// Series is a sampled time series.
 	Series = stats.Series
 	// RNG is the deterministic splittable random source.
@@ -189,48 +185,6 @@ func Compile(m *Model, lat *Lattice) (*Compiled, error) { return model.Compile(m
 // MustCompile is Compile that panics on error.
 func MustCompile(m *Model, lat *Lattice) *Compiled { return model.MustCompile(m, lat) }
 
-// NewRSM returns a Random Selection Method engine.
-func NewRSM(cm *Compiled, cfg *Config, src *RNG) *RSM { return dmc.NewRSM(cm, cfg, src) }
-
-// NewVSSM returns a variable-step-size (direct method) engine.
-func NewVSSM(cm *Compiled, cfg *Config, src *RNG) *VSSM { return dmc.NewVSSM(cm, cfg, src) }
-
-// NewFRM returns a first-reaction-method engine.
-func NewFRM(cm *Compiled, cfg *Config, src *RNG) *FRM { return dmc.NewFRM(cm, cfg, src) }
-
-// NewNDCA returns a non-deterministic CA engine.
-func NewNDCA(cm *Compiled, cfg *Config, src *RNG) *NDCA { return ca.NewNDCA(cm, cfg, src) }
-
-// NewSyncNDCA returns a synchronous NDCA with conflict resolution.
-func NewSyncNDCA(cm *Compiled, cfg *Config, src *RNG) *SyncNDCA {
-	return ca.NewSyncNDCA(cm, cfg, src)
-}
-
-// NewPNDCA returns a partitioned NDCA over the given partition.
-func NewPNDCA(cm *Compiled, cfg *Config, src *RNG, p *Partition) *PNDCA {
-	return core.NewPNDCA(cm, cfg, src, p)
-}
-
-// NewLPNDCA returns the generalised L-PNDCA with L trials per chunk
-// selection.
-func NewLPNDCA(cm *Compiled, cfg *Config, src *RNG, p *Partition, l int) *LPNDCA {
-	return core.NewLPNDCA(cm, cfg, src, p, l)
-}
-
-// NewTypePartitioned returns the Ω×T-partitioned engine.
-func NewTypePartitioned(cm *Compiled, cfg *Config, src *RNG, ts *TypeSplit) *TypePartitioned {
-	return core.NewTypePartitioned(cm, cfg, src, ts)
-}
-
-// NewDDRSM returns the domain-decomposition RSM baseline with p strips.
-func NewDDRSM(cm *Compiled, cfg *Config, src *RNG, p int) (*DDRSM, error) {
-	return parallel.NewDDRSM(cm, cfg, src, p)
-}
-
-// NewZiff returns the classic adsorption-limited ZGB simulation with CO
-// fraction y.
-func NewZiff(lat *Lattice, src *RNG, y float64) *ZiffZGB { return ziff.New(lat, src, y) }
-
 // VonNeumann5 returns the five-chunk partition of Fig. 4.
 func VonNeumann5(lat *Lattice) (*Partition, error) { return partition.VonNeumann5(lat) }
 
@@ -261,25 +215,6 @@ func SplitByDirection(m *Model, lat *Lattice) (*TypeSplit, error) {
 // DefaultMachine returns the virtual parallel machine calibrated to the
 // paper's setting (Fig. 7).
 func DefaultMachine() MachineModel { return machine.Default() }
-
-// RunUntil advances sim until its clock reaches t.
-func RunUntil(sim Simulator, t float64) int { return dmc.RunUntil(sim, t) }
-
-// Sample runs s, invoking observe at every dt of simulated time up to
-// tEnd, plus a final sample at tEnd exactly when tEnd is not on the dt
-// grid: the schedule and loop of Session.Run with SampleEvery. A
-// degenerate schedule (dt <= 0, a dt too small to advance the clock's
-// floats, or one fine enough to exceed the grid-point cap) panics —
-// Sample has no error channel, and silently taking zero samples would
-// hand callers an empty series.
-func Sample(s Simulator, dt, tEnd float64, observe func(t float64)) {
-	grid, err := timegrid.From(s.Time(), tEnd, dt)
-	if err != nil {
-		panic("parsurf: " + err.Error())
-	}
-	// A background context never cancels, so the loop cannot fail.
-	sim.SampleGrid(context.Background(), s, grid, 0, ObserverFunc(func(t float64, _ *Config) { observe(t) }))
-}
 
 // PtCoverages extracts (CO, O, square-phase) coverages from a Pt(100)
 // configuration.

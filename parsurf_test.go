@@ -1,11 +1,24 @@
 package parsurf_test
 
 import (
+	"context"
 	"math"
 	"testing"
 
 	"parsurf"
+	"parsurf/internal/sim"
 )
+
+// newEngine builds the named engine over cm on a fresh configuration
+// of lat, drawing from NewRNG(seed).
+func newEngine(t testing.TB, name string, cm *parsurf.Compiled, lat *parsurf.Lattice, seed uint64, opts ...parsurf.EngineOption) parsurf.Engine {
+	t.Helper()
+	eng, err := parsurf.NewEngine(name, cm, parsurf.NewConfig(lat), parsurf.NewRNG(seed), opts...)
+	if err != nil {
+		t.Fatalf("%s: %v", name, err)
+	}
+	return eng
+}
 
 // The quickstart path: build a model, compile, simulate, observe.
 func TestFacadeQuickstart(t *testing.T) {
@@ -15,12 +28,11 @@ func TestFacadeQuickstart(t *testing.T) {
 	if err != nil {
 		t.Fatal(err)
 	}
-	cfg := parsurf.NewConfig(lat)
-	sim := parsurf.NewRSM(cm, cfg, parsurf.NewRNG(1))
-	parsurf.RunUntil(sim, 5)
-	if sim.Time() < 5 {
-		t.Fatal("RunUntil under-ran")
+	eng := newEngine(t, "rsm", cm, lat, 1)
+	for eng.Time() < 5 {
+		eng.Step()
 	}
+	cfg := eng.Config()
 	total := cfg.Coverage(0) + cfg.Coverage(1) + cfg.Coverage(2)
 	if math.Abs(total-1) > 1e-12 {
 		t.Fatal("coverages do not partition")
@@ -38,9 +50,7 @@ func TestFacadePartitionedPath(t *testing.T) {
 	if err := parsurf.VerifyNonOverlap(part, m); err != nil {
 		t.Fatal(err)
 	}
-	cfg := parsurf.NewConfig(lat)
-	p := parsurf.NewPNDCA(cm, cfg, parsurf.NewRNG(2), part)
-	p.Workers = 4
+	p := newEngine(t, "pndca", cm, lat, 2, parsurf.PartitionNamed("vonneumann5"), parsurf.Workers(4)).(*parsurf.PNDCA)
 	for i := 0; i < 10; i++ {
 		p.Step()
 	}
@@ -48,49 +58,37 @@ func TestFacadePartitionedPath(t *testing.T) {
 		t.Fatal("no reactions")
 	}
 
-	e := parsurf.NewLPNDCA(cm, parsurf.NewConfig(lat), parsurf.NewRNG(3), part, 10)
-	e.Strategy = parsurf.RateWeighted
+	e := newEngine(t, "lpndca", cm, lat, 3, parsurf.PartitionNamed("vonneumann5"),
+		parsurf.Trials(10), parsurf.Strategy(parsurf.RateWeighted)).(*parsurf.LPNDCA)
 	e.Step()
 	if e.Trials() == 0 {
 		t.Fatal("no trials")
 	}
 
-	ts, err := parsurf.SplitByDirection(m, lat)
-	if err != nil {
+	if _, err := parsurf.SplitByDirection(m, lat); err != nil {
 		t.Fatal(err)
 	}
-	tp := parsurf.NewTypePartitioned(cm, parsurf.NewConfig(lat), parsurf.NewRNG(4), ts)
-	tp.Step()
+	newEngine(t, "typepart", cm, lat, 4, parsurf.TypeSplitNamed("bydirection")).Step()
 }
 
+// Every registered engine builds through NewEngine and advances its
+// clock on its first step.
 func TestFacadeEngines(t *testing.T) {
 	lat := parsurf.NewSquareLattice(12)
-	m := parsurf.NewZGBModel(parsurf.DefaultZGBRates())
-	cm := parsurf.MustCompile(m, lat)
-	sims := []parsurf.Simulator{
-		parsurf.NewRSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(5)),
-		parsurf.NewVSSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(6)),
-		parsurf.NewFRM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(7)),
-		parsurf.NewNDCA(cm, parsurf.NewConfig(lat), parsurf.NewRNG(8)),
-		parsurf.NewSyncNDCA(cm, parsurf.NewConfig(lat), parsurf.NewRNG(9)),
-	}
-	d, err := parsurf.NewDDRSM(cm, parsurf.NewConfig(lat), parsurf.NewRNG(10), 2)
-	if err != nil {
-		t.Fatal(err)
-	}
-	sims = append(sims, d)
-	for i, sim := range sims {
-		if !sim.Step() {
-			t.Fatalf("engine %d could not step", i)
+	cm := parsurf.MustCompile(parsurf.NewZGBModel(parsurf.DefaultZGBRates()), lat)
+	for i, name := range parsurf.Engines() {
+		eng := newEngine(t, name, cm, lat, uint64(5+i))
+		if !eng.Step() {
+			t.Fatalf("%s could not step", name)
 		}
-		if sim.Time() <= 0 {
-			t.Fatalf("engine %d time did not advance", i)
+		if eng.Time() <= 0 {
+			t.Fatalf("%s time did not advance", name)
 		}
 	}
 }
 
 func TestFacadeZiffAndMachine(t *testing.T) {
-	z := parsurf.NewZiff(parsurf.NewSquareLattice(16), parsurf.NewRNG(11), 0.5)
+	z := newEngine(t, "ziff", nil, parsurf.NewSquareLattice(16), 11, parsurf.COFraction(0.5)).(*parsurf.ZiffZGB)
 	for i := 0; i < 30; i++ {
 		z.Step()
 	}
@@ -112,14 +110,15 @@ func TestFacadePtCO(t *testing.T) {
 	lat := parsurf.NewSquareLattice(20)
 	m := parsurf.NewPtCOModel(parsurf.DefaultPtCORates())
 	cm := parsurf.MustCompile(m, lat)
-	cfg := parsurf.NewConfig(lat)
-	sim := parsurf.NewVSSM(cm, cfg, parsurf.NewRNG(12))
-	count := 0
-	parsurf.Sample(sim, 1, 10, func(tm float64) { count++ })
-	if count < 5 {
-		t.Fatalf("Sample observed %d points", count)
+	eng := newEngine(t, "vssm", cm, lat, 12)
+	_, samples, err := sim.RunContext(context.Background(), eng, 1, 10)
+	if err != nil {
+		t.Fatal(err)
 	}
-	co, o, sq := parsurf.PtCoverages(cfg)
+	if samples < 5 {
+		t.Fatalf("run observed %d points", samples)
+	}
+	co, o, sq := parsurf.PtCoverages(eng.Config())
 	if co < 0 || o < 0 || sq < 0 || co > 1 || o > 1 || sq > 1 {
 		t.Fatal("coverages out of range")
 	}

@@ -254,8 +254,8 @@ func WithEngine(name string, opts ...EngineOption) SessionOption {
 }
 
 // WithSeed sets the deterministic base seed (default 1). The engine
-// draws from NewRNG(seed) exactly as the direct constructors do, so a
-// Session reproduces their trajectories bit for bit.
+// draws from NewRNG(seed), so a Session reproduces NewEngine over
+// NewRNG(seed) bit for bit.
 func WithSeed(seed uint64) SessionOption {
 	return func(d *specfile.Spec) error {
 		d.Seed = &seed
