@@ -2,11 +2,13 @@ package parsurf_test
 
 import (
 	"context"
+	"reflect"
 	"strings"
 	"testing"
 
 	"parsurf"
 	"parsurf/internal/goldentrace"
+	"parsurf/internal/registry"
 	"parsurf/internal/sim"
 	"parsurf/internal/stats"
 )
@@ -57,6 +59,36 @@ func TestRegistryRoundTrip(t *testing.T) {
 		}
 		if eng.Time() <= 0 {
 			t.Errorf("%s: time did not advance", name)
+		}
+	}
+}
+
+// Every exported field of an engine is a knob a spec can turn: it maps
+// to an option bit the engine's registry entry accepts. A field no spec
+// reaches would be a behaviour only hand-built engines could select.
+func TestEngineFieldsReachableFromSpec(t *testing.T) {
+	optionOf := map[string]registry.OptionSet{
+		"Workers":           parsurf.OptWorkers,
+		"L":                 parsurf.OptL,
+		"Strategy":          parsurf.OptStrategy,
+		"DeterministicTime": parsurf.OptDeterministicTime,
+		"Y":                 parsurf.OptY,
+	}
+	for _, name := range parsurf.Engines() {
+		es, _ := parsurf.LookupEngine(name)
+		sess, err := checkpointSpec(t, name).Session()
+		if err != nil {
+			t.Fatalf("%s: %v", name, err)
+		}
+		typ := reflect.TypeOf(sess.Engine()).Elem()
+		for i := 0; i < typ.NumField(); i++ {
+			f := typ.Field(i)
+			if !f.IsExported() {
+				continue
+			}
+			if opt, ok := optionOf[f.Name]; !ok || es.Accepts&opt == 0 {
+				t.Errorf("%s: exported field %s.%s maps to no option the spec accepts", name, typ, f.Name)
+			}
 		}
 	}
 }

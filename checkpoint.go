@@ -6,6 +6,7 @@ import (
 	"encoding/hex"
 	"fmt"
 	"io"
+	"math"
 
 	"parsurf/internal/persist"
 	"parsurf/internal/rng"
@@ -64,7 +65,10 @@ func ResumeSession(spec *SessionSpec, r io.Reader) (*Session, error) {
 // cells-dependent structure from them, LoadState overwrites the
 // history-dependent remainder, and the raw source state is restored
 // last, in place (the engine holds the session's source pointer), so
-// nothing later in the sequence can advance it.
+// nothing later in the sequence can advance it. The restored clock
+// must be finite and non-negative, and it and the step count must
+// equal the header's: Checkpoint writes both from the same engine, so
+// any difference is a corrupt payload or header.
 func resumeSession(sp *SessionSpec, cp *persist.Checkpoint) (*Session, error) {
 	name := sp.EngineName()
 	l0, l1 := sp.Extents()
@@ -93,6 +97,16 @@ func resumeSession(sp *SessionSpec, cp *persist.Checkpoint) (*Session, error) {
 	}
 	if pr.Len() != 0 {
 		return nil, fmt.Errorf("parsurf: %d trailing bytes in %s engine payload", pr.Len(), name)
+	}
+	t := s.eng.Time()
+	if math.IsNaN(t) || math.IsInf(t, 0) || t < 0 {
+		return nil, fmt.Errorf("parsurf: restored %s clock %v is not a finite non-negative time", name, t)
+	}
+	if math.Float64bits(t) != math.Float64bits(cp.Time) {
+		return nil, fmt.Errorf("parsurf: restored %s clock %v, checkpoint header says %v", name, t, cp.Time)
+	}
+	if n := s.eng.Steps(); n != cp.Steps {
+		return nil, fmt.Errorf("parsurf: restored %s step count %d, checkpoint header says %d", name, n, cp.Steps)
 	}
 	s.src.Restore(cp.RNG.State())
 	return s, nil

@@ -2,6 +2,8 @@ package parsurf_test
 
 import (
 	"bytes"
+	"encoding/binary"
+	"math"
 	"strings"
 	"testing"
 
@@ -14,7 +16,7 @@ import (
 // the shared ZGB preset on the golden-trace lattice (the model-free
 // ziff engine runs bare), with a random initial coverage so the
 // checkpointed configuration is never the trivial all-empty one.
-func checkpointSpec(t *testing.T, engine string, engOpts ...parsurf.EngineOption) *parsurf.SessionSpec {
+func checkpointSpec(t testing.TB, engine string, engOpts ...parsurf.EngineOption) *parsurf.SessionSpec {
 	t.Helper()
 	opts := []parsurf.SessionOption{
 		parsurf.WithLattice(goldentrace.Side, goldentrace.Side),
@@ -111,6 +113,23 @@ func TestCheckpointResumeLPNDCAStrategies(t *testing.T) {
 	}
 }
 
+// checkpointAfter returns the canonical spec of the named engine and a
+// checkpoint of its session taken after steps steps.
+func checkpointAfter(tb testing.TB, name string, steps int) (*parsurf.SessionSpec, []byte) {
+	tb.Helper()
+	spec := checkpointSpec(tb, name)
+	sess, err := spec.Session()
+	if err != nil {
+		tb.Fatalf("%s: %v", name, err)
+	}
+	goldentrace.Fingerprint(sess.Engine(), steps)
+	var buf bytes.Buffer
+	if err := sess.Checkpoint(&buf); err != nil {
+		tb.Fatalf("%s: checkpoint: %v", name, err)
+	}
+	return spec, buf.Bytes()
+}
+
 // rewriteCheckpoint decodes a checkpoint, lets mutate edit it, and
 // re-encodes it, for forging mismatched checkpoints in guard tests.
 func rewriteCheckpoint(t *testing.T, data []byte, mutate func(cp *persist.Checkpoint)) []byte {
@@ -194,4 +213,48 @@ func TestResumeSessionGuards(t *testing.T) {
 		})
 		expectErr(t, spec, forged, "trailing")
 	})
+}
+
+// Every engine's restored clock and step count must agree with the
+// checkpoint header, and the clock must be a finite non-negative time.
+// Each engine but ziff (whose clock is trials/N) leads its payload with
+// the clock; a NaN there, copied into the header so only the
+// finiteness guard can trip, must be refused, as must a header whose
+// time or step count was altered after the fact.
+func TestResumeSessionRejectsInconsistentClock(t *testing.T) {
+	for _, name := range parsurf.Engines() {
+		t.Run(name, func(t *testing.T) {
+			spec, good := checkpointAfter(t, name, 3)
+			if _, err := parsurf.ResumeSession(spec, bytes.NewReader(good)); err != nil {
+				t.Fatalf("untampered checkpoint refused: %v", err)
+			}
+			type forgery struct {
+				what   string
+				mutate func(cp *persist.Checkpoint)
+			}
+			cases := []forgery{
+				{"header time", func(cp *persist.Checkpoint) { cp.Time = math.Nextafter(cp.Time, math.Inf(1)) }},
+				{"header steps", func(cp *persist.Checkpoint) { cp.Steps++ }},
+			}
+			if name != "ziff" {
+				cases = append(cases, forgery{"nan clock", func(cp *persist.Checkpoint) {
+					cp.Payload = append([]byte(nil), cp.Payload...)
+					binary.LittleEndian.PutUint64(cp.Payload, math.Float64bits(math.NaN()))
+					cp.Time = math.NaN()
+				}})
+			}
+			for _, c := range cases {
+				t.Run(c.what, func(t *testing.T) {
+					forged := rewriteCheckpoint(t, good, c.mutate)
+					_, err := parsurf.ResumeSession(spec, bytes.NewReader(forged))
+					if err == nil {
+						t.Fatal("resume accepted the forged checkpoint")
+					}
+					if !strings.Contains(err.Error(), "clock") && !strings.Contains(err.Error(), "step count") {
+						t.Fatalf("error %q names neither the clock nor the step count", err)
+					}
+				})
+			}
+		})
+	}
 }

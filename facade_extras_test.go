@@ -7,7 +7,6 @@ import (
 	"testing"
 
 	"parsurf"
-	"parsurf/internal/ziff"
 )
 
 func TestFacadeObserversAndCheckpoint(t *testing.T) {
@@ -95,15 +94,7 @@ func TestFacadeClustersAndOscillation(t *testing.T) {
 	}
 }
 
-func TestFacadeZiffDesorptionAndSVG(t *testing.T) {
-	z := ziff.NewWithDesorption(parsurf.NewSquareLattice(12), parsurf.NewRNG(2), 0.6, 0.05)
-	for i := 0; i < 50; i++ {
-		z.Step()
-	}
-	if z.Config().Count(0) == 0 && z.Config().Count(2) == 0 {
-		t.Fatal("desorbing ZGB froze")
-	}
-
+func TestFacadeSVG(t *testing.T) {
 	s := &parsurf.Series{}
 	s.Append(0, 0)
 	s.Append(1, 1)

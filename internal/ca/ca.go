@@ -85,25 +85,19 @@ func MajorityRule2D(prev *lattice.Config, s int) lattice.Species {
 }
 
 // NDCA is the Non-Deterministic Cellular Automaton of §4, in its
-// site-sequential reading: each step visits every site once (in raster
-// order, or in a fresh random order when RandomOrder is set), selects a
-// reaction type with probability k_i/K, executes it if enabled, and
-// advances the time exactly like an RSM trial. The difference from RSM
-// is the site-selection mechanism — every site exactly once per step —
-// which the paper identifies as the source of NDCA's bias.
+// site-sequential reading: each step visits every site once in raster
+// order, selects a reaction type with probability k_i/K, executes it if
+// enabled, and advances the time exactly like an RSM trial. The
+// difference from RSM is the site-selection mechanism — every site
+// exactly once per step — which the paper identifies as the source of
+// NDCA's bias.
 type NDCA struct {
 	cm    *model.Compiled
 	cfg   *lattice.Config
 	cells []lattice.Species
 	src   *rng.Source
 	time  float64
-	order []int
-	// swap is the Shuffle callback over order, built once: a closure
-	// literal in Step would escape and allocate every call.
-	swap func(i, j int)
 
-	// RandomOrder shuffles the sweep order every step.
-	RandomOrder bool
 	// DeterministicTime uses 1/(N·K) per trial instead of Exp(N·K).
 	DeterministicTime bool
 
@@ -117,19 +111,11 @@ func NewNDCA(cm *model.Compiled, cfg *lattice.Config, src *rng.Source) *NDCA {
 	if !cfg.Lattice().SameShape(cm.Lat) {
 		panic("ca: configuration lattice differs from compiled lattice")
 	}
-	order := make([]int, cm.Lat.N())
-	for i := range order {
-		order[i] = i
-	}
-	a := &NDCA{cm: cm, cfg: cfg, cells: cfg.Cells(), src: src, order: order}
-	a.swap = func(i, j int) { a.order[i], a.order[j] = a.order[j], a.order[i] }
-	return a
+	return &NDCA{cm: cm, cfg: cfg, cells: cfg.Cells(), src: src}
 }
 
 // Reset rewinds the engine over a fresh configuration (see
-// registry.Engine.Reset). The sweep order returns to the raster
-// identity a fresh engine starts from (RandomOrder shuffles it in
-// place, so a reused engine would otherwise begin mid-permutation).
+// registry.Engine.Reset).
 func (a *NDCA) Reset(cfg *lattice.Config, src *rng.Source) {
 	if !cfg.Lattice().SameShape(a.cm.Lat) {
 		panic("ca: Reset configuration lattice differs from compiled lattice")
@@ -137,9 +123,6 @@ func (a *NDCA) Reset(cfg *lattice.Config, src *rng.Source) {
 	a.cfg, a.cells, a.src = cfg, cfg.Cells(), src
 	a.time = 0
 	a.steps, a.trials, a.successes = 0, 0, 0
-	for i := range a.order {
-		a.order[i] = i
-	}
 }
 
 // Step performs one NDCA step: one trial at every site.
@@ -148,10 +131,7 @@ func (a *NDCA) Reset(cfg *lattice.Config, src *rng.Source) {
 func (a *NDCA) Step() bool {
 	n := a.cm.Lat.N()
 	nk := float64(n) * a.cm.K
-	if a.RandomOrder {
-		a.src.Shuffle(n, a.swap)
-	}
-	for _, s := range a.order {
+	for s := 0; s < n; s++ {
 		rt := a.cm.PickType(a.src.Float64())
 		if a.cm.TryExecute(a.cells, rt, s) {
 			a.successes++

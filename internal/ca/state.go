@@ -9,49 +9,25 @@ import (
 	"parsurf/internal/persist"
 )
 
-// SaveState writes the NDCA clock, counters and the sweep order. The
-// order is shuffled in place across steps under RandomOrder, so it is
-// history-dependent and must survive verbatim.
+// SaveState writes the NDCA clock and counters; the raster sweep
+// order carries no state across steps.
 func (a *NDCA) SaveState(w io.Writer) error {
 	e := persist.NewWriter(w)
 	e.F64(a.time)
 	e.U64(a.steps)
 	e.U64(a.trials)
 	e.U64(a.successes)
-	e.U32(uint32(len(a.order)))
-	for _, s := range a.order {
-		e.U32(uint32(s))
-	}
 	return e.Err()
 }
 
 // LoadState restores a payload written by SaveState.
 func (a *NDCA) LoadState(rd io.Reader) error {
 	d := persist.NewReader(rd)
-	simTime := d.F64()
-	steps := d.U64()
-	trials := d.U64()
-	successes := d.U64()
-	n := d.U32()
-	if d.Err() == nil && int(n) != len(a.order) {
-		d.Failf("ca: ndca payload orders %d sites, lattice has %d", n, len(a.order))
-	}
-	order := make([]int, 0, n)
-	for i := 0; i < int(n) && d.Err() == nil; i++ {
-		s := d.U32()
-		if d.Err() == nil && int(s) >= len(a.order) {
-			d.Failf("ca: ndca payload site %d outside lattice", s)
-			break
-		}
-		order = append(order, int(s))
-	}
-	if err := d.Err(); err != nil {
-		return err
-	}
-	copy(a.order, order)
-	a.time = simTime
-	a.steps, a.trials, a.successes = steps, trials, successes
-	return nil
+	a.time = d.F64()
+	a.steps = d.U64()
+	a.trials = d.U64()
+	a.successes = d.U64()
+	return d.Err()
 }
 
 // SaveState writes the synchronous NDCA clock and counters; claim

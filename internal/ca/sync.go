@@ -6,23 +6,14 @@ import (
 	"parsurf/internal/rng"
 )
 
-// ConflictPolicy selects how a synchronous NDCA resolves two proposed
-// reactions whose neighbourhoods overlap (the situation of Fig. 2).
-type ConflictPolicy int
-
-const (
-	// DropAll rejects every reaction involved in a conflict.
-	DropAll ConflictPolicy = iota
-	// RandomWinner keeps, per conflict cluster, the proposal that wins a
-	// site-order lottery drawn this step, dropping the overlapping rest.
-	RandomWinner
-)
-
 // SyncNDCA is the fully synchronous Non-Deterministic CA: every site
 // proposes a rate-weighted reaction based on the state at time t−1, all
 // proposals are checked against that same state, and conflicting
-// proposals are resolved by the configured policy before the survivors
-// are applied simultaneously.
+// proposals (the situation of Fig. 2) are resolved by a lottery drawn
+// each step: proposals claim their neighbourhoods in a random order,
+// the first claimant of a site wins, and every later proposal that
+// overlaps a claimed site is dropped. The survivors are applied
+// simultaneously.
 //
 // This engine exists to *measure* the conflict problem the paper solves
 // with partitions: it counts proposals, conflicts and executed
@@ -35,7 +26,6 @@ type SyncNDCA struct {
 	src   *rng.Source
 	time  float64
 
-	Policy ConflictPolicy
 	// DeterministicTime uses 1/K per step (N trials of mean 1/(N·K)).
 	DeterministicTime bool
 
@@ -47,7 +37,6 @@ type SyncNDCA struct {
 	// steady-state update allocates nothing.
 	nbScratch []int
 	winners   []int32
-	dropped   map[int32]bool
 	// swap is the Shuffle callback over order, built once: a closure
 	// literal in Step would escape and allocate every call.
 	swap func(i, j int)
@@ -75,10 +64,8 @@ func NewSyncNDCA(cm *model.Compiled, cfg *lattice.Config, src *rng.Source) *Sync
 	}
 	a := &SyncNDCA{
 		cm: cm, cfg: cfg, cells: cfg.Cells(), src: src,
-		Policy:  RandomWinner,
-		claim:   make([]int32, n),
-		order:   order,
-		dropped: make(map[int32]bool),
+		claim: make([]int32, n),
+		order: order,
 	}
 	a.swap = func(i, j int) { a.order[i], a.order[j] = a.order[j], a.order[i] }
 	return a
@@ -121,18 +108,15 @@ func (a *SyncNDCA) Step() bool {
 	a.proposed += uint64(len(a.proposals))
 
 	// Phase 2: conflict resolution. Proposals claim the full
-	// neighbourhood of their pattern; a proposal finding any of its
-	// sites already claimed is in conflict. Under RandomWinner the
-	// claim order is a random permutation (first claimant wins); under
-	// DropAll conflicting proposals additionally evict the earlier
-	// winner.
+	// neighbourhood of their pattern in a random order; a proposal
+	// finding any of its sites already claimed is in conflict and
+	// dropped (first claimant wins).
 	idx := a.order[:len(a.proposals)]
 	for i := range idx {
 		idx[i] = i
 	}
 	a.src.Shuffle(len(idx), a.swap)
 
-	clear(a.dropped)
 	winners := a.winners[:0]
 	for _, pi := range idx {
 		p := a.proposals[pi]
@@ -142,9 +126,7 @@ func (a *SyncNDCA) Step() bool {
 		for _, site := range scratch {
 			if a.claim[site] != 0 {
 				conflict = true
-				if a.Policy == DropAll {
-					a.dropped[a.claim[site]-1] = true
-				}
+				break
 			}
 		}
 		if conflict {
@@ -162,10 +144,6 @@ func (a *SyncNDCA) Step() bool {
 	// have pairwise disjoint neighbourhoods, so application order is
 	// irrelevant — this is the property partitions guarantee up front.
 	for _, pi := range winners {
-		if a.Policy == DropAll && a.dropped[pi] {
-			a.conflicts++
-			continue
-		}
 		p := a.proposals[pi]
 		a.cm.Execute(a.cells, p.rt, p.site)
 		a.executed++

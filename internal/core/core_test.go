@@ -125,22 +125,6 @@ func TestPNDCAParallelBitIdenticalPtCO(t *testing.T) {
 	}
 }
 
-func TestPNDCARandomOrderDiffers(t *testing.T) {
-	cm, lat := zgbOn(t, 10)
-	cfgA := lattice.NewConfig(lat)
-	a := NewPNDCA(cm, cfgA, rng.New(9), vn5(t, lat))
-	cfgB := lattice.NewConfig(lat)
-	b := NewPNDCA(cm, cfgB, rng.New(9), vn5(t, lat))
-	b.Order = RandomOrder
-	for i := 0; i < 10; i++ {
-		a.Step()
-		b.Step()
-	}
-	if cfgA.Equal(cfgB) {
-		t.Fatal("random chunk order produced the raster trajectory")
-	}
-}
-
 func TestPNDCAPanicsOnMismatch(t *testing.T) {
 	cm, lat := zgbOn(t, 10)
 	otherLat := lattice.NewSquare(20)

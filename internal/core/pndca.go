@@ -23,23 +23,11 @@ import (
 	"parsurf/internal/rng"
 )
 
-// ChunkOrder selects the order in which PNDCA visits the chunks of the
-// partition within one step.
-type ChunkOrder int
-
-const (
-	// InOrder visits chunks in index order every step (§5 selection
-	// strategy 1).
-	InOrder ChunkOrder = iota
-	// RandomOrder visits all chunks once per step in a fresh random
-	// permutation (§5 selection strategy 2).
-	RandomOrder
-)
-
 // PNDCA is the Partitioned Non-Deterministic Cellular Automaton: per
-// step every chunk is swept once, and within a chunk every site performs
-// exactly one trial (reaction type chosen with probability k_i/K,
-// executed if enabled).
+// step every chunk is swept once, in index order (§5 selection strategy
+// 1), and within a chunk every site performs exactly one trial (reaction
+// type chosen with probability k_i/K, executed if enabled). L-PNDCA
+// covers the other chunk-selection strategies.
 type PNDCA struct {
 	cm    *model.Compiled
 	cfg   *lattice.Config
@@ -52,15 +40,12 @@ type PNDCA struct {
 	// random streams make the result bit-identical for every worker
 	// count. Zero or one means sequential.
 	Workers int
-	// Order is the chunk visiting order within a step.
-	Order ChunkOrder
 	// DeterministicTime advances 1/(N·K) per trial instead of Exp(N·K).
 	DeterministicTime bool
 
 	time      float64
 	steps     uint64
 	successes uint64
-	perm      []int // chunk order of the step in flight
 	sweep     chunkSweep
 }
 
@@ -75,10 +60,7 @@ func NewPNDCA(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, part *pa
 	if !part.Lat.SameShape(cm.Lat) {
 		panic("core: partition lattice differs from compiled lattice")
 	}
-	p := &PNDCA{
-		cm: cm, cfg: cfg, cells: cfg.Cells(), src: src, part: part,
-		perm: make([]int, part.NumChunks()),
-	}
+	p := &PNDCA{cm: cm, cfg: cfg, cells: cfg.Cells(), src: src, part: part}
 	p.sweep.init(p.visit)
 	return p
 }
@@ -88,15 +70,8 @@ func NewPNDCA(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, part *pa
 //
 //surflint:hotpath
 func (p *PNDCA) Step() bool {
-	if p.Order == RandomOrder {
-		p.src.Perm(p.perm)
-	} else {
-		for i := range p.perm {
-			p.perm[i] = i
-		}
-	}
-	for _, ci := range p.perm {
-		dt, succ := p.sweep.run(p.src, p.part.Chunks[ci], p.Workers)
+	for _, chunk := range p.part.Chunks {
+		dt, succ := p.sweep.run(p.src, chunk, p.Workers)
 		p.time += dt
 		p.successes += succ
 	}
@@ -127,9 +102,9 @@ func (p *PNDCA) visit(base *rng.Source, sites []int32, dts []float64) (succ uint
 }
 
 // Reset rewinds the engine over a fresh configuration (see
-// registry.Engine.Reset). The partition is kept, and so is the chunk
-// permutation buffer, which Step rewrites. The sweep stream counter
-// rewinds so replica trajectories reproduce fresh builds exactly.
+// registry.Engine.Reset). The partition is kept; the sweep stream
+// counter rewinds so replica trajectories reproduce fresh builds
+// exactly.
 func (p *PNDCA) Reset(cfg *lattice.Config, src *rng.Source) {
 	if !cfg.Lattice().SameShape(p.cm.Lat) {
 		panic("core: Reset configuration lattice differs from compiled lattice")

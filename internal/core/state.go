@@ -10,7 +10,7 @@ import (
 )
 
 // SaveState writes the PNDCA clock, sweep stream counter and counters;
-// the chunk permutation is rewritten at the start of every Step.
+// the chunks are swept in the partition's fixed order.
 func (p *PNDCA) SaveState(w io.Writer) error {
 	e := persist.NewWriter(w)
 	e.F64(p.time)

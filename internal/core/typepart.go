@@ -30,17 +30,6 @@ type TypePartitioned struct {
 	Workers int
 	// DeterministicTime advances 1/(N·K) per site visit.
 	DeterministicTime bool
-	// Accept is the per-site acceptance probability of a sweep
-	// (default 1 = the literal §5 algorithm, which executes the
-	// selected type at every enabled site of the chunk). Values below
-	// one thin the sweep: each enabled site fires only with this
-	// probability, and each visit advances the clock by only
-	// Accept/(N·K) so the per-site execution rate stays calibrated —
-	// the engine then needs proportionally more sweeps per unit of
-	// simulated time. Thinning breaks the all-at-once correlation of
-	// mass sweeps (the bias that O-poisons adsorption models, see the
-	// package tests) at that extra cost.
-	Accept float64
 
 	subsetCum []float64
 	typeCum   [][]float64
@@ -50,11 +39,7 @@ type TypePartitioned struct {
 	visits    uint64
 	successes uint64
 	sweep     chunkSweep
-	// The step in flight: its clamped Accept and thinned trial rate,
-	// and the reaction type of the sweep in flight.
-	accept  float64
-	nk      float64
-	sweepRT int
+	sweepRT   int // reaction type of the sweep in flight
 }
 
 // NewTypePartitioned builds the engine from a verified type split (call
@@ -97,13 +82,6 @@ func pickCum(cum []float64, u float64) int {
 //
 //surflint:hotpath
 func (e *TypePartitioned) Step() bool {
-	e.accept = e.Accept
-	if e.accept <= 0 || e.accept > 1 {
-		e.accept = 1
-	}
-	// Thinning slows the clock so the per-site execution rate stays
-	// calibrated: visits per unit time scale by 1/accept.
-	e.nk = float64(e.cm.Lat.N()) * e.cm.K / e.accept
 	for j := 0; j < e.split.NumSubsets(); j++ {
 		tj := pickCum(e.subsetCum, e.src.Float64())
 		ti := pickCum(e.typeCum[tj], e.src.Float64())
@@ -121,22 +99,21 @@ func (e *TypePartitioned) Step() bool {
 }
 
 // visit is the type-partitioned per-range visit of the chunk sweep: it
-// attempts the sweep's reaction type at every site, thinned by accept.
+// attempts the sweep's reaction type at every site.
 //
 //surflint:hotpath
 func (e *TypePartitioned) visit(base *rng.Source, sites []int32, dts []float64) (succ uint64) {
+	nk := float64(e.cm.Lat.N()) * e.cm.K
 	var st rng.Source
 	for i, s := range sites {
 		base.SplitInto(&st, uint64(s))
-		if e.accept >= 1 || st.Float64() < e.accept {
-			if e.cm.TryExecute(e.cells, e.sweepRT, int(s)) {
-				succ++
-			}
+		if e.cm.TryExecute(e.cells, e.sweepRT, int(s)) {
+			succ++
 		}
 		if e.DeterministicTime {
-			dts[i] = 1 / e.nk
+			dts[i] = 1 / nk
 		} else {
-			dts[i] = st.Exp(e.nk)
+			dts[i] = st.Exp(nk)
 		}
 	}
 	return

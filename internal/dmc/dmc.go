@@ -31,16 +31,3 @@ type Simulator interface {
 	// Config returns the live configuration.
 	Config() *lattice.Config
 }
-
-// RunUntil advances sim until its clock reaches t or it reports an
-// absorbing state. It returns the number of Step calls made.
-func RunUntil(sim Simulator, t float64) int {
-	steps := 0
-	for sim.Time() < t {
-		if !sim.Step() {
-			break
-		}
-		steps++
-	}
-	return steps
-}

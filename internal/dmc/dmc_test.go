@@ -325,11 +325,15 @@ func TestEnginesAgreeOnSteadyState(t *testing.T) {
 	cm := model.MustCompile(m, lat)
 
 	steady := func(sim Simulator, cfg *lattice.Config) float64 {
-		RunUntil(sim, 30)
+		runUntil := func(t float64) {
+			for sim.Time() < t && sim.Step() {
+			}
+		}
+		runUntil(30)
 		// Average A coverage over a window.
 		total, samples := 0.0, 0
 		for t := 30.0; t <= 60; t += 1 {
-			RunUntil(sim, t)
+			runUntil(t)
 			total += cfg.Coverage(1)
 			samples++
 		}
@@ -345,15 +349,6 @@ func TestEnginesAgreeOnSteadyState(t *testing.T) {
 
 	if math.Abs(a1-a2) > 0.04 || math.Abs(a1-a3) > 0.04 {
 		t.Fatalf("steady-state disagreement: RSM %v, VSSM %v, FRM %v", a1, a2, a3)
-	}
-}
-
-func TestRunUntil(t *testing.T) {
-	cm, cfg, src := zgbSetup(t, 8, 30)
-	r := NewRSM(cm, cfg, src)
-	RunUntil(r, 2.0)
-	if r.Time() < 2.0 {
-		t.Fatalf("RunUntil stopped at %v", r.Time())
 	}
 }
 

@@ -82,26 +82,20 @@ func runTo(ctx context.Context, s dmc.Simulator, t float64) (steps int, err erro
 	return steps, nil
 }
 
-// RunGrid advances s through the sampling grid, invoking
-// observe(k, cfg) with the live configuration at every grid index k.
-// This is the ensemble replica runner: observations are keyed by grid
-// index, so what a replica samples is exactly what the merge
-// aggregates — the two can never disagree on grid size or placement.
-// The context is checked before every engine step (cancellation
-// latency: one Step call). When the engine reaches an absorbing state
-// before grid point k, the frozen configuration is observed for k and
-// every remaining point: an absorbed system no longer changes, so
-// those samples are exact values, not interpolations.
-func RunGrid(ctx context.Context, s dmc.Simulator, grid timegrid.Grid, observe func(k int, cfg *lattice.Config)) (steps int, err error) {
-	return RunGridFrom(ctx, s, grid, 0, observe)
-}
-
-// RunGridFrom is RunGrid starting at grid index k0: points before k0
-// are neither run to nor observed. This is the resume path — a replica
-// restored from a checkpoint taken after grid point k0-1 continues with
-// the remaining points, and the step count covers only the continued
-// stretch. It keeps its own loop: an absorbed replica must still fill
-// every remaining point, so the merge sees a full grid.
+// RunGridFrom advances s through the sampling grid from index k0,
+// invoking observe(k, cfg) with the live configuration at every grid
+// index k ≥ k0. This is the ensemble replica runner: observations are
+// keyed by grid index, so what a replica samples is exactly what the
+// merge aggregates — the two can never disagree on grid size or
+// placement. Points before k0 are neither run to nor observed: a fresh
+// replica starts at 0, and one restored from a checkpoint taken after
+// grid point k0-1 continues with the remaining points, its step count
+// covering only the continued stretch. The context is checked before
+// every engine step (cancellation latency: one Step call). When the
+// engine reaches an absorbing state before grid point k, the frozen
+// configuration is observed for k and every remaining point: an
+// absorbed system no longer changes, so those samples are exact
+// values, not interpolations, and the merge sees a full grid.
 //
 //surflint:hotpath
 func RunGridFrom(ctx context.Context, s dmc.Simulator, grid timegrid.Grid, k0 int, observe func(k int, cfg *lattice.Config)) (steps int, err error) {

@@ -20,12 +20,12 @@ func mustGrid(t *testing.T, until, every float64) timegrid.Grid {
 	return g
 }
 
-// RunGrid observes every grid index exactly once, in order.
+// RunGridFrom observes every grid index exactly once, in order.
 func TestRunGridObservesEveryPoint(t *testing.T) {
 	s, _ := zgbSim(t, 16, 11)
 	grid := mustGrid(t, 1.0, 0.1)
 	var ks []int
-	steps, err := RunGrid(context.Background(), s, grid, func(k int, cfg *lattice.Config) {
+	steps, err := RunGridFrom(context.Background(), s, grid, 0, func(k int, cfg *lattice.Config) {
 		ks = append(ks, k)
 		if cfg == nil {
 			t.Fatal("nil config observed")
@@ -58,7 +58,7 @@ func TestRunGridFillsAbsorbedTail(t *testing.T) {
 	z := ziff.New(lattice.NewSquare(8), rng.New(3), 1.0)
 	grid := mustGrid(t, 50, 1)
 	var covs []float64
-	_, err := RunGrid(context.Background(), z, grid, func(k int, cfg *lattice.Config) {
+	_, err := RunGridFrom(context.Background(), z, grid, 0, func(k int, cfg *lattice.Config) {
 		covs = append(covs, cfg.Coverage(ziff.CO))
 	})
 	if err != nil {
@@ -91,9 +91,9 @@ func TestRunGridCancellation(t *testing.T) {
 	s, _ := zgbSim(t, 16, 12)
 	ctx, cancel := context.WithCancel(context.Background())
 	cancel()
-	steps, err := RunGrid(ctx, s, mustGrid(t, 1e9, 1), func(int, *lattice.Config) {})
+	steps, err := RunGridFrom(ctx, s, mustGrid(t, 1e9, 1), 0, func(int, *lattice.Config) {})
 	if !errors.Is(err, context.Canceled) {
-		t.Fatalf("RunGrid returned %v, want context.Canceled", err)
+		t.Fatalf("RunGridFrom returned %v, want context.Canceled", err)
 	}
 	if steps != 0 {
 		t.Fatalf("%d steps taken after cancellation", steps)

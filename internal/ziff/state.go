@@ -1,7 +1,5 @@
 // Engine checkpoint payload (registry.Engine.SaveState/LoadState) for
-// the classic ZGB model. The desorption extension embeds *ZGB and
-// inherits both methods; its only extra field (PDes) is configuration,
-// not evolution state.
+// the classic ZGB model.
 
 package ziff
 
@@ -12,8 +10,8 @@ import (
 )
 
 // SaveState writes the ZGB counters. The clock is trials/N, and the
-// vacancy bitset and occupancy counts are pure functions of the cells,
-// re-derived by Reset before LoadState runs.
+// vacancy bitset and count are pure functions of the cells, re-derived
+// by Reset before LoadState runs.
 func (z *ZGB) SaveState(w io.Writer) error {
 	e := persist.NewWriter(w)
 	e.U64(z.steps)

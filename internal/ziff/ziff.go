@@ -38,11 +38,9 @@ type ZGB struct {
 
 	// vac is a bitset of vacant sites and nEmpty its population count,
 	// maintained incrementally by every site write so Poisoned is O(1)
-	// instead of a full lattice scan per MC step. nCO counts adsorbed
-	// CO the same way (the desorption extension's absorbing check).
+	// instead of a full lattice scan per MC step.
 	vac    []uint64
 	nEmpty int
-	nCO    int
 
 	steps  uint64
 	trials uint64
@@ -76,10 +74,9 @@ func NewOn(cfg *lattice.Config, src *rng.Source, y float64) *ZGB {
 
 // Reset rewinds the simulation over a fresh configuration (see
 // registry.Engine.Reset): counters return to zero, the vacancy bitset
-// and occupancy counts are re-derived from cfg in place, and all
-// randomness redirects to src. The CO fraction Y (and, for the
-// desorption extension, PDes) is preserved. It panics when cfg's
-// lattice shape differs from the engine's.
+// and count are re-derived from cfg in place, and all
+// randomness redirects to src. The CO fraction Y is preserved. It
+// panics when cfg's lattice shape differs from the engine's.
 func (z *ZGB) Reset(cfg *lattice.Config, src *rng.Source) {
 	if !cfg.Lattice().SameShape(z.lat) {
 		panic("ziff: Reset configuration lattice differs from engine lattice")
@@ -104,14 +101,11 @@ func (z *ZGB) ResyncVacancies() {
 			z.vac[i] = 0
 		}
 	}
-	z.nEmpty, z.nCO = 0, 0
+	z.nEmpty = 0
 	for s, sp := range z.cells {
-		switch sp {
-		case Empty:
+		if sp == Empty {
 			z.vac[uint(s)>>6] |= 1 << (uint(s) & 63)
 			z.nEmpty++
-		case CO:
-			z.nCO++
 		}
 	}
 }
@@ -126,13 +120,6 @@ func (z *ZGB) set(s int, sp lattice.Species) {
 			z.nEmpty++
 		} else {
 			z.nEmpty--
-		}
-	}
-	if (old == CO) != (sp == CO) {
-		if sp == CO {
-			z.nCO++
-		} else {
-			z.nCO--
 		}
 	}
 	z.cells[s] = sp
