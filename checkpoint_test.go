@@ -73,7 +73,7 @@ func checkCheckpointResume(t *testing.T, spec *parsurf.SessionSpec) {
 		t.Fatalf("%s: checkpoint: %v", name, err)
 	}
 	if got := goldentrace.Fingerprint(work.Engine(), m); got != wantTail {
-		t.Errorf("%s: trajectory after taking a checkpoint fingerprints 0x%016x, want 0x%016x — Checkpoint perturbed the session", name, got, wantTail)
+		t.Errorf("%s: trajectory after taking a checkpoint fingerprints %v, want %v — Checkpoint perturbed the session", name, got, wantTail)
 	}
 
 	resumed, err := parsurf.ResumeSession(spec, bytes.NewReader(buf.Bytes()))
@@ -87,7 +87,7 @@ func checkCheckpointResume(t *testing.T, spec *parsurf.SessionSpec) {
 		t.Errorf("%s: resumed clock %v, checkpoint was taken at %v", name, got, timeAtCP)
 	}
 	if got := goldentrace.Fingerprint(resumed.Engine(), m); got != wantTail {
-		t.Errorf("%s: resumed trajectory fingerprints 0x%016x, want uninterrupted 0x%016x", name, got, wantTail)
+		t.Errorf("%s: resumed trajectory fingerprints %v, want uninterrupted %v", name, got, wantTail)
 	}
 }
 

@@ -1,101 +1,60 @@
 package parsurf_test
 
 import (
-	"bytes"
-	"encoding/binary"
-	"hash/fnv"
 	"testing"
 
-	"parsurf"
 	"parsurf/internal/goldentrace"
-	"parsurf/internal/model"
 )
 
 // modelTraces pins, for every built-in model, the trajectories of the
 // engines that refresh enabledness incrementally after each event (vssm,
-// frm, and lpndca's rate-weighted chunk tracker). The golden traces
-// cover ZGB only; these cover the models whose patterns exercise the
-// other dependency shapes: five-site Ising patterns whose unchanged
-// triples still gate enabledness, PtCO's six species and phase fronts,
-// hops that vacate one site and fill another.
-//
-// Each run starts from a seeded random configuration at 24² and hashes
-// the configuration and clock bits after every step (goldentrace
-// fingerprint), then the final SaveState payload, so a change to the
+// frm, and lpndca's rate-weighted chunk tracker); goldentrace.ModelCases
+// lists the runs. Each entry is a {configuration, clock} pair: the
+// configuration half covers the lattice after every step and the final
+// SaveState payload after its clock word, so a change to the
 // enabled-list order, the heap layout or the Fenwick residue shows here
-// even when the lattice happens to agree.
+// even when the lattice happens to agree. Regenerate with
+// cmd/goldengen, and only on purpose.
+var modelTraces = map[string]goldentrace.Trace{
+	"zgb/vssm":          {Config: 0xecabab70e82a4579, Clock: 0x0d5244a28a8de9f0},
+	"zgb/frm":           {Config: 0x65540b4f2d563f8e, Clock: 0x3c4e077e72b73d28},
+	"zgb/lpndca":        {Config: 0xfd45aac2d9800046, Clock: 0xd1c7d84c166e8ef4},
+	"ptco/vssm":         {Config: 0x26f8ad39fd442e01, Clock: 0x346b00d332b27d18},
+	"ptco/frm":          {Config: 0x5c701bc7b895a03b, Clock: 0xf8bfe4f0add63540},
+	"ptco/lpndca":       {Config: 0x38e18319fd5edb42, Clock: 0x7d43f6c6851e01f4},
+	"ising/vssm":        {Config: 0x0aa8b8881564411a, Clock: 0x9c3db14d0308531a},
+	"ising/frm":         {Config: 0x8d10f953c47a3d26, Clock: 0x1f499c7a681106ea},
+	"ising/lpndca":      {Config: 0x0f51f08395c004c4, Clock: 0xb5d130b1b2d04f8f},
+	"diffusion/vssm":    {Config: 0xe11e23fc7f8c90a1, Clock: 0xbad7166a56801824},
+	"diffusion/frm":     {Config: 0xa742566d48ecb3d2, Clock: 0x1aebe3adb1c439dd},
+	"diffusion/lpndca":  {Config: 0x8db19c4891bc6f5f, Clock: 0x4bd05fb197a7d1ba},
+	"singlefile/vssm":   {Config: 0x5284d772ae5e6680, Clock: 0x4a7c6a7c05d41eb7},
+	"singlefile/frm":    {Config: 0xb957b6651c2ac477, Clock: 0x59612b87a482de6b},
+	"singlefile/lpndca": {Config: 0x6df3598bc8a11c2b, Clock: 0xa463fcd0d55118b0},
+	"ab/vssm":           {Config: 0x4b7d9df02a778ac2, Clock: 0x54d860a476a56930},
+	"ab/frm":            {Config: 0x6aedb3f44637a190, Clock: 0x51971fe20501dd7b},
+	"ab/lpndca":         {Config: 0x57b3906490a7aeaf, Clock: 0xd86827003153cb42},
+}
+
 func TestModelTracesBitIdentical(t *testing.T) {
-	const (
-		side        = 24
-		eventSteps  = 60000
-		lpndcaSteps = 50
-	)
-	models := []struct {
-		name    string
-		m       *model.Model
-		weights []float64
-	}{
-		{"zgb", model.NewZGB(model.DefaultZGBRates()), []float64{0.5, 0.2, 0.3}},
-		{"ptco", model.NewPtCO(model.DefaultPtCORates()), []float64{3, 1, 1, 2, 1, 1}},
-		{"ising", model.NewIsing(0.4), []float64{1, 1}},
-		{"diffusion", model.NewDimerDiffusion(1), []float64{0.6, 0.4}},
-		{"singlefile", model.NewSingleFile(1), []float64{0.5, 0.5}},
-		{"ab", model.NewAB(1, 1, 5), []float64{0.4, 0.3, 0.3}},
-	}
-	engines := []struct {
-		name  string
-		steps int
-		opts  []parsurf.EngineOption
-	}{
-		{"vssm", eventSteps, nil},
-		{"frm", eventSteps, nil},
-		{"lpndca", lpndcaSteps, []parsurf.EngineOption{parsurf.StrategyName("rates")}},
-	}
-	want := map[string]uint64{
-		"zgb/vssm":          0x0ed61fd451fa22ad,
-		"zgb/frm":           0xa5e8af7ed9c49838,
-		"zgb/lpndca":        0x0f8ba1680a182cd8,
-		"ptco/vssm":         0xefb94d7ac9c3f656,
-		"ptco/frm":          0x1a6f8a6ef74172cc,
-		"ptco/lpndca":       0xab9674cfa1aeaa5e,
-		"ising/vssm":        0xdb9790e4caa8c216,
-		"ising/frm":         0xe230fac7ec52509b,
-		"ising/lpndca":      0x51830d94f9de9354,
-		"diffusion/vssm":    0xc3ea403f063d1f7d,
-		"diffusion/frm":     0x097d2106e596ffca,
-		"diffusion/lpndca":  0x339d3548ab548806,
-		"singlefile/vssm":   0xf7ada2fc167329de,
-		"singlefile/frm":    0x0b65944bd1913cda,
-		"singlefile/lpndca": 0x421ece624ae1705b,
-		"ab/vssm":           0x865596a8e0d76302,
-		"ab/frm":            0x4b8d6fb7afec870f,
-		"ab/lpndca":         0x04d29970414da5c4,
-	}
-	for mi, mc := range models {
-		for _, ec := range engines {
-			key := mc.name + "/" + ec.name
-			t.Run(key, func(t *testing.T) {
-				lat := parsurf.NewSquareLattice(side)
-				cm := parsurf.MustCompile(mc.m, lat)
-				cfg := parsurf.NewConfig(lat)
-				cfg.Randomize(mc.weights, parsurf.NewRNG(uint64(100+mi)).Float64)
-				eng, err := parsurf.NewEngine(ec.name, cm, cfg, parsurf.NewRNG(uint64(7+mi)), ec.opts...)
-				if err != nil {
-					t.Fatal(err)
-				}
-				trace := goldentrace.Fingerprint(eng, ec.steps)
-				var state bytes.Buffer
-				if err := eng.SaveState(&state); err != nil {
-					t.Fatal(err)
-				}
-				h := fnv.New64a()
-				h.Write(binary.LittleEndian.AppendUint64(nil, trace))
-				h.Write(state.Bytes())
-				if got := h.Sum64(); got != want[key] {
-					t.Errorf("%s fingerprint 0x%016x, want 0x%016x — trajectory or saved state changed (%d steps)",
-						key, got, want[key], eng.Steps())
-				}
-			})
-		}
+	for _, c := range goldentrace.ModelCases() {
+		t.Run(c.Key(), func(t *testing.T) {
+			want, ok := modelTraces[c.Key()]
+			if !ok {
+				t.Fatalf("%s has no model trace; run cmd/goldengen and add it", c.Key())
+			}
+			got, eng, err := c.Run()
+			if err != nil {
+				t.Fatal(err)
+			}
+			if got.Config != want.Config {
+				t.Errorf("%s configuration fingerprint 0x%016x, want 0x%016x — trajectory or saved state changed (%d steps)",
+					c.Key(), got.Config, want.Config, eng.Steps())
+			}
+			if got.Clock != want.Clock {
+				t.Errorf("%s clock fingerprint 0x%016x, want 0x%016x — clock changed (%d steps)",
+					c.Key(), got.Clock, want.Clock, eng.Steps())
+			}
+		})
 	}
 }

@@ -49,16 +49,16 @@ func TestEngineResetEquivalence(t *testing.T) {
 
 		eng := newGoldenEngine(t, name, cm, lat, seedA)
 		if got := goldentrace.Fingerprint(eng, steps); got != freshA {
-			t.Errorf("%s: first run fingerprint 0x%016x, want 0x%016x", name, got, freshA)
+			t.Errorf("%s: first run fingerprint %v, want %v", name, got, freshA)
 		}
 		eng.Reset(parsurf.NewConfig(lat), parsurf.NewRNG(seedB))
 		if got := goldentrace.Fingerprint(eng, steps); got != freshB {
-			t.Errorf("%s: post-Reset run fingerprint 0x%016x, want fresh-build 0x%016x", name, got, freshB)
+			t.Errorf("%s: post-Reset run fingerprint %v, want fresh-build %v", name, got, freshB)
 		}
 		// Resetting back to the first stream rewinds completely.
 		eng.Reset(parsurf.NewConfig(lat), parsurf.NewRNG(seedA))
 		if got := goldentrace.Fingerprint(eng, steps); got != freshA {
-			t.Errorf("%s: second Reset fingerprint 0x%016x, want 0x%016x", name, got, freshA)
+			t.Errorf("%s: second Reset fingerprint %v, want %v", name, got, freshA)
 		}
 		if eng.Steps() != uint64(steps) {
 			t.Errorf("%s: Steps() = %d after Reset + %d steps", name, eng.Steps(), steps)

@@ -65,7 +65,7 @@ func representativeSpec(t *testing.T, name string) *parsurf.SessionSpec {
 
 // fingerprintSpec runs a session built from the spec for n steps and
 // hashes (configuration, clock) after every step.
-func fingerprintSpec(t *testing.T, spec *parsurf.SessionSpec, steps int) uint64 {
+func fingerprintSpec(t *testing.T, spec *parsurf.SessionSpec, steps int) goldentrace.Trace {
 	t.Helper()
 	sess, err := spec.Session()
 	if err != nil {
@@ -176,7 +176,7 @@ func TestSpecJSONRoundTripAllEngines(t *testing.T) {
 		want := fingerprintSpec(t, spec, steps)
 		got := fingerprintSpec(t, back, steps)
 		if got != want {
-			t.Errorf("%s: decoded spec trajectory fingerprint 0x%016x, want 0x%016x — round trip not exact",
+			t.Errorf("%s: decoded spec trajectory fingerprint %v, want %v — round trip not exact",
 				name, got, want)
 		}
 	}
@@ -221,7 +221,7 @@ func TestSpecInlineModelRoundTrip(t *testing.T) {
 		t.Fatal(err)
 	}
 	if got, want := fingerprintSpec(t, back, 200), fingerprintSpec(t, spec, 200); got != want {
-		t.Fatalf("inline-model round trip not exact: 0x%016x vs 0x%016x", got, want)
+		t.Fatalf("inline-model round trip not exact: %v vs %v", got, want)
 	}
 }
 
