@@ -16,24 +16,24 @@ import (
 // even when the lattice happens to agree. Regenerate with
 // cmd/goldengen, and only on purpose.
 var modelTraces = map[string]goldentrace.Trace{
-	"zgb/vssm":          {Config: 0xecabab70e82a4579, Clock: 0x0d5244a28a8de9f0},
-	"zgb/frm":           {Config: 0x65540b4f2d563f8e, Clock: 0x3c4e077e72b73d28},
-	"zgb/lpndca":        {Config: 0xfd45aac2d9800046, Clock: 0xd1c7d84c166e8ef4},
-	"ptco/vssm":         {Config: 0x26f8ad39fd442e01, Clock: 0x346b00d332b27d18},
-	"ptco/frm":          {Config: 0x5c701bc7b895a03b, Clock: 0xf8bfe4f0add63540},
-	"ptco/lpndca":       {Config: 0x38e18319fd5edb42, Clock: 0x7d43f6c6851e01f4},
-	"ising/vssm":        {Config: 0x0aa8b8881564411a, Clock: 0x9c3db14d0308531a},
-	"ising/frm":         {Config: 0x8d10f953c47a3d26, Clock: 0x1f499c7a681106ea},
-	"ising/lpndca":      {Config: 0x0f51f08395c004c4, Clock: 0xb5d130b1b2d04f8f},
-	"diffusion/vssm":    {Config: 0xe11e23fc7f8c90a1, Clock: 0xbad7166a56801824},
-	"diffusion/frm":     {Config: 0xa742566d48ecb3d2, Clock: 0x1aebe3adb1c439dd},
-	"diffusion/lpndca":  {Config: 0x8db19c4891bc6f5f, Clock: 0x4bd05fb197a7d1ba},
-	"singlefile/vssm":   {Config: 0x5284d772ae5e6680, Clock: 0x4a7c6a7c05d41eb7},
-	"singlefile/frm":    {Config: 0xb957b6651c2ac477, Clock: 0x59612b87a482de6b},
-	"singlefile/lpndca": {Config: 0x6df3598bc8a11c2b, Clock: 0xa463fcd0d55118b0},
-	"ab/vssm":           {Config: 0x4b7d9df02a778ac2, Clock: 0x54d860a476a56930},
-	"ab/frm":            {Config: 0x6aedb3f44637a190, Clock: 0x51971fe20501dd7b},
-	"ab/lpndca":         {Config: 0x57b3906490a7aeaf, Clock: 0xd86827003153cb42},
+	"zgb/vssm":          {Config: 0xecabab70e82a4579, Clock: 0x5f68faa0d4b8990b},
+	"zgb/frm":           {Config: 0xb25bb09b425adbf7, Clock: 0xe8792deac1605816},
+	"zgb/lpndca":        {Config: 0xfd45aac2d9800046, Clock: 0x4017a3ba6eabed40},
+	"ptco/vssm":         {Config: 0x26f8ad39fd442e01, Clock: 0x89e049770e711b84},
+	"ptco/frm":          {Config: 0x325a87e9b31f5319, Clock: 0xc462f7eb7fb0ee4a},
+	"ptco/lpndca":       {Config: 0x38e18319fd5edb42, Clock: 0x0d2f746c755dc361},
+	"ising/vssm":        {Config: 0x0aa8b8881564411a, Clock: 0xad29b6567a4acaed},
+	"ising/frm":         {Config: 0x0d3fdde8440e1ef5, Clock: 0x79999ad31b211f98},
+	"ising/lpndca":      {Config: 0x0f51f08395c004c4, Clock: 0x3ac4617e2cc23221},
+	"diffusion/vssm":    {Config: 0xe11e23fc7f8c90a1, Clock: 0x117ca845b871efdf},
+	"diffusion/frm":     {Config: 0x973f61946a08332c, Clock: 0x4f0d8d89025fc9e0},
+	"diffusion/lpndca":  {Config: 0x8db19c4891bc6f5f, Clock: 0xfeac35c908e54a7b},
+	"singlefile/vssm":   {Config: 0x5284d772ae5e6680, Clock: 0x75f2902dbe435d14},
+	"singlefile/frm":    {Config: 0xcdb472e31cf2585c, Clock: 0x9b1ea48eefb2d80e},
+	"singlefile/lpndca": {Config: 0x6df3598bc8a11c2b, Clock: 0x10dcec966f9bf20f},
+	"ab/vssm":           {Config: 0x4b7d9df02a778ac2, Clock: 0x6effd6fba7838a3b},
+	"ab/frm":            {Config: 0xee9be5a3bc4da005, Clock: 0x20f9091655283be7},
+	"ab/lpndca":         {Config: 0x57b3906490a7aeaf, Clock: 0x95a73ff9c8290166},
 }
 
 func TestModelTracesBitIdentical(t *testing.T) {

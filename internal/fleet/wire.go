@@ -19,9 +19,12 @@ import (
 )
 
 const (
-	// wireMagic / wireVersion stamp every shard result blob.
+	// wireMagic / wireVersion stamp every shard result blob. Version 2
+	// has the layout of 1; it marks rows drawn with the ziggurat clock
+	// sampler, so a worker built before it cannot merge old-sampler
+	// rows into a new run.
 	wireMagic   = 0x50534c46 // "PSLF"
-	wireVersion = 1
+	wireVersion = 2
 	// maxWireSpecies / maxWirePoints / maxWireReplicas bound the header
 	// claims of an untrusted blob.
 	maxWireSpecies  = 256

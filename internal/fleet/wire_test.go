@@ -1,6 +1,7 @@
 package fleet
 
 import (
+	"encoding/binary"
 	"reflect"
 	"strings"
 	"testing"
@@ -57,6 +58,10 @@ func TestWireRejectsMalformed(t *testing.T) {
 	bad = append([]byte(nil), good...)
 	bad[4] ^= 0x01
 	cases["version"] = bad
+	// Version 1 blobs carry rows of the inversion clock sampler.
+	bad = append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(bad[4:], 1)
+	cases["version1"] = bad
 	// Absurd species claim (offset 20: after magic, version, variant,
 	// lo, hi).
 	bad = append([]byte(nil), good...)

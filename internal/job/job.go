@@ -742,10 +742,12 @@ func decodeRequest(raw json.RawMessage) (Request, error) {
 // marshal, so identical workloads hash identically across processes.
 // Workers is deliberately excluded: merged Mean/Std are bit-identical
 // for every worker count, so runs differing only in worker fan-out
-// share one result.
+// share one result. The prefix names the trajectory generation: v2
+// results are drawn with the ziggurat clock sampler, so a result
+// cached, checkpointed or sharded under v1 never answers a v2 request.
 func contentHash(specs []json.RawMessage, replicas int, until, every float64) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "parsurf-job-v1 replicas=%d until=%016x every=%016x\n",
+	fmt.Fprintf(h, "parsurf-job-v2 replicas=%d until=%016x every=%016x\n",
 		replicas, math.Float64bits(until), math.Float64bits(every))
 	for _, b := range specs {
 		fmt.Fprintf(h, "%d:", len(b))

@@ -706,8 +706,10 @@ func TestServerCacheHitOverHTTP(t *testing.T) {
 
 // smokeHash is the content hash of smokeSpec: the result-cache key the
 // CI smoke workload is stored under. It derives from the canonical
-// spec bytes, so it is pinned — a change orphans every stored result.
-const smokeHash = "70b21ca34338b74921fee20838c1f7256b77b66b7f9211b3df835a829e5aa427"
+// spec bytes and the contentHash generation prefix (parsurf-job-v2
+// since the ziggurat clock sampler), so it is pinned — a change
+// orphans every stored result.
+const smokeHash = "ecf34c169b9b4e512d0a6e47e1da0c0b9cd647fa34fabb70a1c9e33cf2798dcb"
 
 func TestSmokeRequestHashPinned(t *testing.T) {
 	var body SubmitRequest

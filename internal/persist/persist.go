@@ -5,10 +5,10 @@
 // Long oscillation runs (hours of 100×100 DMC) can be stopped and
 // resumed exactly.
 //
-// Format v2 (little-endian):
+// Format v3 (little-endian):
 //
 //	magic    "PSRF"            4 bytes
-//	version  uint32            currently 2
+//	version  uint32            currently 3
 //	engine   uint32 + bytes    registry engine name (may be empty)
 //	spec     uint32 + bytes    hex SHA-256 of the session spec (may be empty)
 //	species  uint32            species count bounding the cell block
@@ -18,6 +18,11 @@
 //	rng      4 × uint64        xoshiro256** state
 //	cells    l0·l1 bytes       species values, each < species
 //	payload  uint32 + bytes    engine-private state (Engine.SaveState)
+//
+// v3 has the layout of v2. The version moved because the exponential
+// clock sampler changed (internal/rng): a v2 file holds a trajectory of
+// the old sampler, and resuming it would continue on the new one, a run
+// neither sampler produces, so Load refuses it.
 //
 // Load validates every cell byte against the species count, refuses
 // implausible extents and oversized variable blocks, and rejects any
@@ -35,7 +40,7 @@ import (
 
 const (
 	magic   = "PSRF"
-	version = 2
+	version = 3
 
 	maxNameLen = 64
 	maxHashLen = 128

@@ -1,6 +1,6 @@
 package rng
 
-import "math"
+import "math/bits"
 
 // batchSize is the maximum number of raw outputs a Batch prefetches per
 // refill. One refill amortises the generator's state loads/stores over
@@ -105,14 +105,14 @@ func (b *Batch) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return b.Uint64() & (n - 1)
 	}
-	threshold := (-n) % n
-	for {
-		v := b.Uint64()
-		hi, lo := mul64(v, n)
-		if lo >= threshold {
-			return hi
+	hi, lo := bits.Mul64(b.Uint64(), n)
+	if lo < n {
+		threshold := -n % n
+		for lo < threshold {
+			hi, lo = bits.Mul64(b.Uint64(), n)
 		}
 	}
+	return hi
 }
 
 // Exp returns an exponentially distributed value with the given rate,
@@ -121,8 +121,11 @@ func (b *Batch) Exp(rate float64) float64 {
 	if rate <= 0 {
 		panic("rng: Exp with non-positive rate")
 	}
-	u := 1.0 - b.Float64()
-	return -math.Log(u) / rate
+	u := b.Uint64()
+	if x, ok := expFast(u); ok {
+		return x / rate
+	}
+	return expSlow(u) / rate
 }
 
 // Buffered returns the number of prefetched draws not yet consumed

@@ -14,7 +14,7 @@
 // goroutine with Split instead of sharing.
 package rng
 
-import "math"
+import "math/bits"
 
 // Source is a xoshiro256** pseudo-random number generator.
 // The zero value is not usable; construct with New or Split.
@@ -93,36 +93,27 @@ func (s *Source) FillUint64(dst []uint64) {
 	s.s0, s.s1, s.s2, s.s3 = s0, s1, s2, s3
 }
 
-// FillFloat64 fills dst with uniform float64s in [0, 1), consuming one
-// Uint64 output per element (the same conversion as Float64). Raw
-// outputs come from FillUint64 in stack-buffer chunks so the generator
-// core exists in exactly two forms (Uint64 and FillUint64), not three.
-func (s *Source) FillFloat64(dst []float64) {
-	var buf [128]uint64
-	for len(dst) > 0 {
-		n := len(dst)
-		if n > len(buf) {
-			n = len(buf)
-		}
-		s.FillUint64(buf[:n])
-		for i := 0; i < n; i++ {
-			dst[i] = float64(buf[i]>>11) * (1.0 / (1 << 53))
-		}
-		dst = dst[n:]
-	}
-}
-
 // FillExp fills dst with exponentially distributed values of the given
-// rate, consuming one Uint64 output per element (the same draw sequence
-// as repeated Exp calls). It panics if rate <= 0.
+// rate, consuming one Uint64 output per element: the same values and
+// the same final state as len(dst) Exp calls. Raw outputs come from
+// FillUint64 in stack-buffer chunks so the generator core exists in
+// exactly two forms (Uint64 and FillUint64). It panics if rate <= 0.
 func (s *Source) FillExp(dst []float64, rate float64) {
 	if rate <= 0 {
 		panic("rng: FillExp with non-positive rate")
 	}
-	s.FillFloat64(dst)
-	for i, u := range dst {
-		// Same arithmetic as Exp, bit for bit: -log(1-u) / rate.
-		dst[i] = -math.Log(1.0-u) / rate
+	var buf [128]uint64
+	for len(dst) > 0 {
+		n := min(len(dst), len(buf))
+		s.FillUint64(buf[:n])
+		for i, u := range buf[:n] {
+			x, ok := expFast(u)
+			if !ok {
+				x = expSlow(u)
+			}
+			dst[i] = x / rate
+		}
+		dst = dst[n:]
 	}
 }
 
@@ -181,40 +172,31 @@ func (s *Source) Uint64n(n uint64) uint64 {
 	if n&(n-1) == 0 {
 		return s.Uint64() & (n - 1)
 	}
-	// Lemire rejection: draw until the 128-bit product's low half is
-	// above the bias threshold.
-	threshold := (-n) % n
-	for {
-		v := s.Uint64()
-		hi, lo := mul64(v, n)
-		if lo >= threshold {
-			return hi
+	// Lemire rejection: redraw while the 128-bit product's low half is
+	// below the bias threshold (-n)%n. The threshold is below n, so a
+	// low half of at least n is accepted without computing it.
+	hi, lo := bits.Mul64(s.Uint64(), n)
+	if lo < n {
+		threshold := -n % n
+		for lo < threshold {
+			hi, lo = bits.Mul64(s.Uint64(), n)
 		}
 	}
-}
-
-// mul64 returns the 128-bit product of x and y as (hi, lo).
-func mul64(x, y uint64) (hi, lo uint64) {
-	const mask = 1<<32 - 1
-	x0, x1 := x&mask, x>>32
-	y0, y1 := y&mask, y>>32
-	w0 := x0 * y0
-	t := x1*y0 + w0>>32
-	w1 := t&mask + x0*y1
-	hi = x1*y1 + t>>32 + w1>>32
-	lo = x * y
-	return
+	return hi
 }
 
 // Exp returns an exponentially distributed value with the given rate
-// (mean 1/rate). It panics if rate <= 0.
+// (mean 1/rate), consuming exactly one Uint64 output (see expFast). It
+// panics if rate <= 0.
 func (s *Source) Exp(rate float64) float64 {
 	if rate <= 0 {
 		panic("rng: Exp with non-positive rate")
 	}
-	// Draw u in (0,1]; -log(u)/rate. Float64 returns [0,1), so flip it.
-	u := 1.0 - s.Float64()
-	return -math.Log(u) / rate
+	u := s.Uint64()
+	if x, ok := expFast(u); ok {
+		return x / rate
+	}
+	return expSlow(u) / rate
 }
 
 // Perm fills p with a uniform random permutation of 0..len(p)-1

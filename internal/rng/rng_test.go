@@ -328,11 +328,28 @@ func BenchmarkIntn(b *testing.B) {
 }
 
 func BenchmarkExp(b *testing.B) {
-	s := New(1)
 	var sink float64
-	for i := 0; i < b.N; i++ {
-		sink += s.Exp(3)
-	}
+	b.Run("source", func(b *testing.B) {
+		s := New(1)
+		for i := 0; i < b.N; i++ {
+			sink += s.Exp(3)
+		}
+	})
+	b.Run("batch", func(b *testing.B) {
+		bt := NewBatch(New(1))
+		bt.Reserve(b.N)
+		for i := 0; i < b.N; i++ {
+			sink += bt.Exp(3)
+		}
+	})
+	b.Run("fill", func(b *testing.B) {
+		s := New(1)
+		buf := make([]float64, 256)
+		for i := 0; i < b.N; i += len(buf) {
+			s.FillExp(buf, 3)
+			sink += buf[0]
+		}
+	})
 	_ = sink
 }
 
@@ -352,21 +369,25 @@ func TestFillUint64MatchesSequential(t *testing.T) {
 	}
 }
 
+// FillExp must produce the values and leave the state of sequential
+// Exp calls, across its stack-buffer chunk boundaries, with uniform
+// draws interleaved between fills.
 func TestFillFloat64AndExpMatchSequential(t *testing.T) {
 	a, b := New(78), New(78)
-	fs := make([]float64, 257)
-	a.FillFloat64(fs)
-	for i, f := range fs {
-		if want := b.Float64(); f != want {
-			t.Fatalf("FillFloat64[%d] = %v, want %v", i, f, want)
+	for _, n := range []int{0, 1, 127, 128, 129, 257, 300} {
+		es := make([]float64, n)
+		a.FillExp(es, 2.5)
+		for i, e := range es {
+			if want := b.Exp(2.5); e != want {
+				t.Fatalf("FillExp(%d)[%d] = %v, want %v", n, i, e, want)
+			}
+		}
+		if got, want := a.Float64(), b.Float64(); got != want {
+			t.Fatalf("Float64 after FillExp(%d) = %v, want %v", n, got, want)
 		}
 	}
-	es := make([]float64, 129)
-	a.FillExp(es, 2.5)
-	for i, e := range es {
-		if want := b.Exp(2.5); e != want {
-			t.Fatalf("FillExp[%d] = %v, want %v", i, e, want)
-		}
+	if a.State() != b.State() {
+		t.Fatal("states diverged after FillExp")
 	}
 }
 
