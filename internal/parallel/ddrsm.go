@@ -129,14 +129,6 @@ func (d *DDRSM) Reset(cfg *lattice.Config, src *rng.Source) {
 // Workers returns the number of strips.
 func (d *DDRSM) Workers() int { return len(d.strips) }
 
-// interior reports whether a trial at site s stays strictly inside the
-// strip [loRow, hiRow): the pattern radius must not reach the strip
-// edges.
-func (d *DDRSM) interior(st strip, s int) bool {
-	_, y := d.cm.Lat.Coords(s)
-	return y-d.radius >= st.loRow && y+d.radius < st.hiRow
-}
-
 // Step performs one windowed MC step.
 //
 //surflint:hotpath
@@ -180,12 +172,16 @@ func (d *DDRSM) Step() bool {
 // stored into the strip's record once, at the end, because the records
 // sit side by side in d.results and per-trial writes there would share
 // cache lines across strips. Interior trials touch only this strip's
-// rows, so concurrent strips cannot race.
+// rows, so concurrent strips cannot race. The drawn row and column are
+// in range, so the site index needs no wrap-around, and a trial is
+// interior when its pattern radius reaches neither strip edge.
 //
 //surflint:hotpath
 func (d *DDRSM) runStrip(w int) {
 	st := d.strips[w]
 	nk := float64(d.cm.Lat.N()) * d.cm.K
+	l0 := d.cm.Lat.L0
+	lo, hi := st.loRow+d.radius, st.hiRow-d.radius // interior rows [lo, hi)
 	var stream rng.Source
 	d.stepBase.SplitInto(&stream, uint64(w))
 	deferred := d.results[w].deferred[:0]
@@ -193,15 +189,15 @@ func (d *DDRSM) runStrip(w int) {
 	var dt float64
 	for i := 0; i < st.sites; i++ {
 		row := st.loRow + stream.Intn(st.hiRow-st.loRow)
-		col := stream.Intn(d.cm.Lat.L0)
-		s := d.cm.Lat.Index(col, row)
+		col := stream.Intn(l0)
+		s := row*l0 + col
 		rt := d.cm.PickType(stream.Float64())
 		if d.DeterministicTime {
 			dt += 1 / nk
 		} else {
 			dt += stream.Exp(nk)
 		}
-		if d.interior(st, s) {
+		if row >= lo && row < hi {
 			if d.cm.TryExecute(d.cells, rt, s) {
 				successes++
 			}
