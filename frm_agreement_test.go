@@ -39,14 +39,16 @@ func zgbCoverage(t *testing.T, engine string, kCO float64) (mean, std [][]float6
 		t.Fatal(err)
 	}
 	const workers, points = 2, int(agreeUntil) + 1
+	sessions := make([]*parsurf.Session, workers)
+	for w := range sessions {
+		if sessions[w], err = spec.Session(); err != nil {
+			t.Fatal(err)
+		}
+	}
 	acc := ensemble.NewAccumulator(3, points, workers)
 	next := make(chan int)
 	var wg sync.WaitGroup
-	for w := 0; w < workers; w++ {
-		sess, err := spec.Session()
-		if err != nil {
-			t.Fatal(err)
-		}
+	for _, sess := range sessions {
 		wg.Add(1)
 		go func() {
 			defer wg.Done()
@@ -61,7 +63,9 @@ func zgbCoverage(t *testing.T, engine string, kCO float64) (mean, std [][]float6
 						rows[sp][k] = sess.Config().Coverage(parsurf.Species(sp))
 					}
 				}
-				acc.Add(context.Background(), i, rows)
+				if err := acc.Add(context.Background(), i, rows); err != nil {
+					t.Error(err)
+				}
 			}
 		}()
 	}
