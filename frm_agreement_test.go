@@ -3,7 +3,6 @@ package parsurf_test
 import (
 	"context"
 	"math"
-	"sync"
 	"testing"
 
 	"parsurf"
@@ -24,9 +23,10 @@ const (
 )
 
 // zgbCoverage runs agreeReplicas replicas of engine at the given kCO on
-// two goroutines, each replica stepped straight to the grid points, and
-// merges the coverage rows through ensemble.Accumulator. It returns
-// the per-species mean and standard deviation at each grid point.
+// two workers, each replica stepped straight to the grid points with no
+// per-step context check, and merges the coverage rows through
+// ensemble.Accumulator. It returns the per-species mean and standard
+// deviation at each grid point.
 func zgbCoverage(t *testing.T, engine string, kCO float64) (mean, std [][]float64) {
 	t.Helper()
 	spec, err := parsurf.NewSpec(
@@ -39,41 +39,27 @@ func zgbCoverage(t *testing.T, engine string, kCO float64) (mean, std [][]float6
 		t.Fatal(err)
 	}
 	const workers, points = 2, int(agreeUntil) + 1
-	sessions := make([]*parsurf.Session, workers)
-	for w := range sessions {
-		if sessions[w], err = spec.Session(); err != nil {
-			t.Fatal(err)
-		}
-	}
 	acc := ensemble.NewAccumulator(3, points, workers)
-	next := make(chan int)
-	var wg sync.WaitGroup
-	for _, sess := range sessions {
-		wg.Add(1)
-		go func() {
-			defer wg.Done()
-			for i := range next {
-				sess.Reset(parsurf.NewRNG(2026 + uint64(i)))
-				eng := sess.Engine()
-				rows := [][]float64{make([]float64, points), make([]float64, points), make([]float64, points)}
-				for k := range points {
-					for eng.Time() < float64(k) && eng.Step() {
-					}
-					for sp := range rows {
-						rows[sp][k] = sess.Config().Coverage(parsurf.Species(sp))
-					}
-				}
-				if err := acc.Add(context.Background(), i, rows); err != nil {
-					t.Error(err)
-				}
+	err = ensemble.Run(context.Background(), agreeReplicas, workers, func(ctx context.Context, i int) error {
+		sess, err := spec.Session()
+		if err != nil {
+			return err
+		}
+		sess.Reset(parsurf.NewRNG(2026 + uint64(i)))
+		eng := sess.Engine()
+		rows := [][]float64{make([]float64, points), make([]float64, points), make([]float64, points)}
+		for k := range points {
+			for eng.Time() < float64(k) && eng.Step() {
 			}
-		}()
+			for sp := range rows {
+				rows[sp][k] = sess.Config().Coverage(parsurf.Species(sp))
+			}
+		}
+		return acc.Add(ctx, i, rows)
+	})
+	if err != nil {
+		t.Fatal(err)
 	}
-	for i := range agreeReplicas {
-		next <- i
-	}
-	close(next)
-	wg.Wait()
 	return acc.MeanStd()
 }
 
