@@ -24,10 +24,9 @@ func (sp *SessionSpec) Hash() string {
 // hash, step count, clock, random-source state, configuration and the
 // engine-private payload — in the persist v2 format. Taken at a step
 // boundary (which is the only place callers can observe a session), the
-// snapshot is exact: every engine routes its randomness so the raw
-// source state is in sync after each whole Step (the RSM batch reader
-// guarantees this through its reservation bound), so a ResumeSession
-// continues the trajectory bit for bit.
+// snapshot is exact: no engine buffers draws ahead of its source, so
+// the raw source state is in sync after each whole Step and a
+// ResumeSession continues the trajectory bit for bit.
 func (s *Session) Checkpoint(w io.Writer) error {
 	var payload bytes.Buffer
 	if err := s.eng.SaveState(&payload); err != nil {

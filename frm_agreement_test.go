@@ -7,6 +7,9 @@ import (
 
 	"parsurf"
 	"parsurf/internal/ensemble"
+	"parsurf/internal/lattice"
+	"parsurf/internal/sim"
+	"parsurf/internal/timegrid"
 )
 
 // The frm agreement check runs ZGB at y = 0.50 (kCO 0.55 against
@@ -23,8 +26,8 @@ const (
 )
 
 // zgbCoverage runs agreeReplicas replicas of engine at the given kCO on
-// two workers, each replica stepped straight to the grid points with no
-// per-step context check, and merges the coverage rows through
+// two workers, each replica run through sim.RunGridFrom on the context
+// ensemble.Run passes in, and merges the coverage rows through
 // ensemble.Accumulator. It returns the per-species mean and standard
 // deviation at each grid point.
 func zgbCoverage(t *testing.T, engine string, kCO float64) (mean, std [][]float64) {
@@ -38,7 +41,12 @@ func zgbCoverage(t *testing.T, engine string, kCO float64) (mean, std [][]float6
 	if err != nil {
 		t.Fatal(err)
 	}
-	const workers, points = 2, int(agreeUntil) + 1
+	grid, err := timegrid.New(agreeUntil, 1)
+	if err != nil {
+		t.Fatal(err)
+	}
+	const workers = 2
+	points := grid.Len()
 	acc := ensemble.NewAccumulator(3, points, workers)
 	err = ensemble.Run(context.Background(), agreeReplicas, workers, func(ctx context.Context, i int) error {
 		sess, err := spec.Session()
@@ -46,14 +54,14 @@ func zgbCoverage(t *testing.T, engine string, kCO float64) (mean, std [][]float6
 			return err
 		}
 		sess.Reset(parsurf.NewRNG(2026 + uint64(i)))
-		eng := sess.Engine()
 		rows := [][]float64{make([]float64, points), make([]float64, points), make([]float64, points)}
-		for k := range points {
-			for eng.Time() < float64(k) && eng.Step() {
-			}
+		_, err = sim.RunGridFrom(ctx, sess.Engine(), grid, 0, func(k int, cfg *lattice.Config) {
 			for sp := range rows {
-				rows[sp][k] = sess.Config().Coverage(parsurf.Species(sp))
+				rows[sp][k] = cfg.Coverage(lattice.Species(sp))
 			}
+		})
+		if err != nil {
+			return err
 		}
 		return acc.Add(ctx, i, rows)
 	})

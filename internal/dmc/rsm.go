@@ -21,13 +21,7 @@ type RSM struct {
 	cm    *model.Compiled
 	cfg   *lattice.Config
 	cells []lattice.Species
-	// batch prefetches raw generator outputs from the source in blocks;
-	// the trial loop draws site, type and waiting time from it — all
-	// randomness flows through the batch (drawing from the source
-	// directly would break its synchronization invariant). Consumption
-	// order, and therefore the trajectory for a fixed seed, is
-	// identical to direct Source calls — see rng.Batch.
-	batch *rng.Batch
+	src   *rng.Source
 
 	time      float64
 	steps     uint64
@@ -46,44 +40,28 @@ func NewRSM(cm *model.Compiled, cfg *lattice.Config, src *rng.Source) *RSM {
 	if !cfg.Lattice().SameShape(cm.Lat) {
 		panic("dmc: configuration lattice differs from compiled lattice")
 	}
-	return &RSM{cm: cm, cfg: cfg, cells: cfg.Cells(), batch: rng.NewBatch(src)}
+	return &RSM{cm: cm, cfg: cfg, cells: cfg.Cells(), src: src}
 }
 
 // Reset rewinds the engine to a fresh start over cfg, drawing from src
-// (see registry.Engine.Reset): clock and counters return to zero and
-// the batch reader is rewound in place, so a reset RSM reproduces a
-// freshly constructed one bit for bit without reallocating.
+// (see registry.Engine.Reset): clock and counters return to zero, so a
+// reset RSM reproduces a freshly constructed one bit for bit without
+// reallocating.
 func (r *RSM) Reset(cfg *lattice.Config, src *rng.Source) {
 	if !cfg.Lattice().SameShape(r.cm.Lat) {
 		panic("dmc: Reset configuration lattice differs from compiled lattice")
 	}
-	r.cfg, r.cells = cfg, cfg.Cells()
-	r.batch.Reset(src)
+	r.cfg, r.cells, r.src = cfg, cfg.Cells(), src
 	r.time = 0
 	r.steps, r.trials, r.successes = 0, 0, 0
-}
-
-// minDrawsPerTrial is the guaranteed lower bound on raw RNG draws one
-// trial consumes (site + type, plus the waiting time unless the clock is
-// deterministic); the site draw may take more under Lemire rejection.
-func (r *RSM) minDrawsPerTrial() int {
-	if r.DeterministicTime {
-		return 2
-	}
-	return 3
 }
 
 // Trial performs one RSM trial (steps 1–5) and reports whether a
 // reaction fired.
 func (r *RSM) Trial() bool {
-	r.batch.Reserve(r.minDrawsPerTrial())
-	return r.trial()
-}
-
-func (r *RSM) trial() bool {
 	n := r.cm.Lat.N()
-	s := r.batch.Intn(n)
-	rt := r.cm.PickType(r.batch.Float64())
+	s := r.src.Intn(n)
+	rt := r.cm.PickType(r.src.Float64())
 	fired := r.cm.TryExecute(r.cells, rt, s)
 	r.advance(n)
 	r.trials++
@@ -98,7 +76,7 @@ func (r *RSM) advance(n int) {
 	if r.DeterministicTime {
 		r.time += 1 / nk
 	} else {
-		r.time += r.batch.Exp(nk)
+		r.time += r.src.Exp(nk)
 	}
 }
 
@@ -109,11 +87,8 @@ func (r *RSM) advance(n int) {
 //surflint:hotpath
 func (r *RSM) Step() bool {
 	n := r.cm.Lat.N()
-	// One bulk reservation covers the whole step's guaranteed draws, so
-	// the batch prefetches full blocks instead of per-trial dribbles.
-	r.batch.Reserve(r.minDrawsPerTrial() * n)
 	for i := 0; i < n; i++ {
-		r.trial()
+		r.Trial()
 	}
 	r.steps++
 	return true

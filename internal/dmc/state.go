@@ -16,10 +16,8 @@ import (
 	"parsurf/internal/persist"
 )
 
-// SaveState writes the RSM clock and counters. The batch reader's
-// reservation bound leaves its buffer empty at every step boundary, so
-// the raw source state (saved by the surrounding checkpoint) is exact
-// and the batch needs nothing of its own.
+// SaveState writes the RSM clock and counters; the raw source state is
+// saved by the surrounding checkpoint.
 func (r *RSM) SaveState(w io.Writer) error {
 	e := persist.NewWriter(w)
 	e.F64(r.time)

@@ -39,26 +39,6 @@ type ReactionType struct {
 	Triples []Triple
 }
 
-// Neighborhood returns the set of offsets the reaction type touches.
-func (rt *ReactionType) Neighborhood() []lattice.Vec {
-	out := make([]lattice.Vec, len(rt.Triples))
-	for i, tr := range rt.Triples {
-		out[i] = tr.Off
-	}
-	return out
-}
-
-// Changes reports whether executing the reaction modifies any site
-// (some triple has Src != Tgt).
-func (rt *ReactionType) Changes() bool {
-	for _, tr := range rt.Triples {
-		if tr.Src != tr.Tgt {
-			return true
-		}
-	}
-	return false
-}
-
 // Enabled reports whether the reaction type's source pattern matches at
 // site s in configuration c.
 func (rt *ReactionType) Enabled(c *lattice.Config, s int) bool {

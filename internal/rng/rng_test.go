@@ -335,13 +335,6 @@ func BenchmarkExp(b *testing.B) {
 			sink += s.Exp(3)
 		}
 	})
-	b.Run("batch", func(b *testing.B) {
-		bt := NewBatch(New(1))
-		bt.Reserve(b.N)
-		for i := 0; i < b.N; i++ {
-			sink += bt.Exp(3)
-		}
-	})
 	b.Run("fill", func(b *testing.B) {
 		s := New(1)
 		buf := make([]float64, 256)
@@ -391,69 +384,11 @@ func TestFillFloat64AndExpMatchSequential(t *testing.T) {
 	}
 }
 
-// A Batch must consume the underlying stream exactly like direct Source
-// calls for any interleaving of draw kinds, including the rejection
-// loop of non-power-of-two Intn.
-func TestBatchMatchesSource(t *testing.T) {
-	src, ref := New(79), New(79)
-	batch := NewBatch(src)
-	ctl := New(80) // decides the call mix, independent stream
-	for op := 0; op < 5000; op++ {
-		switch ctl.Intn(4) {
-		case 0:
-			if got, want := batch.Uint64(), ref.Uint64(); got != want {
-				t.Fatalf("op %d: Uint64 %d != %d", op, got, want)
-			}
-		case 1:
-			if got, want := batch.Float64(), ref.Float64(); got != want {
-				t.Fatalf("op %d: Float64 %v != %v", op, got, want)
-			}
-		case 2:
-			n := 1 + ctl.Intn(1000) // mixes power-of-two and rejection paths
-			if got, want := batch.Intn(n), ref.Intn(n); got != want {
-				t.Fatalf("op %d: Intn(%d) %d != %d", op, n, got, want)
-			}
-		case 3:
-			if got, want := batch.Exp(3.25), ref.Exp(3.25); got != want {
-				t.Fatalf("op %d: Exp %v != %v", op, got, want)
-			}
-		}
-	}
-}
-
 func BenchmarkFillUint64(b *testing.B) {
 	src := New(1)
 	buf := make([]uint64, 256)
 	b.SetBytes(256 * 8)
 	for i := 0; i < b.N; i++ {
 		src.FillUint64(buf)
-	}
-}
-
-// After a fully consumed reserved window the batch buffer must be empty
-// and the underlying Source exactly at the sequential-consumption state
-// (the invariant persist-style checkpoints of the raw Source rely on),
-// even when rejection sampling consumes more than the reserved minimum.
-func TestBatchReserveAlignsSource(t *testing.T) {
-	src, ref := New(81), New(81)
-	b := NewBatch(src)
-	const trials = 1000
-	b.Reserve(3 * trials) // the guaranteed minimum; Intn(999) may take more
-	for i := 0; i < trials; i++ {
-		if got, want := b.Intn(999), ref.Intn(999); got != want {
-			t.Fatalf("trial %d: Intn %d != %d", i, got, want)
-		}
-		if got, want := b.Float64(), ref.Float64(); got != want {
-			t.Fatalf("trial %d: Float64 %v != %v", i, got, want)
-		}
-		if got, want := b.Exp(1.5), ref.Exp(1.5); got != want {
-			t.Fatalf("trial %d: Exp %v != %v", i, got, want)
-		}
-	}
-	if n := b.Buffered(); n != 0 {
-		t.Fatalf("%d draws still buffered after the reserved window", n)
-	}
-	if src.State() != ref.State() {
-		t.Fatal("source state ran ahead of consumption")
 	}
 }

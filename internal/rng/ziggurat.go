@@ -7,8 +7,8 @@ import "math"
 // is the base strip [0, zigR) plus the tail beyond it, layers 1..255
 // are rectangles of equal area stacked above it, narrowing towards the
 // top. Every variate consumes exactly one output of the caller's
-// stream, so FillExp, Batch windows and checkpoints see the same draw
-// count as a one-uniform inversion sampler would.
+// stream, so FillExp and checkpoints see the same draw count as a
+// one-uniform inversion sampler would.
 //
 // The word u splits into a layer index i (its low 8 bits) and a 53-bit
 // abscissa j (its top 53 bits). When j lies below zigK[i] the point is
@@ -24,7 +24,7 @@ const zigR = 7.69711747013104972
 
 // expFast is the ziggurat's fast path: x = j·zigW[i] for the word u,
 // and whether it stands (ok) or u must go through expSlow. It is kept
-// small enough to inline into Source.Exp, Batch.Exp and FillExp.
+// small enough to inline into Source.Exp and FillExp.
 //
 //surflint:hotpath
 func expFast(u uint64) (x float64, ok bool) {

@@ -151,9 +151,9 @@ func forceWord(u uint64) [4]uint64 {
 }
 
 // Words forced onto the tail and the wedge (accepted at once, and
-// rejected into retries) leave Source.Exp, Batch.Exp and FillExp at
-// exactly the state one Uint64 leaves: the slow path draws only from
-// its child stream.
+// rejected into retries) leave Source.Exp and FillExp at exactly the
+// state one Uint64 leaves: the slow path draws only from its child
+// stream.
 func TestExpSlowPathConsumesOneOutput(t *testing.T) {
 	words := []uint64{zigK[0]<<11 | 0, (1<<53-1)<<11 | 0} // tail
 	for _, i := range []uint64{1, 2, 17, 128, 254, 255} {
@@ -174,13 +174,6 @@ func TestExpSlowPathConsumesOneOutput(t *testing.T) {
 		src.Restore(forceWord(u))
 		if got := src.Exp(2.5); got != want || src.State() != after {
 			t.Errorf("word %#x: Source.Exp = %v, want %v; state moved %v", u, got, want, src.State() != after)
-		}
-
-		src.Restore(forceWord(u))
-		b := NewBatch(src)
-		b.Reserve(1)
-		if got := b.Exp(2.5); got != want || b.Buffered() != 0 || src.State() != after {
-			t.Errorf("word %#x: Batch.Exp = %v, want %v; %d buffered", u, got, want, b.Buffered())
 		}
 
 		src.Restore(forceWord(u))

@@ -16,9 +16,9 @@ func (f ObserverFunc) Observe(t float64, cfg *lattice.Config) { f(t, cfg) }
 
 // RunContext advances s until its clock reaches tEnd, observing the
 // live configuration on the grid timegrid.From(s.Time(), tEnd, dt)
-// through SampleGrid. dt <= 0 disables sampling. The context is checked
-// every engine step, so cancellation latency is one Step call; on
-// cancellation the context error is returned with the progress so far.
+// through SampleGrid. dt <= 0 disables sampling. Cancellation takes
+// effect within one Step call (see runTo); the context error is then
+// returned with the progress so far.
 func RunContext(ctx context.Context, s dmc.Simulator, dt, tEnd float64, observers ...Observer) (steps, samples int, err error) {
 	if dt <= 0 {
 		steps, err = runTo(ctx, s, tEnd)
@@ -69,10 +69,18 @@ func SampleGrid(ctx context.Context, s dmc.Simulator, grid timegrid.Grid, k0 int
 
 // runTo advances s until its clock reaches t, checking ctx before every
 // step. An absorbing state ends it early, leaving the clock short of t.
+// ctx.Done() is read once and polled with a non-blocking receive, which
+// takes no lock while the run is live; ctx.Err() is read only after the
+// channel has closed.
+//
+//surflint:hotpath
 func runTo(ctx context.Context, s dmc.Simulator, t float64) (steps int, err error) {
+	done := ctx.Done()
 	for s.Time() < t {
-		if err := ctx.Err(); err != nil {
-			return steps, err
+		select {
+		case <-done:
+			return steps, ctx.Err()
+		default:
 		}
 		if !s.Step() {
 			break
@@ -90,8 +98,8 @@ func runTo(ctx context.Context, s dmc.Simulator, t float64) (steps int, err erro
 // placement. Points before k0 are neither run to nor observed: a fresh
 // replica starts at 0, and one restored from a checkpoint taken after
 // grid point k0-1 continues with the remaining points, its step count
-// covering only the continued stretch. The context is checked before
-// every engine step (cancellation latency: one Step call). When the
+// covering only the continued stretch. Each point is reached through
+// runTo, so cancellation takes effect within one Step call. When the
 // engine reaches an absorbing state before grid point k, the frozen
 // configuration is observed for k and every remaining point: an
 // absorbed system no longer changes, so those samples are exact
@@ -101,34 +109,37 @@ func runTo(ctx context.Context, s dmc.Simulator, t float64) (steps int, err erro
 func RunGridFrom(ctx context.Context, s dmc.Simulator, grid timegrid.Grid, k0 int, observe func(k int, cfg *lattice.Config)) (steps int, err error) {
 	for k := k0; k < grid.Len(); k++ {
 		t := grid.At(k)
-		for s.Time() < t {
-			if err := ctx.Err(); err != nil {
-				return steps, err
-			}
-			if !s.Step() {
-				for ; k < grid.Len(); k++ {
-					observe(k, s.Config())
-				}
-				return steps, nil
-			}
-			steps++
+		n, err := runTo(ctx, s, t)
+		steps += n
+		if err != nil {
+			return steps, err
 		}
 		observe(k, s.Config())
+		if s.Time() < t {
+			for k++; k < grid.Len(); k++ {
+				observe(k, s.Config())
+			}
+			return steps, nil
+		}
 	}
 	return steps, nil
 }
 
 // StepContext advances s by n Step calls (or until an absorbing state),
-// checking the context between steps.
+// polling the context between steps as runTo does.
+//
+//surflint:hotpath
 func StepContext(ctx context.Context, s dmc.Simulator, n int) (steps int, err error) {
-	for i := 0; i < n; i++ {
-		if err := ctx.Err(); err != nil {
-			return steps, err
+	done := ctx.Done()
+	for ; steps < n; steps++ {
+		select {
+		case <-done:
+			return steps, ctx.Err()
+		default:
 		}
 		if !s.Step() {
-			return steps, nil
+			break
 		}
-		steps++
 	}
 	return steps, nil
 }

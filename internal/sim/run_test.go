@@ -100,6 +100,64 @@ func TestRunGridCancellation(t *testing.T) {
 	}
 }
 
+// cancelAt is a Simulator whose k-th Step cancels the run's context.
+// Its clock advances a quarter per step, so a cancellation lands
+// between grid points as well as on them.
+type cancelAt struct {
+	k, steps int
+	cancel   context.CancelFunc
+	cfg      *lattice.Config
+}
+
+func (c *cancelAt) Step() bool {
+	c.steps++
+	if c.steps == c.k {
+		c.cancel()
+	}
+	return true
+}
+
+func (c *cancelAt) Time() float64           { return float64(c.steps) / 4 }
+func (c *cancelAt) Config() *lattice.Config { return c.cfg }
+
+// A context cancelled inside the k-th Step stops every run loop before
+// step k+1: each returns context.Canceled with exactly k steps counted.
+func TestRunLoopsCancelMidRun(t *testing.T) {
+	runners := []struct {
+		name string
+		run  func(ctx context.Context, s *cancelAt) (int, error)
+	}{
+		{"RunGridFrom", func(ctx context.Context, s *cancelAt) (int, error) {
+			return RunGridFrom(ctx, s, mustGrid(t, 1e3, 1), 0, func(int, *lattice.Config) {})
+		}},
+		{"RunContext/sampled", func(ctx context.Context, s *cancelAt) (int, error) {
+			steps, _, err := RunContext(ctx, s, 1, 1e3)
+			return steps, err
+		}},
+		{"RunContext/unsampled", func(ctx context.Context, s *cancelAt) (int, error) {
+			steps, _, err := RunContext(ctx, s, 0, 1e3)
+			return steps, err
+		}},
+		{"StepContext", func(ctx context.Context, s *cancelAt) (int, error) {
+			return StepContext(ctx, s, 1e4)
+		}},
+	}
+	cfg := lattice.NewConfig(lattice.NewSquare(4))
+	for _, r := range runners {
+		for _, k := range []int{1, 4, 7} {
+			ctx, cancel := context.WithCancel(context.Background())
+			s := &cancelAt{k: k, cancel: cancel, cfg: cfg}
+			steps, err := r.run(ctx, s)
+			if !errors.Is(err, context.Canceled) {
+				t.Errorf("%s, cancel in step %d: returned %v, want context.Canceled", r.name, k, err)
+			}
+			if steps != k || s.steps != k {
+				t.Errorf("%s, cancel in step %d: counted %d steps and took %d, want %d", r.name, k, steps, s.steps, k)
+			}
+		}
+	}
+}
+
 // RunContext samples on the index-derived grid: dt=0.1 to tEnd=1.0 is
 // exactly 11 samples (the accumulated-sum schedule this replaced could
 // disagree with the merge about that count).

@@ -112,9 +112,6 @@ func (g Grid) Times() []float64 {
 	return out
 }
 
-// Origin returns the first grid point (meaningless when Len is 0).
-func (g Grid) Origin() float64 { return g.origin }
-
 // Until returns the grid horizon, the final point of a non-empty grid.
 func (g Grid) Until() float64 { return g.until }
 
