@@ -76,6 +76,30 @@ func (l *Lattice) Translate(s int, v Vec) int {
 	return l.Index(x+v.DX, y+v.DY)
 }
 
+// FillTranslate sets dst[s] = Translate(s, v) for every site s: the
+// whole translation table of offset v. It takes one modulus per row
+// rather than four divisions per site, and the sites of a row translate
+// to one contiguous run that wraps once at L0. dst must have length N,
+// and N must fit in an int32.
+func (l *Lattice) FillTranslate(dst []int32, v Vec) {
+	if len(dst) != l.n {
+		panic(fmt.Sprintf("lattice: FillTranslate table of %d entries for %d sites", len(dst), l.n))
+	}
+	dx := mod(v.DX, l.L0)
+	split := l.L0 - dx // x < split maps to x+dx; the rest wraps to x+dx-L0
+	for y := 0; y < l.L1; y++ {
+		row := dst[y*l.L0 : (y+1)*l.L0]
+		t := int32(mod(y+v.DY, l.L1)*l.L0 + dx)
+		for x := range row[:split] {
+			row[x] = t + int32(x)
+		}
+		t -= int32(l.L0)
+		for x := split; x < len(row); x++ {
+			row[x] = t + int32(x)
+		}
+	}
+}
+
 // mod returns a modulo b with a result in [0, b), also for negative a.
 func mod(a, b int) int {
 	m := a % b

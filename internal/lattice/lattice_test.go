@@ -1,6 +1,7 @@
 package lattice
 
 import (
+	"fmt"
 	"testing"
 	"testing/quick"
 
@@ -88,6 +89,71 @@ func TestQuickTranslateNeg(t *testing.T) {
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
 	}
+}
+
+// checkFillTranslate compares the FillTranslate table of v with
+// Translate at every site and reports the first mismatch.
+func checkFillTranslate(l *Lattice, v Vec) error {
+	table := make([]int32, l.N())
+	l.FillTranslate(table, v)
+	for s, got := range table {
+		if want := l.Translate(s, v); int(got) != want {
+			return fmt.Errorf("%dx%d %v: site %d maps to %d, want %d", l.L0, l.L1, v, s, got, want)
+		}
+	}
+	return nil
+}
+
+// FillTranslate must equal Translate site by site, on non-square and
+// degenerate lattices too (a swapped x/y would pass every square case),
+// for offsets reaching three times each extent in both directions.
+func TestFillTranslateMatchesTranslate(t *testing.T) {
+	for _, dims := range [][2]int{{1, 1}, {1, 7}, {7, 1}, {3, 5}, {5, 3}, {64, 32}} {
+		l := New(dims[0], dims[1])
+		for _, dy := range testOffsets(l.L1) {
+			for _, dx := range testOffsets(l.L0) {
+				if err := checkFillTranslate(l, Vec{dx, dy}); err != nil {
+					t.Fatal(err)
+				}
+			}
+		}
+	}
+}
+
+// testOffsets returns the offsets in [-3e, 3e] for an extent e: all of
+// them for small extents, otherwise every multiple of e with its two
+// neighbours (where the wrap changes) and the midpoints between them.
+func testOffsets(e int) []int {
+	var out []int
+	for d := -3 * e; d <= 3*e; d++ {
+		if r := ((d % e) + e) % e; e <= 8 || r <= 1 || r == e-1 || r == e/2 {
+			out = append(out, d)
+		}
+	}
+	return out
+}
+
+func TestFillTranslatePanicsOnWrongLength(t *testing.T) {
+	defer func() {
+		if recover() == nil {
+			t.Fatal("FillTranslate accepted a short table")
+		}
+	}()
+	New(3, 4).FillTranslate(make([]int32, 11), Vec{1, 0})
+}
+
+// FuzzFillTranslate checks FillTranslate against Translate on random
+// extents in 1..64 and random offsets.
+func FuzzFillTranslate(f *testing.F) {
+	f.Add(uint8(5), uint8(3), int16(-7), int16(4))
+	f.Add(uint8(1), uint8(64), int16(0), int16(-129))
+	f.Add(uint8(64), uint8(1), int16(200), int16(0))
+	f.Fuzz(func(t *testing.T, l0, l1 uint8, dx, dy int16) {
+		l := New(int(l0)%64+1, int(l1)%64+1)
+		if err := checkFillTranslate(l, Vec{int(dx), int(dy)}); err != nil {
+			t.Fatal(err)
+		}
+	})
 }
 
 func TestNeighbourhoodShapes(t *testing.T) {

@@ -172,10 +172,7 @@ func Compile(m *Model, lat *lattice.Lattice) (*Compiled, error) {
 	// Fill the arena: one contiguous translation table per offset.
 	cm.flat = make([]int32, len(offsets)*n)
 	for t, off := range offsets {
-		table := cm.flat[t*n : (t+1)*n]
-		for s := 0; s < n; s++ {
-			table[s] = int32(lat.Translate(s, off))
-		}
+		lat.FillTranslate(cm.flat[t*n:(t+1)*n], off)
 	}
 	tableOf := func(v lattice.Vec) []int32 {
 		t := int(ordinals[v])

@@ -1,6 +1,7 @@
 package model
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -187,6 +188,32 @@ func TestQuickTables(t *testing.T) {
 	}
 	if err := quick.Check(f, nil); err != nil {
 		t.Fatal(err)
+	}
+}
+
+// BenchmarkCompile times building the compiled tables (translation
+// arena, dependency rows and refresh plans) for ZGB (7 types) and Pt(100)
+// (52 types): the per-spec set-up cost every engine construction pays.
+func BenchmarkCompile(b *testing.B) {
+	models := []struct {
+		name string
+		m    *Model
+	}{
+		{"zgb", NewZGB(DefaultZGBRates())},
+		{"ptco", NewPtCO(DefaultPtCORates())},
+	}
+	for _, mc := range models {
+		for _, side := range []int{32, 64, 256} {
+			b.Run(fmt.Sprintf("%s/%d", mc.name, side), func(b *testing.B) {
+				lat := lattice.NewSquare(side)
+				b.ReportAllocs()
+				for i := 0; i < b.N; i++ {
+					if _, err := Compile(mc.m, lat); err != nil {
+						b.Fatal(err)
+					}
+				}
+			})
+		}
 	}
 }
 

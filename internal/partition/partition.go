@@ -73,16 +73,22 @@ func (p *Partition) Sizes() []int {
 }
 
 // fromColoring builds a partition from a site → colour map with the
-// given number of colours.
+// given number of colours. Sites are visited in index order (y-major),
+// so each chunk lists its members in ascending site order.
 func fromColoring(lat *lattice.Lattice, colours int, colourOf func(x, y int) int) (*Partition, error) {
 	chunks := make([][]int32, colours)
+	for c := range chunks {
+		chunks[c] = make([]int32, 0, lat.N()/colours+1)
+	}
+	s := int32(0)
 	for y := 0; y < lat.L1; y++ {
 		for x := 0; x < lat.L0; x++ {
 			c := colourOf(x, y)
 			if c < 0 || c >= colours {
 				return nil, fmt.Errorf("partition: colour %d out of range", c)
 			}
-			chunks[c] = append(chunks[c], int32(lat.Index(x, y)))
+			chunks[c] = append(chunks[c], s)
+			s++
 		}
 	}
 	return FromChunks(lat, chunks)
@@ -281,24 +287,31 @@ func mapKeys(m map[lattice.Vec]bool) []lattice.Vec {
 
 // verifyDisjointUnions stamps every site of U(s) = s + offs for each
 // chunk member s and reports a conflict when a site is stamped twice by
-// different members of the same chunk.
+// different members of the same chunk. A stamp names its member, whose
+// chunk is p.chunkOf of it, so stamps left by earlier chunks need no
+// clearing.
 func verifyDisjointUnions(p *Partition, offs []lattice.Vec) error {
 	lat := p.Lat
-	owner := make([]int32, lat.N())
+	n := lat.N()
+	tables := make([]int32, len(offs)*n)
+	for i, o := range offs {
+		lat.FillTranslate(tables[i*n:(i+1)*n], o)
+	}
+	owner := make([]int32, n)
+	for i := range owner {
+		owner[i] = -1
+	}
 	for ci, chunk := range p.Chunks {
 		if len(chunk) == 1 {
 			continue // a single member cannot conflict with itself
 		}
-		for i := range owner {
-			owner[i] = -1
-		}
 		for _, s := range chunk {
-			for _, o := range offs {
-				site := lat.Translate(int(s), o)
-				if owner[site] != -1 && owner[site] != s {
+			for i := range offs {
+				site := tables[i*n+int(s)]
+				if prev := owner[site]; prev != -1 && prev != s && p.chunkOf[prev] == int32(ci) {
 					return fmt.Errorf(
 						"partition: chunk %d members %d and %d overlap at site %d",
-						ci, owner[site], s, site)
+						ci, prev, s, site)
 				}
 				owner[site] = s
 			}

@@ -1,6 +1,7 @@
 package partition
 
 import (
+	"fmt"
 	"math"
 	"testing"
 	"testing/quick"
@@ -450,6 +451,156 @@ func TestConflictOffsetsDeterministic(t *testing.T) {
 			if again[i] != first[i] {
 				t.Fatalf("trial %d: order diverged at %d: %v vs %v", trial, i, again[i], first[i])
 			}
+		}
+	}
+}
+
+// referenceFromColoring is the Index-based construction fromColoring
+// replaced: it pins the chunks, and the member order within each chunk,
+// that the partitioned engines sweep.
+func referenceFromColoring(lat *lattice.Lattice, colours int, colourOf func(x, y int) int) [][]int32 {
+	chunks := make([][]int32, colours)
+	for y := 0; y < lat.L1; y++ {
+		for x := 0; x < lat.L0; x++ {
+			c := colourOf(x, y)
+			chunks[c] = append(chunks[c], int32(lat.Index(x, y)))
+		}
+	}
+	return chunks
+}
+
+func sameChunks(a, b [][]int32) bool {
+	if len(a) != len(b) {
+		return false
+	}
+	for i := range a {
+		if len(a[i]) != len(b[i]) {
+			return false
+		}
+		for j := range a[i] {
+			if a[i][j] != b[i][j] {
+				return false
+			}
+		}
+	}
+	return true
+}
+
+// The colourings must give the reference chunks on non-square lattices,
+// where a swapped x/y would change them (every golden trace is square).
+func TestColouringsMatchIndexReference(t *testing.T) {
+	zgb := model.NewZGB(model.DefaultZGBRates())
+	cases := []struct {
+		name  string
+		lat   *lattice.Lattice
+		build func(*lattice.Lattice) (*Partition, error)
+	}{
+		{"vonneumann5", lattice.New(10, 20), VonNeumann5},
+		{"vonneumann5", lattice.New(20, 10), VonNeumann5},
+		{"checkerboard", lattice.New(6, 4), Checkerboard},
+		{"checkerboard", lattice.New(4, 6), Checkerboard},
+		{"modular", lattice.New(12, 18), func(lat *lattice.Lattice) (*Partition, error) {
+			return ModularColoring(zgb, lat, 64)
+		}},
+	}
+	for _, c := range cases {
+		p, err := c.build(c.lat)
+		if err != nil {
+			t.Fatalf("%s %dx%d: %v", c.name, c.lat.L0, c.lat.L1, err)
+		}
+		var want [][]int32
+		switch c.name {
+		case "vonneumann5":
+			want = referenceFromColoring(c.lat, 5, func(x, y int) int { return (x + 3*y) % 5 })
+		case "checkerboard":
+			want = referenceFromColoring(c.lat, 2, func(x, y int) int { return (x + y) % 2 })
+		case "modular":
+			// Recover (k, r) from the partition: site (1, 0) has colour
+			// 1 and site (0, 1) has colour r.
+			k := p.NumChunks()
+			r := p.ChunkOf(c.lat.Index(0, 1))
+			if p.ChunkOf(c.lat.Index(1, 0)) != 1 || k < 2 {
+				t.Fatalf("modular %dx%d: unexpected colouring with %d chunks", c.lat.L0, c.lat.L1, k)
+			}
+			want = referenceFromColoring(c.lat, k, func(x, y int) int { return (x + r*y) % k })
+		}
+		if !sameChunks(p.Chunks, want) {
+			t.Errorf("%s %dx%d: chunks differ from the Index-based reference", c.name, c.lat.L0, c.lat.L1)
+		}
+	}
+}
+
+// referenceVerify is the per-chunk-cleared, Translate-based form of
+// verifyDisjointUnions; both must report the same first conflict.
+func referenceVerify(p *Partition, offs []lattice.Vec) error {
+	lat := p.Lat
+	owner := make([]int32, lat.N())
+	for ci, chunk := range p.Chunks {
+		if len(chunk) == 1 {
+			continue
+		}
+		for i := range owner {
+			owner[i] = -1
+		}
+		for _, s := range chunk {
+			for _, o := range offs {
+				site := lat.Translate(int(s), o)
+				if owner[site] != -1 && owner[site] != s {
+					return fmt.Errorf(
+						"partition: chunk %d members %d and %d overlap at site %d",
+						ci, owner[site], s, site)
+				}
+				owner[site] = s
+			}
+		}
+	}
+	return nil
+}
+
+// On a non-square lattice VerifyNonOverlap still rejects the single
+// chunk and the checkerboard for ZGB and accepts the Fig. 4 colouring,
+// with the same verdict and message as the reference verifier.
+func TestVerifyNonOverlapMatchesReference(t *testing.T) {
+	zgb := model.NewZGB(model.DefaultZGBRates())
+	offs := make(map[lattice.Vec]bool)
+	for _, rt := range zgb.Types {
+		for _, tr := range rt.Triples {
+			offs[tr.Off] = true
+		}
+	}
+	union := sortedVecs(offs)
+	lat := lattice.New(10, 20)
+	vn5, err := VonNeumann5(lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	board, err := Checkerboard(lat)
+	if err != nil {
+		t.Fatal(err)
+	}
+	blocks, err := Blocks(lat, 5, 4, 1, 2)
+	if err != nil {
+		t.Fatal(err)
+	}
+	cases := []struct {
+		name   string
+		p      *Partition
+		accept bool
+	}{
+		{"singlechunk", SingleChunk(lat), false},
+		{"vonneumann5", vn5, true},
+		{"checkerboard", board, false},
+		{"blocks", blocks, false},
+		{"singletons", Singletons(lat), true},
+	}
+	for _, c := range cases {
+		got := VerifyNonOverlap(c.p, zgb)
+		if (got == nil) != c.accept {
+			t.Errorf("%s: VerifyNonOverlap = %v, want accept=%v", c.name, got, c.accept)
+		}
+		want := referenceVerify(c.p, union)
+		if fmt.Sprint(got) != fmt.Sprint(want) {
+			t.Errorf("%s: VerifyNonOverlap = %v, reference %v", c.name, got, want)
 		}
 	}
 }

@@ -45,7 +45,10 @@ type ZGB struct {
 	steps  uint64
 	trials uint64
 	co2    uint64
-	nbOff  []lattice.Vec
+	// nb is the site-major neighbour table: nb[4s+k] is site s
+	// translated by lattice.Axes4()[k]. It depends only on the lattice
+	// shape, so Reset keeps it.
+	nb []int32
 }
 
 // New returns a ZGB simulation with CO fraction y on an empty lattice.
@@ -66,10 +69,25 @@ func NewOn(cfg *lattice.Config, src *rng.Source, y float64) *ZGB {
 		cells: cfg.Cells(),
 		src:   src,
 		Y:     y,
-		nbOff: lattice.Axes4(),
+		nb:    neighbourTable(cfg.Lattice()),
 	}
 	z.ResyncVacancies()
 	return z
+}
+
+// neighbourTable returns the site-major table of the four Axes4
+// neighbours of every site.
+func neighbourTable(lat *lattice.Lattice) []int32 {
+	n := lat.N()
+	nb := make([]int32, 4*n)
+	table := make([]int32, n)
+	for k, d := range lattice.Axes4() {
+		lat.FillTranslate(table, d)
+		for s, t := range table {
+			nb[4*s+k] = t
+		}
+	}
+	return nb
 }
 
 // Reset rewinds the simulation over a fresh configuration (see
@@ -138,10 +156,9 @@ func (z *ZGB) CO2Count() uint64 { return z.co2 }
 // neighbour holds it, one is chosen uniformly and both sites are
 // vacated. Reports whether a reaction fired.
 func (z *ZGB) reactWithNeighbour(s int, partner lattice.Species) bool {
-	var candidates [4]int
+	var candidates [4]int32
 	n := 0
-	for _, d := range z.nbOff {
-		t := z.lat.Translate(s, d)
+	for _, t := range z.nb[4*s : 4*s+4] {
 		if z.cells[t] == partner {
 			candidates[n] = t
 			n++
@@ -150,7 +167,7 @@ func (z *ZGB) reactWithNeighbour(s int, partner lattice.Species) bool {
 	if n == 0 {
 		return false
 	}
-	t := candidates[z.src.Intn(n)]
+	t := int(candidates[z.src.Intn(n)])
 	z.set(s, Empty)
 	z.set(t, Empty)
 	z.co2++
@@ -171,7 +188,7 @@ func (z *ZGB) Trial() {
 		return
 	}
 	// O2 impingement onto s and a random neighbour.
-	t := z.lat.Translate(s, z.nbOff[z.src.Intn(4)])
+	t := int(z.nb[4*s+z.src.Intn(4)])
 	if z.cells[s] != Empty || z.cells[t] != Empty {
 		return
 	}
