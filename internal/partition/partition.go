@@ -287,31 +287,24 @@ func mapKeys(m map[lattice.Vec]bool) []lattice.Vec {
 
 // verifyDisjointUnions stamps every site of U(s) = s + offs for each
 // chunk member s and reports a conflict when a site is stamped twice by
-// different members of the same chunk. A stamp names its member, whose
-// chunk is p.chunkOf of it, so stamps left by earlier chunks need no
-// clearing.
+// different members of the same chunk.
 func verifyDisjointUnions(p *Partition, offs []lattice.Vec) error {
 	lat := p.Lat
-	n := lat.N()
-	tables := make([]int32, len(offs)*n)
-	for i, o := range offs {
-		lat.FillTranslate(tables[i*n:(i+1)*n], o)
-	}
-	owner := make([]int32, n)
-	for i := range owner {
-		owner[i] = -1
-	}
+	owner := make([]int32, lat.N())
 	for ci, chunk := range p.Chunks {
 		if len(chunk) == 1 {
 			continue // a single member cannot conflict with itself
 		}
+		for i := range owner {
+			owner[i] = -1
+		}
 		for _, s := range chunk {
-			for i := range offs {
-				site := tables[i*n+int(s)]
-				if prev := owner[site]; prev != -1 && prev != s && p.chunkOf[prev] == int32(ci) {
+			for _, o := range offs {
+				site := lat.Translate(int(s), o)
+				if owner[site] != -1 && owner[site] != s {
 					return fmt.Errorf(
 						"partition: chunk %d members %d and %d overlap at site %d",
-						ci, prev, s, site)
+						ci, owner[site], s, site)
 				}
 				owner[site] = s
 			}

@@ -45,10 +45,7 @@ type ZGB struct {
 	steps  uint64
 	trials uint64
 	co2    uint64
-	// nb is the site-major neighbour table: nb[4s+k] is site s
-	// translated by lattice.Axes4()[k]. It depends only on the lattice
-	// shape, so Reset keeps it.
-	nb []int32
+	nbOff  []lattice.Vec
 }
 
 // New returns a ZGB simulation with CO fraction y on an empty lattice.
@@ -69,25 +66,10 @@ func NewOn(cfg *lattice.Config, src *rng.Source, y float64) *ZGB {
 		cells: cfg.Cells(),
 		src:   src,
 		Y:     y,
-		nb:    neighbourTable(cfg.Lattice()),
+		nbOff: lattice.Axes4(),
 	}
 	z.ResyncVacancies()
 	return z
-}
-
-// neighbourTable returns the site-major table of the four Axes4
-// neighbours of every site.
-func neighbourTable(lat *lattice.Lattice) []int32 {
-	n := lat.N()
-	nb := make([]int32, 4*n)
-	table := make([]int32, n)
-	for k, d := range lattice.Axes4() {
-		lat.FillTranslate(table, d)
-		for s, t := range table {
-			nb[4*s+k] = t
-		}
-	}
-	return nb
 }
 
 // Reset rewinds the simulation over a fresh configuration (see
@@ -156,9 +138,10 @@ func (z *ZGB) CO2Count() uint64 { return z.co2 }
 // neighbour holds it, one is chosen uniformly and both sites are
 // vacated. Reports whether a reaction fired.
 func (z *ZGB) reactWithNeighbour(s int, partner lattice.Species) bool {
-	var candidates [4]int32
+	var candidates [4]int
 	n := 0
-	for _, t := range z.nb[4*s : 4*s+4] {
+	for _, d := range z.nbOff {
+		t := z.lat.Translate(s, d)
 		if z.cells[t] == partner {
 			candidates[n] = t
 			n++
@@ -167,7 +150,7 @@ func (z *ZGB) reactWithNeighbour(s int, partner lattice.Species) bool {
 	if n == 0 {
 		return false
 	}
-	t := int(candidates[z.src.Intn(n)])
+	t := candidates[z.src.Intn(n)]
 	z.set(s, Empty)
 	z.set(t, Empty)
 	z.co2++
@@ -188,7 +171,7 @@ func (z *ZGB) Trial() {
 		return
 	}
 	// O2 impingement onto s and a random neighbour.
-	t := int(z.nb[4*s+z.src.Intn(4)])
+	t := z.lat.Translate(s, z.nbOff[z.src.Intn(4)])
 	if z.cells[s] != Empty || z.cells[t] != Empty {
 		return
 	}

@@ -210,18 +210,3 @@ func TestEnsemblePoint(t *testing.T) {
 		t.Error("1 of 2 replicas poisoned must count as poisoned (majority rule ties up)")
 	}
 }
-
-// The neighbour table must list each site's Axes4 neighbours in order,
-// on a non-square lattice where a swapped x/y would show.
-func TestNeighbourTableMatchesTranslate(t *testing.T) {
-	for _, lat := range []*lattice.Lattice{lattice.New(3, 5), lattice.New(7, 2), lattice.New(1, 4)} {
-		nb := neighbourTable(lat)
-		for s := 0; s < lat.N(); s++ {
-			for k, d := range lattice.Axes4() {
-				if got, want := int(nb[4*s+k]), lat.Translate(s, d); got != want {
-					t.Fatalf("%dx%d site %d direction %v: table %d, Translate %d", lat.L0, lat.L1, s, d, got, want)
-				}
-			}
-		}
-	}
-}
