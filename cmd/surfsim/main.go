@@ -151,13 +151,17 @@ func specFlagConflict() string {
 // grid at the current clock, which would shift every remaining sample
 // by the checkpoint time). The loop starts at the first grid point past
 // the restored clock, so the printed rows are exactly the tail the
-// uninterrupted run prints past the checkpoint.
+// uninterrupted run prints past the checkpoint. A tEnd at or before the
+// restored clock leaves nothing to sample and is an error.
 func runResumed(sess *parsurf.Session, tEnd, dt float64, record parsurf.ObserverFunc) error {
+	eng := sess.Engine()
+	if tEnd <= eng.Time() {
+		return fmt.Errorf("-t %g is not after the checkpoint's clock t=%g", tEnd, eng.Time())
+	}
 	grid, err := timegrid.New(tEnd, dt)
 	if err != nil {
 		return err
 	}
-	eng := sess.Engine()
 	k0 := 0
 	for k0 < grid.Len() && grid.At(k0) <= eng.Time() {
 		k0++

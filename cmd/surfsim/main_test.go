@@ -4,9 +4,11 @@ import (
 	"bytes"
 	"errors"
 	"flag"
+	"fmt"
 	"os"
 	"os/exec"
 	"path/filepath"
+	"strings"
 	"testing"
 
 	"parsurf"
@@ -131,6 +133,37 @@ func TestCheckpointResumeMatchesUninterrupted(t *testing.T) {
 	if !bytes.Equal(glued, full.Bytes()) {
 		t.Errorf("resumed run differs from uninterrupted control\ncontrol:\n%s\nglued:\n%s",
 			full.String(), string(glued))
+	}
+}
+
+// Resuming to a -t at or before the checkpoint's clock is an error that
+// names both times, and it comes before any CSV or SVG output: before,
+// the empty series made -plot panic and left an empty -svg file behind.
+func TestResumeToEarlierTimeIsAnError(t *testing.T) {
+	spec, _, err := specFromFlags("zgb", "", "ziff", 20, 7, 1, "random", 1, 4, 0.52)
+	if err != nil {
+		t.Fatal(err)
+	}
+	dir := t.TempDir()
+	ckpt := filepath.Join(dir, "run.ckpt")
+	var discard bytes.Buffer
+	if err := run(spec, "head", 2, 1, 1, 1, false, "", ckpt, "", &discard, &discard); err != nil {
+		t.Fatal(err)
+	}
+	for _, tEnd := range []float64{1, 2} {
+		svg := filepath.Join(dir, "plot.svg")
+		var stdout bytes.Buffer
+		err := run(spec, "tail", tEnd, 1, 1, 1, true, svg, "", ckpt, &stdout, &discard)
+		if err == nil || !strings.Contains(err.Error(), fmt.Sprintf("-t %g is not after", tEnd)) ||
+			!strings.Contains(err.Error(), "t=2") {
+			t.Errorf("-t %g: err %v, want one naming -t and the checkpoint's clock", tEnd, err)
+		}
+		if stdout.Len() != 0 {
+			t.Errorf("-t %g: CSV written before the error: %q", tEnd, stdout.String())
+		}
+		if _, err := os.Stat(svg); !os.IsNotExist(err) {
+			t.Errorf("-t %g: SVG file left behind (stat err %v)", tEnd, err)
+		}
 	}
 }
 

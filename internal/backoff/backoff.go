@@ -16,7 +16,7 @@ import (
 )
 
 // Policy describes one truncated-exponential-with-jitter schedule.
-// The zero value is not useful; use New or fill every field.
+// The zero value never waits; set Base, Max and Jitter.
 type Policy struct {
 	// Base is the cap for the first attempt's delay.
 	Base time.Duration
@@ -28,11 +28,6 @@ type Policy struct {
 	// delay is exactly min(Max, Base<<n) — deterministic, which the job
 	// manager's crash-recovery tests pin.
 	Jitter bool
-}
-
-// New returns a jittered policy growing from base to max.
-func New(base, max time.Duration) Policy {
-	return Policy{Base: base, Max: max, Jitter: true}
 }
 
 // Delay returns the sleep before retry attempt n (0-based: n=0 is the

@@ -19,7 +19,7 @@ func TestDeterministicDelay(t *testing.T) {
 }
 
 func TestJitterBounds(t *testing.T) {
-	p := New(100*time.Millisecond, time.Second)
+	p := Policy{Base: 100 * time.Millisecond, Max: time.Second, Jitter: true}
 	for n := 0; n < 8; n++ {
 		cap := 100 * time.Millisecond << n
 		if cap > time.Second {

@@ -1,9 +1,8 @@
 // Package ca implements the Cellular Automaton simulation methods of §4
-// of the paper: the deterministic synchronous CA, the Non-Deterministic
-// CA (NDCA) whose per-site reaction choice is weighted by the rate
-// constants, a fully synchronous NDCA that exposes the conflict problem
-// of Fig. 2, and the Block Cellular Automaton (BCA) of §5 with shifting
-// block boundaries (Fig. 3).
+// of the paper: the Non-Deterministic CA (NDCA) whose per-site reaction
+// choice is weighted by the rate constants, a fully synchronous NDCA
+// that exposes the conflict problem of Fig. 2, and the Block Cellular
+// Automaton (BCA) of §5 with shifting block boundaries (Fig. 3).
 //
 // The partitioned algorithms derived from these (PNDCA, L-PNDCA and the
 // type-partitioned variant — the paper's contribution) live in
@@ -15,74 +14,6 @@ import (
 	"parsurf/internal/model"
 	"parsurf/internal/rng"
 )
-
-// Rule is a deterministic CA transition: given the read-only previous
-// configuration and a site, it returns the site's next state.
-type Rule func(prev *lattice.Config, s int) lattice.Species
-
-// DCA is a deterministic synchronous cellular automaton: every step all
-// sites are rewritten simultaneously from the previous state.
-type DCA struct {
-	cfg  *lattice.Config
-	next *lattice.Config
-	rule Rule
-	step int
-}
-
-// NewDCA returns a deterministic CA applying rule to cfg in place.
-func NewDCA(cfg *lattice.Config, rule Rule) *DCA {
-	return &DCA{cfg: cfg, next: cfg.Clone(), rule: rule}
-}
-
-// Step applies one synchronous update. It always reports true.
-//
-//surflint:hotpath
-func (d *DCA) Step() bool {
-	n := d.cfg.Lattice().N()
-	for s := 0; s < n; s++ {
-		d.next.Set(s, d.rule(d.cfg, s))
-	}
-	d.cfg.CopyFrom(d.next)
-	d.step++
-	return true
-}
-
-// Time returns the number of synchronous steps taken.
-func (d *DCA) Time() float64 { return float64(d.step) }
-
-// Config returns the live configuration.
-func (d *DCA) Config() *lattice.Config { return d.cfg }
-
-// ZeroRule1D is the rule of the paper's Fig. 3 example on a 1-D lattice
-// (height 1): a site's state becomes 0 if at least one of its two
-// neighbours is 0, otherwise it keeps its state.
-func ZeroRule1D(prev *lattice.Config, s int) lattice.Species {
-	lat := prev.Lattice()
-	if prev.Get(lat.Translate(s, lattice.Vec{DX: 1})) == 0 ||
-		prev.Get(lat.Translate(s, lattice.Vec{DX: -1})) == 0 {
-		return 0
-	}
-	return prev.Get(s)
-}
-
-// MajorityRule2D flips each site to the majority species (0/1) of its
-// von Neumann neighbourhood, including itself; ties keep the state.
-func MajorityRule2D(prev *lattice.Config, s int) lattice.Species {
-	lat := prev.Lattice()
-	ones := 0
-	for _, o := range lattice.VonNeumann() {
-		if prev.Get(lat.Translate(s, o)) == 1 {
-			ones++
-		}
-	}
-	switch {
-	case ones >= 3:
-		return 1
-	case ones <= 2:
-		return 0
-	}
-	return prev.Get(s)
-}
 
 // NDCA is the Non-Deterministic Cellular Automaton of §4, in its
 // site-sequential reading: each step visits every site once in raster

@@ -9,59 +9,6 @@ import (
 	"parsurf/internal/rng"
 )
 
-func TestDCAZeroRuleSpreads(t *testing.T) {
-	lat := lattice.New(9, 1)
-	cfg := lattice.NewConfig(lat)
-	cfg.Fill(1)
-	cfg.Set(4, 0)
-	d := NewDCA(cfg, ZeroRule1D)
-	// Unblocked, the zero spreads one site per step in both directions.
-	d.Step()
-	for _, s := range []int{3, 4, 5} {
-		if cfg.Get(s) != 0 {
-			t.Fatalf("after 1 step site %d = %d", s, cfg.Get(s))
-		}
-	}
-	if cfg.Get(2) != 1 || cfg.Get(6) != 1 {
-		t.Fatal("zero spread too far")
-	}
-	for i := 0; i < 4; i++ {
-		d.Step()
-	}
-	if cfg.Count(0) != 9 {
-		t.Fatalf("after 5 steps %d zeros, want 9", cfg.Count(0))
-	}
-	if d.Time() != 5 {
-		t.Fatalf("DCA time %v", d.Time())
-	}
-}
-
-func TestDCASynchronous(t *testing.T) {
-	// Synchrony: a 01 pair under the zero rule on a 2-ring becomes 00
-	// in one step only if updates read the old state; a sequential
-	// in-place sweep would give the same here, so use a 4-ring blinker:
-	// 0110 -> all sites adjacent to a 0 die simultaneously -> 0000.
-	lat := lattice.New(4, 1)
-	cfg := lattice.NewConfig(lat)
-	cfg.Set(1, 1)
-	cfg.Set(2, 1)
-	NewDCA(cfg, ZeroRule1D).Step()
-	if cfg.Count(0) != 4 {
-		t.Fatalf("state after step: %v", cfg.Cells())
-	}
-}
-
-func TestMajorityRule(t *testing.T) {
-	lat := lattice.NewSquare(6)
-	cfg := lattice.NewConfig(lat)
-	cfg.Fill(1)
-	cfg.SetXY(3, 3, 0) // lone dissenter flips back
-	NewDCA(cfg, MajorityRule2D).Step()
-	if cfg.Count(0) != 0 {
-		t.Fatalf("lone zero survived majority rule: %d zeros", cfg.Count(0))
-	}
-}
-
 func ndcaSetup(t testing.TB, l int, seed uint64) (*model.Compiled, *lattice.Config, *rng.Source) {
 	t.Helper()
 	m := model.NewZGB(model.DefaultZGBRates())

@@ -7,8 +7,6 @@
 package cluster
 
 import (
-	"sort"
-
 	"parsurf/internal/lattice"
 )
 
@@ -68,13 +66,6 @@ func (lb *Labeling) LargestCluster() int {
 		}
 	}
 	return max
-}
-
-// SizeHistogram returns cluster sizes in descending order.
-func (lb *Labeling) SizeHistogram() []int {
-	out := append([]int(nil), lb.Sizes...)
-	sort.Sort(sort.Reverse(sort.IntSlice(out)))
-	return out
 }
 
 // Components labels the 4-connected clusters of sites whose species

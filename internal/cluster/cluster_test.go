@@ -110,28 +110,6 @@ func TestGroupComponents(t *testing.T) {
 	}
 }
 
-func TestSizeHistogramSorted(t *testing.T) {
-	lat := lattice.NewSquare(10)
-	c := lattice.NewConfig(lat)
-	// Three islands of sizes 1, 3, 2 (separated).
-	c.SetXY(0, 0, 1)
-	c.SetXY(4, 4, 1)
-	c.SetXY(5, 4, 1)
-	c.SetXY(6, 4, 1)
-	c.SetXY(0, 7, 1)
-	c.SetXY(1, 7, 1)
-	h := SpeciesComponents(c, 1).SizeHistogram()
-	want := []int{3, 2, 1}
-	if len(h) != 3 {
-		t.Fatalf("histogram %v", h)
-	}
-	for i, v := range want {
-		if h[i] != v {
-			t.Fatalf("histogram %v, want %v", h, want)
-		}
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	lat := lattice.NewSquare(6)
 	c := lattice.NewConfig(lat)

@@ -152,24 +152,6 @@ func (q *Queue) Contains(key int64) bool {
 	return q.pos[key] != 0
 }
 
-// TimeOf returns the scheduled time for a key and whether it exists.
-func (q *Queue) TimeOf(key int64) (float64, bool) {
-	p := q.pos[key]
-	if p == 0 {
-		return 0, false
-	}
-	return q.heap[p-1].Time, true
-}
-
-// Peek returns the earliest event without removing it. ok is false when
-// the queue is empty.
-func (q *Queue) Peek() (Event, bool) {
-	if len(q.heap) == 0 {
-		return Event{}, false
-	}
-	return q.heap[0], true
-}
-
 // Pop removes and returns the earliest event. ok is false when empty.
 // It is Remove of the root without the key lookup: the last event
 // moves into the root and sifts down (a root cannot move up).

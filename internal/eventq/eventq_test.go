@@ -13,9 +13,6 @@ func TestEmpty(t *testing.T) {
 	if q.Len() != 0 {
 		t.Fatal("fresh queue not empty")
 	}
-	if _, ok := q.Peek(); ok {
-		t.Fatal("Peek on empty returned ok")
-	}
 	if _, ok := q.Pop(); ok {
 		t.Fatal("Pop on empty returned ok")
 	}
@@ -47,8 +44,8 @@ func TestScheduleReplaces(t *testing.T) {
 	if q.Len() != 1 {
 		t.Fatalf("Len = %d after reschedule", q.Len())
 	}
-	if tm, ok := q.TimeOf(7); !ok || tm != 1 {
-		t.Fatalf("TimeOf = %v,%v", tm, ok)
+	if evs := q.Snapshot(nil); len(evs) != 1 || evs[0] != (Event{Key: 7, Time: 1}) {
+		t.Fatalf("queue after reschedule = %+v", evs)
 	}
 	q.Schedule(7, 20) // move later
 	ev, _ := q.Pop()
@@ -84,15 +81,6 @@ func TestRemove(t *testing.T) {
 	}
 	if count != 9 {
 		t.Fatalf("drained %d events, want 9", count)
-	}
-}
-
-func TestPeekDoesNotRemove(t *testing.T) {
-	q := New(64)
-	q.Schedule(1, 3)
-	ev, ok := q.Peek()
-	if !ok || ev.Key != 1 || q.Len() != 1 {
-		t.Fatal("Peek misbehaved")
 	}
 }
 

@@ -59,19 +59,6 @@ func New(n int) *Tree {
 	return &Tree{tree: make([]float64, n+1), n: n}
 }
 
-// FromWeights builds a tree initialised with the given weights in O(n).
-func FromWeights(w []float64) *Tree {
-	t := New(len(w))
-	copy(t.tree[1:], w)
-	for i := 1; i <= t.n; i++ {
-		parent := i + (i & -i)
-		if parent <= t.n {
-			t.tree[parent] += t.tree[i]
-		}
-	}
-	return t
-}
-
 // Len returns the number of slots.
 func (t *Tree) Len() int { return t.n }
 

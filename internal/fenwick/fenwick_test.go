@@ -8,6 +8,15 @@ import (
 	"parsurf/internal/rng"
 )
 
+// withWeights builds a tree holding w through New and one Add per slot.
+func withWeights(w []float64) *Tree {
+	tr := New(len(w))
+	for i, v := range w {
+		tr.Add(i, v)
+	}
+	return tr
+}
+
 func TestEmptyAndZero(t *testing.T) {
 	tr := New(0)
 	if tr.Len() != 0 || tr.Total() != 0 {
@@ -37,7 +46,7 @@ func TestAddGetSet(t *testing.T) {
 
 func TestPrefixSum(t *testing.T) {
 	w := []float64{1, 2, 3, 4, 5}
-	tr := FromWeights(w)
+	tr := withWeights(w)
 	want := 0.0
 	for i := 0; i <= len(w); i++ {
 		if got := tr.PrefixSum(i); math.Abs(got-want) > 1e-12 {
@@ -52,26 +61,8 @@ func TestPrefixSum(t *testing.T) {
 	}
 }
 
-func TestFromWeightsMatchesAdds(t *testing.T) {
-	src := rng.New(8)
-	w := make([]float64, 37)
-	for i := range w {
-		w[i] = src.Float64() * 10
-	}
-	a := FromWeights(w)
-	b := New(len(w))
-	for i, v := range w {
-		b.Add(i, v)
-	}
-	for i := 0; i <= len(w); i++ {
-		if math.Abs(a.PrefixSum(i)-b.PrefixSum(i)) > 1e-9 {
-			t.Fatalf("FromWeights differs at prefix %d", i)
-		}
-	}
-}
-
 func TestSearchBasic(t *testing.T) {
-	tr := FromWeights([]float64{1, 0, 2, 3})
+	tr := withWeights([]float64{1, 0, 2, 3})
 	cases := []struct {
 		target float64
 		want   int
@@ -88,14 +79,14 @@ func TestSearchBasic(t *testing.T) {
 }
 
 func TestSearchClampBeyondTotal(t *testing.T) {
-	tr := FromWeights([]float64{1, 2, 0, 0})
+	tr := withWeights([]float64{1, 2, 0, 0})
 	if got := tr.Search(3.0000001); got != 1 {
 		t.Fatalf("Search beyond total = %d, want last positive slot 1", got)
 	}
 }
 
 func TestSearchSkipsZeroWeights(t *testing.T) {
-	tr := FromWeights([]float64{0, 0, 5, 0})
+	tr := withWeights([]float64{0, 0, 5, 0})
 	for _, target := range []float64{0, 1, 4.999} {
 		if got := tr.Search(target); got != 2 {
 			t.Fatalf("Search(%v) = %d, want 2", target, got)
@@ -105,7 +96,7 @@ func TestSearchSkipsZeroWeights(t *testing.T) {
 
 func TestSearchDistribution(t *testing.T) {
 	w := []float64{1, 3, 0, 6}
-	tr := FromWeights(w)
+	tr := withWeights(w)
 	src := rng.New(10)
 	const draws = 100000
 	counts := make([]int, len(w))
@@ -147,7 +138,7 @@ func TestPanics(t *testing.T) {
 }
 
 func TestReset(t *testing.T) {
-	tr := FromWeights([]float64{1, 2, 3})
+	tr := withWeights([]float64{1, 2, 3})
 	tr.Reset()
 	if tr.Total() != 0 {
 		t.Fatal("Reset left weight")
@@ -202,7 +193,7 @@ func TestQuickSearchInvariant(t *testing.T) {
 				w[i] = src.Float64() * 5
 			}
 		}
-		tr := FromWeights(w)
+		tr := withWeights(w)
 		if tr.Total() == 0 {
 			return true
 		}
@@ -236,7 +227,7 @@ func BenchmarkSearch(b *testing.B) {
 	for i := range w {
 		w[i] = src.Float64()
 	}
-	tr := FromWeights(w)
+	tr := withWeights(w)
 	total := tr.Total()
 	b.ResetTimer()
 	for i := 0; i < b.N; i++ {
@@ -342,7 +333,7 @@ func TestRestoreAcceptsDriftedState(t *testing.T) {
 // a weight further from its true value than drift can reach.
 func TestRestoreRejectsCorruptNodes(t *testing.T) {
 	leaves := []float64{1, 2, 3, 4, 5}
-	tr := FromWeights(leaves)
+	tr := withWeights(leaves)
 	good, _ := tr.State(nil)
 	leaf := func(i int) float64 { return leaves[i] }
 	if err := New(len(leaves)).Restore(good, 0, leaf, 15); err != nil {

@@ -37,8 +37,6 @@ type Func func(cfg *lattice.Config, src *rng.Source)
 type Spec struct {
 	// Name is the registry key ("empty", "random", …).
 	Name string
-	// Doc is a one-line description including the accepted parameters.
-	Doc string
 	// Build validates the parameters and returns the initialiser.
 	Build func(p Params) (Func, error)
 }
@@ -65,21 +63,6 @@ func Names() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// Specs returns every registered preset, sorted by name.
-func Specs() []Spec {
-	out := make([]Spec, 0, len(presets))
-	for _, name := range Names() {
-		out = append(out, presets[name])
-	}
-	return out
-}
-
-// Lookup returns the preset registered under name.
-func Lookup(name string) (Spec, bool) {
-	s, ok := presets[name]
-	return s, ok
 }
 
 // Build resolves a preset by name and validates its parameters.
@@ -136,9 +119,9 @@ func checkSpecies(sp []int) error {
 }
 
 func init() {
+	// empty: every site vacant (species 0); no parameters.
 	Register(Spec{
 		Name: "empty",
-		Doc:  "every site vacant (species 0); no parameters",
 		Build: func(p Params) (Func, error) {
 			if len(p.Fractions) > 0 || len(p.Species) > 0 {
 				return nil, fmt.Errorf("takes no parameters")
@@ -148,9 +131,9 @@ func init() {
 			}, nil
 		},
 	})
+	// fill: every site one species; species: [s].
 	Register(Spec{
 		Name: "fill",
-		Doc:  "every site one species; species: [s]",
 		Build: func(p Params) (Func, error) {
 			if len(p.Fractions) > 0 {
 				return nil, fmt.Errorf("takes no fractions")
@@ -167,9 +150,10 @@ func init() {
 			}, nil
 		},
 	})
+	// random: independent per-site draw; fractions: per-species
+	// weights, index = species value.
 	Register(Spec{
 		Name: "random",
-		Doc:  "independent per-site draw; fractions: per-species weights, index = species value",
 		Build: func(p Params) (Func, error) {
 			if len(p.Species) > 0 {
 				return nil, fmt.Errorf("takes no species list (weights are indexed by species value)")
@@ -193,9 +177,10 @@ func init() {
 			}, nil
 		},
 	})
+	// checkerboard: alternate two species by site parity; species:
+	// [a, b] (default [0, 1]).
 	Register(Spec{
 		Name: "checkerboard",
-		Doc:  "alternate two species by site parity; species: [a, b] (default [0, 1])",
 		Build: func(p Params) (Func, error) {
 			if len(p.Fractions) > 0 {
 				return nil, fmt.Errorf("takes no fractions")

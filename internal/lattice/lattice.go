@@ -109,21 +109,6 @@ func mod(a, b int) int {
 	return m
 }
 
-// VonNeumann is the 4-neighbour cross: the site itself plus N, E, S, W.
-// The paper's CO-oxidation example uses two-site subsets of this shape.
-func VonNeumann() []Vec {
-	return []Vec{{0, 0}, {1, 0}, {-1, 0}, {0, 1}, {0, -1}}
-}
-
-// Moore is the 8-neighbour square plus the site itself.
-func Moore() []Vec {
-	return []Vec{
-		{0, 0},
-		{1, 0}, {-1, 0}, {0, 1}, {0, -1},
-		{1, 1}, {1, -1}, {-1, 1}, {-1, -1},
-	}
-}
-
 // Axes4 are the four unit directions E, N, W, S in the orientation order
 // Table I of the paper uses (indices 0..3).
 func Axes4() []Vec {

@@ -157,39 +157,18 @@ func FuzzFillTranslate(f *testing.F) {
 }
 
 func TestNeighbourhoodShapes(t *testing.T) {
-	if got := len(VonNeumann()); got != 5 {
-		t.Errorf("VonNeumann size %d, want 5", got)
-	}
-	if got := len(Moore()); got != 9 {
-		t.Errorf("Moore size %d, want 9", got)
-	}
 	if got := len(Axes4()); got != 4 {
 		t.Errorf("Axes4 size %d, want 4", got)
-	}
-	// Both neighbourhoods must include the origin (paper property 1:
-	// s ∈ Nb(s)).
-	for _, nb := range [][]Vec{VonNeumann(), Moore()} {
-		found := false
-		for _, v := range nb {
-			if v == (Vec{0, 0}) {
-				found = true
-			}
-		}
-		if !found {
-			t.Error("neighbourhood does not include the origin")
-		}
 	}
 }
 
 func TestNeighbourhoodDistinct(t *testing.T) {
-	for _, nb := range [][]Vec{VonNeumann(), Moore(), Axes4()} {
-		seen := make(map[Vec]bool)
-		for _, v := range nb {
-			if seen[v] {
-				t.Errorf("duplicate offset %v", v)
-			}
-			seen[v] = true
+	seen := make(map[Vec]bool)
+	for _, v := range Axes4() {
+		if seen[v] {
+			t.Errorf("duplicate offset %v", v)
 		}
+		seen[v] = true
 	}
 }
 

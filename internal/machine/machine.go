@@ -125,27 +125,4 @@ func (m Model) SpeedupSurface(sides []int, workers []int) ([][]float64, error) {
 	return out, nil
 }
 
-// Efficiency returns speedup/p, the parallel efficiency of PNDCA on p
-// workers.
-func (m Model) Efficiency(part *partition.Partition, p int) float64 {
-	return m.PNDCASpeedup(part, p) / float64(p)
-}
-
-// OptimalWorkers returns the worker count in [1, maxP] with the highest
-// modeled PNDCA speedup, and that speedup. For small systems the barrier
-// and spawn costs make this finite — the volume/boundary trade-off of
-// §3 in machine-model form.
-func (m Model) OptimalWorkers(part *partition.Partition, maxP int) (p int, speedup float64) {
-	if maxP < 1 {
-		panic("machine: non-positive worker bound")
-	}
-	p, speedup = 1, 1
-	for cand := 2; cand <= maxP; cand++ {
-		if s := m.PNDCASpeedup(part, cand); s > speedup {
-			p, speedup = cand, s
-		}
-	}
-	return p, speedup
-}
-
 func ceilDiv(a, b int) int { return (a + b - 1) / b }

@@ -154,48 +154,3 @@ func TestPanics(t *testing.T) {
 		t.Error("accepted zero workers")
 	}
 }
-
-func TestEfficiencyDecreasesWithP(t *testing.T) {
-	m := Default()
-	lat := lattice.NewSquare(100)
-	part, err := partition.VonNeumann5(lat)
-	if err != nil {
-		t.Fatal(err)
-	}
-	prev := 1.1
-	for _, p := range []int{1, 2, 4, 8} {
-		e := m.Efficiency(part, p)
-		if e > prev+1e-9 {
-			t.Fatalf("efficiency rose at p=%d: %v after %v", p, e, prev)
-		}
-		prev = e
-	}
-}
-
-func TestOptimalWorkers(t *testing.T) {
-	m := Default()
-	// Tiny system: optimum well below the bound.
-	small, _ := partition.VonNeumann5(lattice.NewSquare(50))
-	pSmall, sSmall := m.OptimalWorkers(small, 32)
-	if pSmall >= 32 {
-		t.Fatalf("tiny system claims optimum at the bound: p=%d", pSmall)
-	}
-	if sSmall < 1 {
-		t.Fatalf("optimal speedup below 1: %v", sSmall)
-	}
-	// Huge system: more workers keep helping up to the bound.
-	big, _ := partition.VonNeumann5(lattice.NewSquare(1000))
-	pBig, sBig := m.OptimalWorkers(big, 16)
-	if pBig != 16 {
-		t.Fatalf("large system optimum %d, want the bound 16", pBig)
-	}
-	if sBig <= sSmall {
-		t.Fatal("large system should speed up more than the tiny one")
-	}
-	defer func() {
-		if recover() == nil {
-			t.Fatal("no panic for zero bound")
-		}
-	}()
-	m.OptimalWorkers(small, 0)
-}

@@ -389,8 +389,13 @@ func TestQuickBuildersPartition(t *testing.T) {
 func TestQuickVerifyAgainstBruteForce(t *testing.T) {
 	m := model.NewZGB(model.DefaultZGBRates())
 	lat := lattice.NewSquare(10)
-	// Offsets union for ZGB: the von Neumann cross.
-	union := lattice.VonNeumann()
+	// Offsets union for ZGB: every offset its reaction types touch.
+	var union []lattice.Vec
+	for _, rt := range m.Types {
+		for _, tr := range rt.Triples {
+			union = append(union, tr.Off)
+		}
+	}
 	brute := func(p *Partition) bool {
 		for _, chunk := range p.Chunks {
 			for i := 0; i < len(chunk); i++ {

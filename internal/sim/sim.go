@@ -1,13 +1,11 @@
 // Package sim provides the observation layer on top of the simulation
-// engines: composable observers that sample coverages, reaction rates
-// and lattice snapshots at fixed simulated-time intervals, plus a
+// engines: composable observers that sample coverages and lattice
+// snapshots at fixed simulated-time intervals, plus a
 // steady-state detector. Engines stay minimal (Step/Time/Config); this
 // package owns the bookkeeping every experiment needs.
 package sim
 
 import (
-	"fmt"
-
 	"parsurf/internal/lattice"
 	"parsurf/internal/stats"
 )
@@ -41,38 +39,6 @@ func (o *CoverageObserver) Observe(t float64, cfg *lattice.Config) {
 	}
 }
 
-// SeriesFor returns the series of one tracked species.
-func (o *CoverageObserver) SeriesFor(sp lattice.Species) (*stats.Series, error) {
-	for i, s := range o.Species {
-		if s == sp {
-			return o.Series[i], nil
-		}
-	}
-	return nil, fmt.Errorf("sim: species %d not tracked", sp)
-}
-
-// GroupCoverageObserver records a single series summing the coverage of
-// a species group (e.g. CO on both surface phases of the Pt(100)
-// model).
-type GroupCoverageObserver struct {
-	Group  []lattice.Species
-	Series *stats.Series
-}
-
-// NewGroupCoverageObserver sums over the given species.
-func NewGroupCoverageObserver(group ...lattice.Species) *GroupCoverageObserver {
-	return &GroupCoverageObserver{Group: group, Series: &stats.Series{}}
-}
-
-// Observe implements Observer.
-func (o *GroupCoverageObserver) Observe(t float64, cfg *lattice.Config) {
-	total := 0.0
-	for _, sp := range o.Group {
-		total += cfg.Coverage(sp)
-	}
-	o.Series.Append(t, total)
-}
-
 // SnapshotObserver stores deep copies of the configuration at every
 // k-th sample (k=1 stores all).
 type SnapshotObserver struct {
@@ -97,33 +63,6 @@ func (o *SnapshotObserver) Observe(t float64, cfg *lattice.Config) {
 		o.Snapshots = append(o.Snapshots, cfg.Clone())
 	}
 	o.count++
-}
-
-// RateObserver records the net change per unit time of a counter (e.g.
-// reactions executed, CO2 produced) between consecutive samples.
-type RateObserver struct {
-	Counter func() uint64
-	Series  *stats.Series
-
-	lastT float64
-	lastC uint64
-	first bool
-}
-
-// NewRateObserver differentiates the given cumulative counter.
-func NewRateObserver(counter func() uint64) *RateObserver {
-	return &RateObserver{Counter: counter, Series: &stats.Series{}, first: true}
-}
-
-// Observe implements Observer.
-func (o *RateObserver) Observe(t float64, cfg *lattice.Config) {
-	c := o.Counter()
-	if !o.first && t > o.lastT {
-		rate := float64(c-o.lastC) / (t - o.lastT)
-		o.Series.Append(t, rate)
-	}
-	o.first = false
-	o.lastT, o.lastC = t, c
 }
 
 // SteadyState watches a coverage series and reports equilibration: the

@@ -45,7 +45,7 @@ func TestRunContextSamplesAllObservers(t *testing.T) {
 }
 
 func TestCoverageObserverPartition(t *testing.T) {
-	s, _ := zgbSim(t, 16, 3)
+	s, cfg := zgbSim(t, 16, 3)
 	cov := NewCoverageObserver(model.ZGBEmpty, model.ZGBCO, model.ZGBO)
 	if _, _, err := RunContext(context.Background(), s, 0.5, 5, cov); err != nil {
 		t.Fatal(err)
@@ -56,32 +56,11 @@ func TestCoverageObserverPartition(t *testing.T) {
 			t.Fatalf("coverages at sample %d sum to %v", i, sum)
 		}
 	}
-	if _, err := cov.SeriesFor(model.ZGBCO); err != nil {
-		t.Fatal(err)
-	}
-	if _, err := cov.SeriesFor(lattice.Species(9)); err == nil {
-		t.Fatal("untracked species found")
-	}
-}
-
-func TestGroupCoverageObserver(t *testing.T) {
-	m := model.NewPtCO(model.DefaultPtCORates())
-	lat := lattice.NewSquare(20)
-	cm := model.MustCompile(m, lat)
-	cfg := lattice.NewConfig(lat)
-	s := dmc.NewVSSM(cm, cfg, rng.New(4))
-	co := NewGroupCoverageObserver(model.PtHexCO, model.PtSqCO)
-	if _, _, err := RunContext(context.Background(), s, 0.5, 5, co); err != nil {
-		t.Fatal(err)
-	}
-	if co.Series.Len() == 0 {
-		t.Fatal("no samples")
-	}
-	// Spot-check the last sample against PtCoverages.
-	wantCO, _, _ := model.PtCoverages(cfg)
-	got := co.Series.X[co.Series.Len()-1]
-	if math.Abs(got-wantCO) > 1e-12 {
-		t.Fatalf("group coverage %v, want %v", got, wantCO)
+	// Series[i] tracks Species[i]: the last CO sample is the live CO
+	// coverage.
+	co := cov.Series[1]
+	if got, want := co.X[co.Len()-1], cfg.Coverage(model.ZGBCO); got != want {
+		t.Fatalf("last CO sample %v, want %v", got, want)
 	}
 }
 
@@ -102,27 +81,6 @@ func TestSnapshotObserverDeepCopies(t *testing.T) {
 	}
 	if len(snap.Times) != len(snap.Snapshots) {
 		t.Fatal("times/snapshots length mismatch")
-	}
-}
-
-func TestRateObserver(t *testing.T) {
-	s, _ := zgbSim(t, 16, 6)
-	rate := NewRateObserver(s.Successes)
-	if _, _, err := RunContext(context.Background(), s, 0.5, 10, rate); err != nil {
-		t.Fatal(err)
-	}
-	if rate.Series.Len() == 0 {
-		t.Fatal("no rate samples")
-	}
-	for _, v := range rate.Series.X {
-		if v < 0 {
-			t.Fatal("negative rate from a cumulative counter")
-		}
-	}
-	// The ZGB steady state keeps reacting: the late-time rate must be
-	// positive.
-	if rate.Series.X[rate.Series.Len()-1] <= 0 {
-		t.Fatal("reaction rate died in the reactive window")
 	}
 }
 

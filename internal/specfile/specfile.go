@@ -69,8 +69,9 @@ type Spec struct {
 type ModelRef struct {
 	// Name is a model preset ("zgb", "ptco", "diffusion", "ising").
 	Name string `json:"name,omitempty"`
-	// Params override the preset's default parameters, keyed by the
-	// parameter names ModelParams lists. Only valid with Name.
+	// Params override the preset's default parameters. An unknown key
+	// is rejected with the error listing the keys the preset accepts.
+	// Only valid with Name.
 	Params map[string]float64 `json:"params,omitempty"`
 	// Text is an inline model definition in the internal/modelfile
 	// format (the same text `surfsim -modelfile` reads).
@@ -218,7 +219,6 @@ func (m *ModelRef) Build() (*model.Model, error) {
 // modelPreset is one named model family: defaults plus a builder over a
 // resolved parameter map.
 type modelPreset struct {
-	doc      string
 	defaults map[string]float64
 	build    func(p map[string]float64) *model.Model
 }
@@ -226,8 +226,7 @@ type modelPreset struct {
 // modelPresets maps preset names to their parameterised builders. The
 // parameter keys are the exported rate-struct fields in lowerCamelCase.
 var modelPresets = map[string]modelPreset{
-	"zgb": {
-		doc: "Ziff–Gulari–Barshad CO oxidation, Table I",
+	"zgb": { // Ziff–Gulari–Barshad CO oxidation, Table I
 		defaults: func() map[string]float64 {
 			r := model.DefaultZGBRates()
 			return map[string]float64{"kCO": r.KCO, "kO2": r.KO2, "kCO2": r.KCO2}
@@ -236,8 +235,7 @@ var modelPresets = map[string]modelPreset{
 			return model.NewZGB(model.ZGBRates{KCO: p["kCO"], KO2: p["kO2"], KCO2: p["kCO2"]})
 		},
 	},
-	"ptco": {
-		doc: "Pt(100) CO oxidation with surface reconstruction (§6)",
+	"ptco": { // Pt(100) CO oxidation with surface reconstruction (§6)
 		defaults: func() map[string]float64 {
 			r := model.DefaultPtCORates()
 			return map[string]float64{
@@ -252,15 +250,13 @@ var modelPresets = map[string]modelPreset{
 			})
 		},
 	},
-	"diffusion": {
-		doc:      "single-species hop model of Fig. 2",
+	"diffusion": { // single-species hop model of Fig. 2
 		defaults: map[string]float64{"hop": 1},
 		build: func(p map[string]float64) *model.Model {
 			return model.NewDimerDiffusion(p["hop"])
 		},
 	},
-	"ising": {
-		doc:      "Metropolis spin-flip Ising model",
+	"ising": { // Metropolis spin-flip Ising model
 		defaults: map[string]float64{"betaJ": 0.4},
 		build: func(p map[string]float64) *model.Model {
 			return model.NewIsing(p["betaJ"])
@@ -276,20 +272,6 @@ func ModelNames() []string {
 	}
 	sort.Strings(names)
 	return names
-}
-
-// ModelParams returns the parameter names and default values of a
-// preset, for listings and error messages.
-func ModelParams(name string) (map[string]float64, bool) {
-	p, ok := modelPresets[name]
-	if !ok {
-		return nil, false
-	}
-	out := make(map[string]float64, len(p.defaults))
-	for k, v := range p.defaults {
-		out[k] = v
-	}
-	return out, true
 }
 
 // BuildNamedModel constructs a model preset with the given parameter

@@ -43,8 +43,7 @@ func TestParseMinimalSpec(t *testing.T) {
 }
 
 func TestModelPresetParams(t *testing.T) {
-	defaults, ok := ModelParams("zgb")
-	if !ok || defaults["kCO"] != 0.55 {
+	if defaults := modelPresets["zgb"].defaults; defaults["kCO"] != 0.55 {
 		t.Fatalf("zgb defaults %v", defaults)
 	}
 	m, err := BuildNamedModel("zgb", map[string]float64{"kCO": 0.7})
@@ -62,7 +61,7 @@ func TestModelPresetParams(t *testing.T) {
 		t.Error("kCO override not reflected in any reaction rate")
 	}
 	if _, err := BuildNamedModel("zgb", map[string]float64{"nope": 1}); err == nil ||
-		!strings.Contains(err.Error(), "accepts:") {
+		!strings.Contains(err.Error(), "accepts: kCO, kCO2, kO2") {
 		t.Errorf("unknown param error %v", err)
 	}
 	if _, err := BuildNamedModel("wrong", nil); err == nil ||

@@ -60,56 +60,3 @@ func DominantPeriod(s *Series, n int) (period, share float64, ok bool) {
 	}
 	return 1 / freq[bestIdx], best / total, true
 }
-
-// BlockingError estimates the standard error of the mean of correlated
-// samples by Flyvbjerg–Petersen blocking: the series is repeatedly
-// halved by averaging neighbour pairs; the error estimate at each level
-// is reported and the maximum (the plateau value) returned. Returns 0
-// for fewer than 8 samples.
-func BlockingError(xs []float64) float64 {
-	n := len(xs)
-	if n < 8 {
-		return 0
-	}
-	data := append([]float64(nil), xs...)
-	best := 0.0
-	for len(data) >= 4 {
-		m := len(data)
-		mean := Mean(data)
-		varSum := 0.0
-		for _, x := range data {
-			varSum += (x - mean) * (x - mean)
-		}
-		// Error of the mean at this blocking level.
-		se := math.Sqrt(varSum / float64(m) / float64(m-1))
-		if se > best {
-			best = se
-		}
-		half := m / 2
-		next := make([]float64, half)
-		for i := 0; i < half; i++ {
-			next[i] = (data[2*i] + data[2*i+1]) / 2
-		}
-		data = next
-	}
-	return best
-}
-
-// EffectiveSampleSize estimates the number of independent samples in a
-// correlated series via the integrated autocorrelation time
-// (τ = 1 + 2·Σ acf, summed until the first non-positive value).
-func EffectiveSampleSize(xs []float64) float64 {
-	n := len(xs)
-	if n < 4 {
-		return float64(n)
-	}
-	acf := Autocorrelation(xs, n/2)
-	tau := 1.0
-	for _, a := range acf[1:] {
-		if a <= 0 {
-			break
-		}
-		tau += 2 * a
-	}
-	return float64(n) / tau
-}

@@ -76,62 +76,3 @@ func TestDominantPeriodShortSeries(t *testing.T) {
 		t.Fatal("short series accepted")
 	}
 }
-
-func TestBlockingErrorIID(t *testing.T) {
-	// For i.i.d. samples blocking reproduces the naive standard error.
-	src := rng.New(5)
-	xs := make([]float64, 4096)
-	for i := range xs {
-		xs[i] = src.Float64()
-	}
-	naive := math.Sqrt(Variance(xs) / float64(len(xs)))
-	blocked := BlockingError(xs)
-	if blocked < naive*0.8 || blocked > naive*2.0 {
-		t.Fatalf("iid blocking error %v vs naive %v", blocked, naive)
-	}
-}
-
-func TestBlockingErrorCorrelated(t *testing.T) {
-	// Strongly correlated samples: the naive error underestimates;
-	// blocking must report a larger value.
-	src := rng.New(6)
-	xs := make([]float64, 4096)
-	x := 0.0
-	for i := range xs {
-		x = 0.95*x + src.Float64() - 0.5
-		xs[i] = x
-	}
-	naive := math.Sqrt(Variance(xs) / float64(len(xs)))
-	blocked := BlockingError(xs)
-	if blocked < 2*naive {
-		t.Fatalf("correlated blocking error %v not above naive %v", blocked, naive)
-	}
-}
-
-func TestBlockingErrorShort(t *testing.T) {
-	if BlockingError([]float64{1, 2, 3}) != 0 {
-		t.Fatal("short input should yield 0")
-	}
-}
-
-func TestEffectiveSampleSize(t *testing.T) {
-	src := rng.New(7)
-	iid := make([]float64, 2048)
-	for i := range iid {
-		iid[i] = src.Float64()
-	}
-	essIID := EffectiveSampleSize(iid)
-	if essIID < 1000 {
-		t.Fatalf("iid ESS %v of 2048", essIID)
-	}
-	corr := make([]float64, 2048)
-	x := 0.0
-	for i := range corr {
-		x = 0.9*x + src.Float64() - 0.5
-		corr[i] = x
-	}
-	essCorr := EffectiveSampleSize(corr)
-	if essCorr >= essIID/3 {
-		t.Fatalf("correlated ESS %v not well below iid %v", essCorr, essIID)
-	}
-}

@@ -56,15 +56,6 @@ func Mean(xs []float64) float64 {
 	return sum / float64(len(xs))
 }
 
-// Variance returns the unbiased sample variance of xs.
-func Variance(xs []float64) float64 {
-	var w Welford
-	for _, x := range xs {
-		w.Add(x)
-	}
-	return w.Var()
-}
-
 // MinMax returns the extrema of xs; it panics on empty input.
 func MinMax(xs []float64) (lo, hi float64) {
 	if len(xs) == 0 {
@@ -352,25 +343,6 @@ func ksPValue(d float64, n int) float64 {
 	return p
 }
 
-// ChiSquareUniform tests observed counts against uniform expectation and
-// returns the chi-square statistic and its degrees of freedom. Compare
-// against a critical value for the desired significance.
-func ChiSquareUniform(counts []int) (chi2 float64, dof int) {
-	total := 0
-	for _, c := range counts {
-		total += c
-	}
-	if len(counts) < 2 || total == 0 {
-		return 0, 0
-	}
-	want := float64(total) / float64(len(counts))
-	for _, c := range counts {
-		d := float64(c) - want
-		chi2 += d * d / want
-	}
-	return chi2, len(counts) - 1
-}
-
 // ChiSquare tests observed counts against the given expected
 // probabilities (normalised internally).
 func ChiSquare(counts []int, probs []float64) (chi2 float64, dof int, err error) {
@@ -400,24 +372,4 @@ func ChiSquare(counts []int, probs []float64) (chi2 float64, dof int, err error)
 		chi2 += d * d / want
 	}
 	return chi2, len(counts) - 1, nil
-}
-
-// LinearFit returns the least-squares slope and intercept of y against
-// x. It panics when fewer than two points are given.
-func LinearFit(x, y []float64) (slope, intercept float64) {
-	if len(x) != len(y) || len(x) < 2 {
-		panic("stats: LinearFit needs two equal-length samples of >= 2 points")
-	}
-	mx, my := Mean(x), Mean(y)
-	num, den := 0.0, 0.0
-	for i := range x {
-		num += (x[i] - mx) * (y[i] - my)
-		den += (x[i] - mx) * (x[i] - mx)
-	}
-	if den == 0 {
-		panic("stats: LinearFit with constant x")
-	}
-	slope = num / den
-	intercept = my - slope*mx
-	return
 }

@@ -1,6 +1,6 @@
 // Package trace renders simulation output: CSV/TSV time-series writers
-// for the experiment harness, quick ASCII line plots for terminal use,
-// and PGM snapshots of lattice configurations.
+// for the experiment harness and quick ASCII line plots for terminal
+// use.
 package trace
 
 import (
@@ -8,7 +8,6 @@ import (
 	"io"
 	"strings"
 
-	"parsurf/internal/lattice"
 	"parsurf/internal/stats"
 )
 
@@ -43,10 +42,17 @@ func WriteCSV(w io.Writer, names []string, series ...*stats.Series) error {
 
 // ASCIIPlot renders the series as a rows×cols character plot spanning
 // the series' full time range, with one mark per column and a labeled
-// value axis. Multiple series are overlaid with distinct marks.
+// value axis. Multiple series are overlaid with distinct marks. It
+// returns "" when there is nothing to draw: fewer than two rows or
+// columns, or no series, or an empty one.
 func ASCIIPlot(rows, cols int, marks string, series ...*stats.Series) string {
 	if rows < 2 || cols < 2 || len(series) == 0 {
 		return ""
+	}
+	for _, s := range series {
+		if s.Len() == 0 {
+			return ""
+		}
 	}
 	lo, hi := series[0].T[0], series[0].T[series[0].Len()-1]
 	ymin, ymax := stats.MinMax(series[0].X)
@@ -100,39 +106,6 @@ func ASCIIPlot(rows, cols int, marks string, series ...*stats.Series) string {
 	b.WriteString(fmt.Sprintf("        +%s\n", strings.Repeat("-", cols)))
 	b.WriteString(fmt.Sprintf("         t=%.3g%st=%.3g\n", lo, strings.Repeat(" ", max(1, cols-14)), hi))
 	return b.String()
-}
-
-func max(a, b int) int {
-	if a > b {
-		return a
-	}
-	return b
-}
-
-// WritePGM writes the configuration as a binary PGM (P5) image, mapping
-// species values to evenly spaced grey levels over numSpecies.
-func WritePGM(w io.Writer, c *lattice.Config, numSpecies int) error {
-	if numSpecies < 2 {
-		numSpecies = 2
-	}
-	lat := c.Lattice()
-	if _, err := fmt.Fprintf(w, "P5\n%d %d\n255\n", lat.L0, lat.L1); err != nil {
-		return err
-	}
-	row := make([]byte, lat.L0)
-	for y := 0; y < lat.L1; y++ {
-		for x := 0; x < lat.L0; x++ {
-			v := int(c.GetXY(x, y))
-			if v >= numSpecies {
-				v = numSpecies - 1
-			}
-			row[x] = byte(v * 255 / (numSpecies - 1))
-		}
-		if _, err := w.Write(row); err != nil {
-			return err
-		}
-	}
-	return nil
 }
 
 // Table renders rows of cells as an aligned text table.

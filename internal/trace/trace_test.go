@@ -5,7 +5,6 @@ import (
 	"strings"
 	"testing"
 
-	"parsurf/internal/lattice"
 	"parsurf/internal/stats"
 )
 
@@ -62,6 +61,9 @@ func TestASCIIPlot(t *testing.T) {
 	if ASCIIPlot(1, 40, "*", s) != "" || ASCIIPlot(10, 1, "*", s) != "" || ASCIIPlot(10, 10, "*") != "" {
 		t.Fatal("degenerate plot not empty")
 	}
+	if ASCIIPlot(10, 40, "*", &stats.Series{}) != "" || ASCIIPlot(10, 40, "*", s, &stats.Series{}) != "" {
+		t.Fatal("plot of an empty series not empty")
+	}
 }
 
 func TestASCIIPlotOverlay(t *testing.T) {
@@ -77,48 +79,6 @@ func TestASCIIPlotConstantSeries(t *testing.T) {
 	s := mkSeries(0, 0.5, 10, 0.5)
 	if out := ASCIIPlot(5, 20, "*", s); out == "" {
 		t.Fatal("constant series plot empty")
-	}
-}
-
-func TestWritePGM(t *testing.T) {
-	lat := lattice.New(4, 3)
-	c := lattice.NewConfig(lat)
-	c.Set(0, 1)
-	c.Set(5, 2)
-	var buf bytes.Buffer
-	if err := WritePGM(&buf, c, 3); err != nil {
-		t.Fatal(err)
-	}
-	out := buf.Bytes()
-	if !bytes.HasPrefix(out, []byte("P5\n4 3\n255\n")) {
-		t.Fatalf("header: %q", out[:12])
-	}
-	pixels := out[len("P5\n4 3\n255\n"):]
-	if len(pixels) != 12 {
-		t.Fatalf("%d pixels", len(pixels))
-	}
-	if pixels[0] != 127 { // species 1 of 3 -> mid grey
-		t.Fatalf("pixel 0 = %d", pixels[0])
-	}
-	if pixels[5] != 255 { // species 2 of 3 -> white
-		t.Fatalf("pixel 5 = %d", pixels[5])
-	}
-	if pixels[1] != 0 {
-		t.Fatalf("vacant pixel = %d", pixels[1])
-	}
-}
-
-func TestWritePGMClampsSpecies(t *testing.T) {
-	lat := lattice.New(2, 1)
-	c := lattice.NewConfig(lat)
-	c.Set(0, 9)
-	var buf bytes.Buffer
-	if err := WritePGM(&buf, c, 3); err != nil {
-		t.Fatal(err)
-	}
-	pixels := buf.Bytes()[len("P5\n2 1\n255\n"):]
-	if pixels[0] != 255 {
-		t.Fatalf("out-of-range species pixel = %d", pixels[0])
 	}
 }
 

@@ -90,8 +90,8 @@ func (z *ZGB) Reset(cfg *lattice.Config, src *rng.Source) {
 // ResyncVacancies rebuilds the vacancy bitset and count from the
 // configuration. The constructor calls it once; callers that mutate the
 // configuration directly (through Config().Set rather than the
-// simulation's own dynamics) must call it again before using Poisoned,
-// VacantCount or Step.
+// simulation's own dynamics) must call it again before using Poisoned
+// or Step.
 func (z *ZGB) ResyncVacancies() {
 	n := z.lat.N()
 	if z.vac == nil {
@@ -213,9 +213,6 @@ func (z *ZGB) Poisoned() bool {
 	return z.nEmpty == 0
 }
 
-// VacantCount returns the number of vacant sites, O(1).
-func (z *ZGB) VacantCount() int { return z.nEmpty }
-
 // PhasePoint is one measured point of the phase diagram.
 type PhasePoint struct {
 	Y        float64
@@ -260,19 +257,6 @@ func Measure(l int, y float64, equil, measure int, seed uint64) PhasePoint {
 		pt.CoEmpty = z.cfg.Coverage(Empty)
 	}
 	return pt
-}
-
-// Sweep measures the phase diagram at each CO fraction in ys, one
-// sequential single-replica run per point. It is the minimal reference
-// implementation (and the cross-check its tests pin down); production
-// sweeps run ensembles through parsurf.RunSweep and reduce them with
-// EnsemblePoint.
-func Sweep(l int, ys []float64, equil, measure int, seed uint64) []PhasePoint {
-	out := make([]PhasePoint, len(ys))
-	for i, y := range ys {
-		out[i] = Measure(l, y, equil, measure, seed+uint64(i))
-	}
-	return out
 }
 
 // Transitions estimates the kinetic phase transition points from a

@@ -88,7 +88,10 @@ func TestSweepAndTransitions(t *testing.T) {
 		t.Skip("phase sweep is slow")
 	}
 	ys := []float64{0.30, 0.36, 0.45, 0.50, 0.56, 0.62}
-	points := Sweep(24, ys, 250, 60, 7)
+	points := make([]PhasePoint, len(ys))
+	for i, y := range ys {
+		points[i] = Measure(24, y, 250, 60, 7+uint64(i))
+	}
 	y1, y2, ok := Transitions(points)
 	if !ok {
 		t.Fatalf("transitions not found: %+v", points)
@@ -142,8 +145,8 @@ func TestStepReportsFalseWhenPoisoned(t *testing.T) {
 			t.Fatal("y=1 lattice did not poison")
 		}
 	}
-	if !z.Poisoned() || z.VacantCount() != 0 {
-		t.Fatalf("Step returned false but Poisoned=%v vacant=%d", z.Poisoned(), z.VacantCount())
+	if !z.Poisoned() || z.nEmpty != 0 {
+		t.Fatalf("Step returned false but Poisoned=%v vacant=%d", z.Poisoned(), z.nEmpty)
 	}
 	if z.cfg.Coverage(CO) != 1 {
 		t.Fatalf("CO coverage %v after CO poisoning, want 1", z.cfg.Coverage(CO))
@@ -164,15 +167,15 @@ func TestVacancyCountTracksConfig(t *testing.T) {
 	z := New(lattice.NewSquare(16), rng.New(9), 0.5)
 	for i := 0; i < 20; i++ {
 		z.Step()
-		if z.VacantCount() != z.cfg.Count(Empty) {
-			t.Fatalf("step %d: VacantCount %d != Count(Empty) %d",
-				i, z.VacantCount(), z.cfg.Count(Empty))
+		if z.nEmpty != z.cfg.Count(Empty) {
+			t.Fatalf("step %d: nEmpty %d != Count(Empty) %d",
+				i, z.nEmpty, z.cfg.Count(Empty))
 		}
 	}
 	z.cfg.Fill(CO) // external write, bypasses the bookkeeping
 	z.ResyncVacancies()
-	if z.VacantCount() != 0 || !z.Poisoned() {
-		t.Fatalf("after Fill+Resync: vacant %d poisoned %v", z.VacantCount(), z.Poisoned())
+	if z.nEmpty != 0 || !z.Poisoned() {
+		t.Fatalf("after Fill+Resync: vacant %d poisoned %v", z.nEmpty, z.Poisoned())
 	}
 }
 
