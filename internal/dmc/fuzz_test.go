@@ -1,8 +1,11 @@
 package dmc
 
 import (
+	"bytes"
 	"math"
 	"testing"
+
+	"parsurf/internal/rng"
 )
 
 // FuzzVSSMLoadState: whatever the bytes, LoadState either errors or
@@ -38,6 +41,46 @@ func FuzzVSSMLoadState(f *testing.F) {
 		for i := 0; i < 100; i++ {
 			w.Step()
 			now := w.Time()
+			if math.IsNaN(now) || math.IsInf(now, 0) || now < prev {
+				t.Fatalf("step %d: clock %v after %v", i, now, prev)
+			}
+			prev = now
+		}
+	})
+}
+
+// FuzzFRMLoadState: whatever the bytes, LoadState either errors or
+// yields an engine whose queue holds exactly the enabled instances of
+// its configuration, whose per-type counts tally the queue, and whose
+// clock stays finite and non-decreasing as it runs on.
+func FuzzFRMLoadState(f *testing.F) {
+	e := runFRM(f)
+	payload := saveFRM(f, e)
+	f.Add(payload)
+	f.Add(payload[:len(payload)/2])
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		g := NewFRM(e.cm, e.cfg.Clone(), rng.New(1))
+		if g.LoadState(bytes.NewReader(data)) != nil {
+			return
+		}
+		if rt, s, ok := g.CheckConsistency(); !ok {
+			t.Fatalf("accepted payload disagrees with the configuration on reaction %d at site %d", rt, s)
+		}
+		total := int64(0)
+		for _, n := range g.scheduled {
+			total += n
+		}
+		if total != int64(g.Pending()) {
+			t.Fatalf("accepted payload counts %d scheduled instances, its queue holds %d", total, g.Pending())
+		}
+		prev := g.Time()
+		if math.IsNaN(prev) || math.IsInf(prev, 0) || prev < 0 {
+			t.Fatalf("accepted payload has clock %v", prev)
+		}
+		for i := 0; i < 100; i++ {
+			g.Step()
+			now := g.Time()
 			if math.IsNaN(now) || math.IsInf(now, 0) || now < prev {
 				t.Fatalf("step %d: clock %v after %v", i, now, prev)
 			}

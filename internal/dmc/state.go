@@ -152,13 +152,18 @@ func (f *FRM) SaveState(w io.Writer) error {
 	return e.Err()
 }
 
-// LoadState restores a payload written by SaveState. The heap must be
-// a valid heap (eventq.Restore checks it), the per-type counts must
-// tally its keys, and its keys must be exactly the enabled (type, site)
-// pairs of the configuration Reset installed.
+// LoadState restores a payload written by SaveState. The clock must be
+// finite and non-negative, and every event time finite and no earlier
+// than the clock, or the resumed run would step its clock backwards.
+// The events must form a valid heap (eventq.Restore checks it), the
+// per-type counts must tally their keys, and the keys must be exactly
+// the enabled (type, site) pairs of the configuration Reset installed.
 func (f *FRM) LoadState(rd io.Reader) error {
 	d := persist.NewReader(rd)
 	simTime := d.F64()
+	if d.Err() == nil && (math.IsNaN(simTime) || math.IsInf(simTime, 0) || simTime < 0) {
+		d.Failf("dmc: frm payload clock %v", simTime)
+	}
 	events := d.U64()
 	k := d.U32()
 	if d.Err() == nil && int(k) > f.queue.KeySpace() {
@@ -168,13 +173,17 @@ func (f *FRM) LoadState(rd io.Reader) error {
 	for i := 0; i < int(k) && d.Err() == nil; i++ {
 		t := d.F64()
 		key := d.I64()
+		if d.Err() == nil && (math.IsInf(t, 0) || !(t >= simTime)) {
+			d.Failf("dmc: frm payload event %d at time %v, clock %v", i, t, simTime)
+		}
 		snap = append(snap, eventq.Event{Time: t, Key: key})
 	}
 	nt := d.U32()
 	if d.Err() == nil && int(nt) != len(f.scheduled) {
 		d.Failf("dmc: frm payload has %d reaction types, engine has %d", nt, len(f.scheduled))
 	}
-	counts := make([]int64, 0, nt)
+	// Sized by the engine, not the claim: nt is untrusted.
+	counts := make([]int64, 0, len(f.scheduled))
 	for i := 0; i < int(nt) && d.Err() == nil; i++ {
 		counts = append(counts, d.I64())
 	}

@@ -11,7 +11,7 @@ import (
 )
 
 // runFRM returns an FRM advanced 2,000 events on a 16² ZGB lattice.
-func runFRM(t *testing.T) *FRM {
+func runFRM(t testing.TB) *FRM {
 	t.Helper()
 	cm, cfg, src := zgbSetup(t, 16, 5)
 	f := NewFRM(cm, cfg, src)
@@ -22,7 +22,7 @@ func runFRM(t *testing.T) *FRM {
 }
 
 // saveFRM returns f's SaveState payload.
-func saveFRM(t *testing.T, f *FRM) []byte {
+func saveFRM(t testing.TB, f *FRM) []byte {
 	t.Helper()
 	var buf bytes.Buffer
 	if err := f.SaveState(&buf); err != nil {
@@ -56,6 +56,37 @@ func TestFRMLoadStateRejectsBrokenHeap(t *testing.T) {
 	copy(child, tmp)
 	if err := loadFRM(f, payload); err == nil {
 		t.Fatal("payload with the root and its child swapped loaded without error")
+	}
+}
+
+// A payload whose clock is not a finite non-negative number, or with
+// an event that is not finite or is earlier than the clock, must not
+// load: the resumed run would step its clock backwards or to NaN or
+// +Inf. Each corruption keeps the heap valid, so only the clock checks
+// can catch it.
+func TestFRMLoadStateRejectsBadTimes(t *testing.T) {
+	f := runFRM(t)
+	payload := saveFRM(t, f)
+	root, last := frmEvent(0), frmEvent(f.queue.Len()-1)
+	for _, tc := range []struct {
+		name string
+		at   int
+		time float64
+	}{
+		{"clock NaN", 0, math.NaN()},
+		{"clock +Inf", 0, math.Inf(1)},
+		{"clock negative", 0, -1},
+		{"root at half the clock", root, f.time / 2},
+		{"root negative", root, -1},
+		{"last event +Inf", last, math.Inf(1)},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			bad := append([]byte(nil), payload...)
+			binary.LittleEndian.PutUint64(bad[tc.at:], math.Float64bits(tc.time))
+			if err := loadFRM(f, bad); err == nil {
+				t.Fatalf("payload with time %v at byte %d loaded without error", tc.time, tc.at)
+			}
+		})
 	}
 }
 
@@ -188,17 +219,22 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// A payload claiming 2³²-1 heap entries or tree nodes must fail
-// without allocating for the claim: the count is untrusted input.
+// A payload claiming 2³²-1 heap entries, reaction types or tree nodes
+// must fail without allocating for the claim: the count is untrusted
+// input.
 func TestLoadStateInflatedCountsAllocateNothing(t *testing.T) {
 	f := runFRM(t)
 	frmPayload := saveFRM(t, f)
+	frmTypes := append([]byte(nil), frmPayload...)
 	binary.LittleEndian.PutUint32(frmPayload[16:], math.MaxUint32)
+	// The type count follows the last event.
+	binary.LittleEndian.PutUint32(frmTypes[frmEvent(f.queue.Len()):], math.MaxUint32)
 	v, vssmPayload := runVSSM(t)
 	// The node count precedes the Fenwick nodes at the payload's end.
 	binary.LittleEndian.PutUint32(vssmPayload[len(vssmPayload)-8*(v.typeRates.Len()+1)-4:], math.MaxUint32)
 	for name, load := range map[string]func() error{
 		"frm heap length":      func() error { return loadFRM(f, frmPayload) },
+		"frm type count":       func() error { return loadFRM(f, frmTypes) },
 		"vssm tree node count": func() error { _, err := loadVSSM(v, vssmPayload); return err },
 	} {
 		var err error
