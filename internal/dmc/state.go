@@ -8,11 +8,9 @@
 package dmc
 
 import (
-	"cmp"
 	"fmt"
 	"io"
 	"math"
-	"slices"
 
 	"parsurf/internal/eventq"
 	"parsurf/internal/persist"
@@ -129,17 +127,14 @@ func (v *VSSM) LoadState(rd io.Reader) error {
 }
 
 // SaveState writes the FRM clock, counters, the scheduled events sorted
-// by (time, key) and the per-type instance counts. A sorted array is
-// also a valid binary heap, so the payload loads wherever a heap-ordered
-// one does, and its bytes do not depend on the queue's layout.
+// by (time, key) (the queue's Snapshot order) and the per-type instance
+// counts. A sorted array is also a valid binary heap, so the payload
+// loads wherever a heap-ordered one does.
 func (f *FRM) SaveState(w io.Writer) error {
 	e := persist.NewWriter(w)
 	e.F64(f.time)
 	e.U64(f.events)
 	snap := f.queue.Snapshot(nil)
-	slices.SortFunc(snap, func(a, b eventq.Event) int {
-		return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Key, b.Key))
-	})
 	e.U32(uint32(len(snap)))
 	for _, ev := range snap {
 		e.F64(ev.Time)

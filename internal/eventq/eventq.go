@@ -1,25 +1,41 @@
-// Package eventq provides an indexed binary min-heap of timed events for
-// the First Reaction Method (FRM): every (reaction, site) pair can carry
-// at most one scheduled occurrence time, and state changes must be able
-// to reschedule or cancel events cheaply. The heap supports O(log n)
-// push, pop, update and remove by event key.
+// Package eventq provides the indexed event queue of the First Reaction
+// Method (FRM): every (reaction, site) pair carries at most one
+// scheduled occurrence time, and state changes must be able to
+// reschedule or cancel events cheaply.
+//
+// FRM schedules only at or after its clock, the time of the last event
+// it popped, so the queue is a monotone radix heap (Ahuja, Mehlhorn,
+// Orlin & Tarjan, J. ACM 37(2), 1990) over the IEEE-754 bits of
+// non-negative float64 times, whose integer order is their numeric
+// order. An event sits in bucket bits.Len64(timeBits ^ lastBits), where
+// lastBits are the bits of the last popped time: bucket 0 holds the
+// events at that time, and bucket b ≥ 1 those whose highest bit that
+// differs from it is bit b-1. Neither time has the sign bit set, so b
+// is at most 63, and a one-word mask of the non-empty buckets finds the
+// lowest one. Schedule and Remove are O(1), an append and a swap-remove
+// through a dense key → (bucket, slot) index. Pop takes the least event
+// of the lowest non-empty bucket and moves that bucket's other events
+// into lower buckets around it, so an event moves at most 63 times
+// between its Schedule and its Pop.
 //
 // Keys live in a dense space [0, keySpace) fixed at construction (FRM
-// uses rt·N + site), so the key → heap-position index is a flat slice
-// rather than a hash map — no hashing, no map churn on the reschedule
-// path that runs after every executed reaction.
-//
-// Sifts move a hole rather than swapping pairwise: the displaced event
-// is held aside, each level shifts one neighbour into the hole and
-// writes one index entry, and the event lands once at the end. The
-// comparisons, their order and the resulting array are exactly those
-// of the textbook swap-based sift (a test-only reference implementation
-// and FuzzQueueMatchesReference pin this), so Snapshot bytes — and with
-// them FRM checkpoints and tie-breaks between equal times — do not
-// depend on which of the two runs.
+// uses rt·N + site), so the index is a flat slice rather than a hash
+// map. Pop returns the least (time, key) and Snapshot lists the events
+// sorted by (time, key), so neither the order of equal times nor
+// checkpoint bytes depend on where events sit in the buckets.
 package eventq
 
-import "fmt"
+import (
+	"cmp"
+	"fmt"
+	"math"
+	"math/bits"
+	"slices"
+)
+
+// maxBits is the bit pattern of +Inf; every larger pattern is a NaN or
+// has the sign bit set (a negative time or −0).
+const maxBits = 0x7ff0000000000000
 
 // Event is a scheduled reaction occurrence.
 type Event struct {
@@ -27,11 +43,23 @@ type Event struct {
 	Key  int64 // caller-defined identity in [0, keySpace), e.g. rt*N + site
 }
 
-// Queue is an indexed min-heap ordered by Event.Time. Each Key appears at
-// most once; Schedule replaces an existing event for the same key.
+// compare orders events by (time, key).
+func compare(a, b Event) int {
+	return cmp.Or(cmp.Compare(a.Time, b.Time), cmp.Compare(a.Key, b.Key))
+}
+
+// place is a key's position: bucket+1 (0 = absent) and slot in it.
+type place struct{ bucket, slot uint32 }
+
+// Queue is an indexed monotone priority queue of events. Each Key
+// appears at most once; Schedule replaces an existing event for the
+// same key.
 type Queue struct {
-	heap []Event
-	pos  []int32 // key -> heap index + 1; 0 = absent
+	buckets [64][]Event
+	full    uint64  // bit b set iff bucket b is non-empty
+	pos     []place // key -> position
+	last    uint64  // bits of the last popped time; 0 before the first Pop
+	n       int
 }
 
 // New returns an empty queue accepting keys in [0, keySpace).
@@ -39,194 +67,159 @@ func New(keySpace int) *Queue {
 	if keySpace < 0 {
 		panic(fmt.Sprintf("eventq: negative key space %d", keySpace))
 	}
-	return &Queue{pos: make([]int32, keySpace)}
+	return &Queue{pos: make([]place, keySpace)}
 }
 
 // KeySpace returns the exclusive upper bound on keys.
 func (q *Queue) KeySpace() int { return len(q.pos) }
 
-// Reset empties the queue, keeping the heap's capacity and the position
-// index allocation — the queue behaves as freshly constructed. Engine
-// Reset uses it to rewind FRM without reallocating the O(keySpace)
-// index.
+// Reset empties the queue, keeping the buckets' capacity and the
+// position index allocation — the queue behaves as freshly
+// constructed. Engine Reset uses it to rewind FRM without reallocating
+// the O(keySpace) index.
 func (q *Queue) Reset() {
-	for _, ev := range q.heap {
-		q.pos[ev.Key] = 0
+	for b, bucket := range q.buckets {
+		for _, ev := range bucket {
+			q.pos[ev.Key] = place{}
+		}
+		q.buckets[b] = bucket[:0]
 	}
-	q.heap = q.heap[:0]
+	q.full, q.last, q.n = 0, 0, 0
 }
 
 // Len returns the number of scheduled events.
-func (q *Queue) Len() int { return len(q.heap) }
+func (q *Queue) Len() int { return q.n }
 
-// Snapshot appends the events in internal heap order to dst and
-// returns it. Restoring the exact array order (rather than re-inserting
-// events one by one) makes a restored queue bit-identical to the
-// original: subsequent Schedule/Remove sift sequences, and therefore
-// tie-breaks between equal times, replay exactly.
+// Snapshot appends the events sorted by (time, key) to dst and returns
+// it. The order is a function of the scheduled set alone, so saved
+// queues compare byte for byte.
 func (q *Queue) Snapshot(dst []Event) []Event {
-	return append(dst, q.heap...)
+	start := len(dst)
+	for _, bucket := range q.buckets {
+		dst = append(dst, bucket...)
+	}
+	slices.SortFunc(dst[start:], compare)
+	return dst
 }
 
-// Restore replaces the queue's contents with a Snapshot, placing the
-// events verbatim (no sifting) and rebuilding the key index. Events
-// must have keys in [0, KeySpace()) with no duplicates, and every
-// event's time must be no earlier than its parent's (the heap
-// property, which Snapshot output satisfies); otherwise Restore leaves
-// the queue empty and returns an error.
+// Restore replaces the queue's contents with the given events, as
+// though each were scheduled on an empty queue. Events must have keys
+// in [0, KeySpace()) with no duplicates and non-negative, non-NaN
+// times, and every event's time must be no earlier than its parent's in
+// the array read as a binary heap (the layout earlier queues saved, and
+// a property every sorted array has); otherwise Restore leaves the
+// queue empty and returns an error.
 func (q *Queue) Restore(events []Event) error {
-	for _, ev := range q.heap {
-		q.pos[ev.Key] = 0
-	}
-	q.heap = q.heap[:0]
+	q.Reset()
 	for i, ev := range events {
-		if ev.Key < 0 || ev.Key >= int64(len(q.pos)) {
-			q.Reset()
-			return fmt.Errorf("eventq: restored key %d outside [0,%d)", ev.Key, len(q.pos))
-		}
-		if q.pos[ev.Key] != 0 {
-			q.Reset()
-			return fmt.Errorf("eventq: duplicate restored key %d", ev.Key)
-		}
-		if parent := (i - 1) / 2; i > 0 && !(events[parent].Time <= ev.Time) {
-			q.Reset()
-			return fmt.Errorf("eventq: restored event %d (time %v) is earlier than its parent %d (time %v)",
+		var err error
+		switch parent := (i - 1) / 2; {
+		case ev.Key < 0 || ev.Key >= int64(len(q.pos)):
+			err = fmt.Errorf("eventq: restored key %d outside [0,%d)", ev.Key, len(q.pos))
+		case q.pos[ev.Key].bucket != 0:
+			err = fmt.Errorf("eventq: duplicate restored key %d", ev.Key)
+		case math.Float64bits(ev.Time) > maxBits:
+			err = fmt.Errorf("eventq: restored event %d has time %v", i, ev.Time)
+		case i > 0 && !(events[parent].Time <= ev.Time):
+			err = fmt.Errorf("eventq: restored event %d (time %v) is earlier than its parent %d (time %v)",
 				i, ev.Time, parent, events[parent].Time)
 		}
-		q.heap = append(q.heap, ev)
-		q.pos[ev.Key] = int32(i + 1)
+		if err != nil {
+			q.Reset()
+			return err
+		}
+		q.push(ev)
+		q.n++
 	}
 	return nil
 }
 
 // Schedule inserts an event, or reschedules the existing event with the
-// same key to the new time. Rescheduling to the exact time already held
-// is a no-op: the heap property cannot have changed, so the sift is
-// skipped entirely.
+// same key to the new time. It panics on a time earlier than the last
+// popped one, or on a NaN or negative time, −0 included: the bucket
+// arithmetic orders only times at or after the last pop.
 func (q *Queue) Schedule(key int64, time float64) {
-	if p := q.pos[key]; p != 0 {
-		i := int(p - 1)
-		old := q.heap[i].Time
-		if time == old {
-			return
-		}
-		q.heap[i].Time = time
-		if time < old {
-			q.up(i)
-		} else {
-			q.down(i)
-		}
-		return
+	tb := math.Float64bits(time)
+	if tb < q.last || tb > maxBits {
+		panic(fmt.Sprintf("eventq: time %v scheduled below the last popped time %v, or not a non-negative number",
+			time, math.Float64frombits(q.last)))
 	}
-	q.heap = append(q.heap, Event{Time: time, Key: key})
-	i := len(q.heap) - 1
-	q.pos[key] = int32(i + 1)
-	q.up(i)
+	if p := q.pos[key]; p.bucket != 0 {
+		q.take(p)
+	} else {
+		q.n++
+	}
+	q.push(Event{Time: time, Key: key})
 }
 
 // Remove cancels the event with the given key, reporting whether it was
 // present.
 func (q *Queue) Remove(key int64) bool {
 	p := q.pos[key]
-	if p == 0 {
+	if p.bucket == 0 {
 		return false
 	}
-	i := int(p - 1)
-	last := len(q.heap) - 1
-	moved := q.heap[last]
-	q.heap = q.heap[:last]
-	q.pos[key] = 0
-	if i < last {
-		// Move the last event into the freed slot, then sift it.
-		q.heap[i] = moved
-		q.pos[moved.Key] = p
-		if !q.down(i) {
-			q.up(i)
-		}
-	}
+	q.take(p)
+	q.pos[key] = place{}
+	q.n--
 	return true
 }
 
 // Contains reports whether an event with the given key is scheduled.
 func (q *Queue) Contains(key int64) bool {
-	return q.pos[key] != 0
+	return q.pos[key].bucket != 0
 }
 
-// Pop removes and returns the earliest event. ok is false when empty.
-// It is Remove of the root without the key lookup: the last event
-// moves into the root and sifts down (a root cannot move up).
+// Pop removes and returns the least event by (time, key). ok is false
+// when empty. When the lowest non-empty bucket is not bucket 0, the
+// popped time becomes the new last time and the bucket's other events
+// move into lower buckets around it.
 func (q *Queue) Pop() (Event, bool) {
-	n := len(q.heap)
-	if n == 0 {
+	if q.n == 0 {
 		return Event{}, false
 	}
-	ev := q.heap[0]
-	q.pos[ev.Key] = 0
-	moved := q.heap[n-1]
-	q.heap = q.heap[:n-1]
-	if n > 1 {
-		q.heap[0] = moved
-		q.pos[moved.Key] = 1
-		q.down(0)
+	b := bits.TrailingZeros64(q.full)
+	bucket := q.buckets[b]
+	least := 0
+	for i := 1; i < len(bucket); i++ {
+		if e, m := bucket[i], bucket[least]; e.Time < m.Time || e.Time == m.Time && e.Key < m.Key {
+			least = i
+		}
+	}
+	ev := bucket[least]
+	q.Remove(ev.Key)
+	if b > 0 {
+		q.last = math.Float64bits(ev.Time)
+		rest := q.buckets[b]
+		q.buckets[b] = rest[:0]
+		q.full &^= 1 << b
+		for _, moved := range rest {
+			q.push(moved)
+		}
 	}
 	return ev, true
 }
 
-// up moves the event at index i toward the root until its parent is
-// not later, shifting each later parent down into the hole; it reports
-// whether the event moved.
-func (q *Queue) up(i int) bool {
-	ev := q.heap[i]
-	start := i
-	for i > 0 {
-		parent := (i - 1) / 2
-		p := q.heap[parent]
-		if p.Time <= ev.Time {
-			break
-		}
-		q.heap[i] = p
-		q.pos[p.Key] = int32(i + 1)
-		i = parent
-	}
-	if i == start {
-		return false
-	}
-	q.heap[i] = ev
-	q.pos[ev.Key] = int32(i + 1)
-	return true
+// push appends ev to the bucket its time selects and indexes it.
+func (q *Queue) push(ev Event) {
+	b := bits.Len64(math.Float64bits(ev.Time) ^ q.last)
+	q.buckets[b] = append(q.buckets[b], ev)
+	q.full |= 1 << b
+	q.pos[ev.Key] = place{bucket: uint32(b + 1), slot: uint32(len(q.buckets[b]) - 1)}
 }
 
-// down moves the event at index i toward the leaves until no child is
-// strictly earlier, shifting the earlier child (the left one on a tie)
-// up into the hole; it reports whether the event moved.
-func (q *Queue) down(i int) bool {
-	ev := q.heap[i]
-	start := i
-	n := len(q.heap)
-	for {
-		l := 2*i + 1
-		if l >= n {
-			break
-		}
-		c, ct := i, ev.Time
-		if t := q.heap[l].Time; t < ct {
-			c, ct = l, t
-		}
-		if r := l + 1; r < n && q.heap[r].Time < ct {
-			c = r
-		}
-		if c == i {
-			break
-		}
-		child := q.heap[c]
-		q.heap[i] = child
-		q.pos[child.Key] = int32(i + 1)
-		i = c
+// take swap-removes the event at p from its bucket, re-indexing the
+// event that fills the slot; the caller clears or rewrites the removed
+// key's own index entry.
+func (q *Queue) take(p place) {
+	bucket := q.buckets[p.bucket-1]
+	last := len(bucket) - 1
+	if moved := bucket[last]; int(p.slot) < last {
+		bucket[p.slot] = moved
+		q.pos[moved.Key].slot = p.slot
 	}
-	if i == start {
-		return false
+	q.buckets[p.bucket-1] = bucket[:last]
+	if last == 0 {
+		q.full &^= 1 << (p.bucket - 1)
 	}
-	q.heap[i] = ev
-	q.pos[ev.Key] = int32(i + 1)
-	return true
 }

@@ -1,6 +1,8 @@
 package eventq
 
 import (
+	"math"
+	"slices"
 	"sort"
 	"testing"
 	"testing/quick"
@@ -194,5 +196,106 @@ func TestRestoreRejectsBrokenHeap(t *testing.T) {
 	}
 	if r.Len() != 0 {
 		t.Fatalf("failed Restore left %d events", r.Len())
+	}
+}
+
+// Schedule must refuse a time it cannot order: below the last popped
+// time, NaN, or negative (−0 included, whose sign bit would sort it
+// above +Inf).
+func TestSchedulePanicsOnUnorderableTime(t *testing.T) {
+	for _, tc := range []struct {
+		name string
+		time float64
+	}{
+		{"below the last pop", 1.5},
+		{"NaN", math.NaN()},
+		{"-0", math.Copysign(0, -1)},
+		{"negative", -1},
+	} {
+		t.Run(tc.name, func(t *testing.T) {
+			q := New(8)
+			q.Schedule(0, 2)
+			q.Schedule(1, 3)
+			q.Pop()
+			defer func() {
+				if recover() == nil {
+					t.Fatalf("Schedule at %v after a pop at 2 did not panic", tc.time)
+				}
+			}()
+			q.Schedule(2, tc.time)
+		})
+	}
+}
+
+// Restore must load both layouts an FRM payload can hold: the array
+// of the binary heap that earlier versions saved, and the sorted array
+// Snapshot writes now. Either way the queue pops by (time, key) and
+// snapshots sorted.
+func TestRestoreLoadsHeapAndSortedLayouts(t *testing.T) {
+	// A valid heap that is not sorted: every parent is no later than
+	// its children, and the tie at time 2 is out of key order.
+	heap := []Event{{1, 6}, {3, 1}, {2, 4}, {5, 0}, {4, 5}, {2, 2}, {7, 3}}
+	sorted := slices.SortedFunc(slices.Values(heap), compare)
+	for name, events := range map[string][]Event{"heap": heap, "sorted": sorted} {
+		t.Run(name, func(t *testing.T) {
+			q := New(8)
+			if err := q.Restore(events); err != nil {
+				t.Fatal(err)
+			}
+			if snap := q.Snapshot(nil); !slices.Equal(snap, sorted) {
+				t.Fatalf("Snapshot = %v, want %v", snap, sorted)
+			}
+			for _, want := range sorted {
+				if got, ok := q.Pop(); !ok || got != want {
+					t.Fatalf("Pop = %+v,%v, want %+v", got, ok, want)
+				}
+			}
+		})
+	}
+}
+
+// Restore must refuse a time the queue cannot order, even where the
+// heap check alone would pass it.
+func TestRestoreRejectsUnorderableTimes(t *testing.T) {
+	for _, tm := range []float64{math.NaN(), math.Copysign(0, -1), -1} {
+		q := New(8)
+		if err := q.Restore([]Event{{0, 1}, {tm, 2}}); err == nil {
+			t.Fatalf("restored a leaf at time %v", tm)
+		}
+		if err := q.Restore([]Event{{tm, 1}}); err == nil {
+			t.Fatalf("restored a lone event at time %v", tm)
+		}
+		if q.Len() != 0 {
+			t.Fatalf("failed Restore left %d events", q.Len())
+		}
+	}
+}
+
+// BenchmarkHold is the classic hold model at the size of FRM's queue on
+// a ZGB lattice: about 5,000 live events of 10,000 keys. Each operation
+// pops the earliest event, reschedules its key at now+Exp(1), and
+// toggles one random key (removing it if scheduled, scheduling it at
+// now+Exp(1) if not), the remove/insert mix of an FRM refresh.
+func BenchmarkHold(b *testing.B) {
+	const keys = 10000
+	src := rng.New(4)
+	q := New(keys)
+	for k := int64(0); k < keys; k += 2 {
+		q.Schedule(k, src.Exp(1))
+	}
+	hold := func() {
+		ev, _ := q.Pop()
+		q.Schedule(ev.Key, ev.Time+src.Exp(1))
+		if k := int64(src.Intn(keys)); !q.Remove(k) {
+			q.Schedule(k, ev.Time+src.Exp(1))
+		}
+	}
+	for i := 0; i < 10*keys; i++ {
+		hold()
+	}
+	b.ReportAllocs()
+	b.ResetTimer()
+	for i := 0; i < b.N; i++ {
+		hold()
 	}
 }

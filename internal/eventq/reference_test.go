@@ -7,108 +7,37 @@ import (
 	"parsurf/internal/rng"
 )
 
-// refQueue is the swap-based indexed heap the hole-sift Queue replaced,
-// kept as the reference its array layout must match exactly: FRM
-// checkpoints save the heap array verbatim, and tie-breaks between
-// equal times depend on it.
-type refQueue struct {
-	heap []Event
-	pos  []int32
+// refQueue is the reference the radix queue must match: a plain slice
+// of events kept sorted by (time, key).
+type refQueue []Event
+
+func (r *refQueue) index(key int64) int {
+	return slices.IndexFunc(*r, func(ev Event) bool { return ev.Key == key })
 }
 
-func newRef(keySpace int) *refQueue { return &refQueue{pos: make([]int32, keySpace)} }
-
-func (q *refQueue) Schedule(key int64, time float64) {
-	if p := q.pos[key]; p != 0 {
-		i := int(p - 1)
-		old := q.heap[i].Time
-		if time == old {
-			return
-		}
-		q.heap[i].Time = time
-		if time < old {
-			q.up(i)
-		} else {
-			q.down(i)
-		}
-		return
-	}
-	q.heap = append(q.heap, Event{Time: time, Key: key})
-	i := len(q.heap) - 1
-	q.pos[key] = int32(i + 1)
-	q.up(i)
-}
-
-func (q *refQueue) Remove(key int64) bool {
-	p := q.pos[key]
-	if p == 0 {
+func (r *refQueue) Remove(key int64) bool {
+	i := r.index(key)
+	if i < 0 {
 		return false
 	}
-	i := int(p - 1)
-	last := len(q.heap) - 1
-	q.swap(i, last)
-	q.heap = q.heap[:last]
-	q.pos[key] = 0
-	if i < last {
-		if !q.down(i) {
-			q.up(i)
-		}
-	}
+	*r = slices.Delete(*r, i, i+1)
 	return true
 }
 
-func (q *refQueue) Pop() (Event, bool) {
-	if len(q.heap) == 0 {
+func (r *refQueue) Schedule(key int64, time float64) {
+	r.Remove(key)
+	ev := Event{Time: time, Key: key}
+	i, _ := slices.BinarySearchFunc(*r, ev, compare)
+	*r = slices.Insert(*r, i, ev)
+}
+
+func (r *refQueue) Pop() (Event, bool) {
+	if len(*r) == 0 {
 		return Event{}, false
 	}
-	ev := q.heap[0]
-	q.Remove(ev.Key)
+	ev := (*r)[0]
+	*r = (*r)[1:]
 	return ev, true
-}
-
-func (q *refQueue) swap(i, j int) {
-	if i == j {
-		return
-	}
-	q.heap[i], q.heap[j] = q.heap[j], q.heap[i]
-	q.pos[q.heap[i].Key] = int32(i + 1)
-	q.pos[q.heap[j].Key] = int32(j + 1)
-}
-
-func (q *refQueue) up(i int) bool {
-	moved := false
-	for i > 0 {
-		parent := (i - 1) / 2
-		if q.heap[parent].Time <= q.heap[i].Time {
-			break
-		}
-		q.swap(i, parent)
-		i = parent
-		moved = true
-	}
-	return moved
-}
-
-func (q *refQueue) down(i int) bool {
-	moved := false
-	n := len(q.heap)
-	for {
-		l, r := 2*i+1, 2*i+2
-		smallest := i
-		if l < n && q.heap[l].Time < q.heap[smallest].Time {
-			smallest = l
-		}
-		if r < n && q.heap[r].Time < q.heap[smallest].Time {
-			smallest = r
-		}
-		if smallest == i {
-			break
-		}
-		q.swap(i, smallest)
-		i = smallest
-		moved = true
-	}
-	return moved
 }
 
 // refKeys is the key space of the differential runs: small, so
@@ -117,15 +46,18 @@ const refKeys = 48
 
 // replayAgainstRef decodes ops three bytes at a time — operation, key,
 // time — and applies each to a Queue and to the reference, failing at
-// the first operation after which their results, heap arrays or key
-// indexes differ. Times take 16 values, so ties are common.
+// the first operation after which a result, Len, Contains or the
+// sorted Snapshot differs. Times are the last popped time plus a
+// multiple of 1/4 below 4, so no operation schedules below the last pop
+// and ties, the last popped time itself included, are common.
 func replayAgainstRef(t *testing.T, ops []byte) {
 	t.Helper()
-	q, ref := New(refKeys), newRef(refKeys)
+	q, ref := New(refKeys), refQueue{}
 	var snap []Event
+	last := 0.0
 	for i := 0; i+3 <= len(ops); i += 3 {
 		key := int64(ops[i+1]) % refKeys
-		tm := float64(ops[i+2] % 16)
+		tm := last + float64(ops[i+2]%16)/4
 		switch ops[i] % 4 {
 		case 0, 1:
 			q.Schedule(key, tm)
@@ -140,13 +72,21 @@ func replayAgainstRef(t *testing.T, ops []byte) {
 			if got != want || gok != wok {
 				t.Fatalf("op %d: Pop = %+v,%v, reference %+v,%v", i/3, got, gok, want, wok)
 			}
+			if gok {
+				last = got.Time
+			}
+		}
+		if q.Len() != len(ref) {
+			t.Fatalf("op %d: Len = %d, reference %d", i/3, q.Len(), len(ref))
+		}
+		for k := int64(0); k < refKeys; k++ {
+			if got, want := q.Contains(k), ref.index(k) >= 0; got != want {
+				t.Fatalf("op %d: Contains(%d) = %v, reference %v", i/3, k, got, want)
+			}
 		}
 		snap = q.Snapshot(snap[:0])
-		if !slices.Equal(snap, ref.heap) {
-			t.Fatalf("op %d: heap %v, reference %v", i/3, snap, ref.heap)
-		}
-		if !slices.Equal(q.pos, ref.pos) {
-			t.Fatalf("op %d: key index differs from the reference", i/3)
+		if !slices.Equal(snap, ref) {
+			t.Fatalf("op %d: snapshot %v, reference %v", i/3, snap, ref)
 		}
 	}
 }
@@ -161,8 +101,8 @@ func randomOps(seed uint64, n int) []byte {
 	return ops
 }
 
-// The hole sift must leave the same heap array and key index as the
-// swap-based reference after every Schedule, Remove and Pop.
+// The queue must agree with the sorted-set reference after every
+// Schedule, Remove and Pop.
 func FuzzQueueMatchesReference(f *testing.F) {
 	f.Add([]byte{})
 	for seed := uint64(1); seed <= 4; seed++ {
