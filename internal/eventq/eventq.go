@@ -180,6 +180,8 @@ func (q *Queue) Pop() (Event, bool) {
 	}
 	b := bits.TrailingZeros64(q.full)
 	bucket := q.buckets[b]
+	// Queued times are never NaN, so plain comparisons order them; the
+	// NaN handling of compare would cost a call per event scanned.
 	least := 0
 	for i := 1; i < len(bucket); i++ {
 		if e, m := bucket[i], bucket[least]; e.Time < m.Time || e.Time == m.Time && e.Key < m.Key {
