@@ -12,17 +12,21 @@ import (
 	"parsurf/internal/rng"
 )
 
-// Hash fingerprints the spec: the hex SHA-256 of its canonical JSON
-// form. Every spec serializes (NewSpec and ParseSpec reject one that
-// does not), so the hash is never empty.
+// Hash fingerprints the spec: the hex SHA-256 of its engine's
+// trajectory epoch (registry.Spec.Epoch) and its canonical JSON form,
+// the one generation stamp job content hashes, checkpoint headers and
+// fleet shard results carry. Every spec serializes (NewSpec and
+// ParseSpec reject one that does not), so the hash is never empty.
 func (sp *SessionSpec) Hash() string {
-	sum := sha256.Sum256(sp.data)
-	return hex.EncodeToString(sum[:])
+	h := sha256.New()
+	fmt.Fprintf(h, "epoch=%d\n", sp.epoch)
+	h.Write(sp.data)
+	return hex.EncodeToString(h.Sum(nil))
 }
 
 // Checkpoint writes the session's complete state — engine name, spec
 // hash, step count, clock, random-source state, configuration and the
-// engine-private payload — in the persist v2 format. Taken at a step
+// engine-private payload — in the persist format. Taken at a step
 // boundary (which is the only place callers can observe a session), the
 // snapshot is exact: no engine buffers draws ahead of its source, so
 // the raw source state is in sync after each whole Step and a

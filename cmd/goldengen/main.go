@@ -11,6 +11,13 @@
 // parameters and hashes live in internal/goldentrace, shared with the
 // tests, so the two cannot drift apart.
 //
+// It then prints, per engine, the row that engine's epoch history in
+// epoch_test.go must end with: its registry epoch and the digest of its
+// pins. A re-pin is therefore a paste plus an epoch bump: raise the
+// engine's registry.Spec.Epoch, run goldengen, paste the new pins, and
+// append the engine's printed row to its history. Rows of engines
+// whose pins did not move already match their last history row.
+//
 //	go run ./cmd/goldengen
 package main
 
@@ -25,6 +32,7 @@ import (
 func main() {
 	fmt.Println("// api_test.go goldenTraces")
 	m := parsurf.NewZGBModel(parsurf.DefaultZGBRates())
+	golden := map[string]goldentrace.Trace{}
 	for _, name := range parsurf.Engines() {
 		lat := parsurf.NewSquareLattice(goldentrace.Side)
 		cm := parsurf.MustCompile(m, lat)
@@ -32,16 +40,26 @@ func main() {
 		if err != nil {
 			fail(err)
 		}
-		fmt.Printf("%q: %v,\n", name, goldentrace.Fingerprint(eng, goldentrace.StepsFor(name)))
+		golden[name] = goldentrace.Fingerprint(eng, goldentrace.StepsFor(name))
+		fmt.Printf("%q: %v,\n", name, golden[name])
 	}
 	fmt.Println()
 	fmt.Println("// fingerprint_test.go TestModelTracesBitIdentical")
+	model := map[string]goldentrace.Trace{}
 	for _, c := range goldentrace.ModelCases() {
 		tr, _, err := c.Run()
 		if err != nil {
 			fail(err)
 		}
+		model[c.Key()] = tr
 		fmt.Printf("%q: %v,\n", c.Key(), tr)
+	}
+	fmt.Println()
+	fmt.Println("// epoch_test.go epochHistory: the last row of each engine's history")
+	for _, name := range parsurf.Engines() {
+		spec, _ := parsurf.LookupEngine(name)
+		row := goldentrace.EpochRow{Epoch: spec.Epoch, Digest: goldentrace.Digest(name, golden[name], model)}
+		fmt.Printf("%q: %v,\n", name, row)
 	}
 }
 

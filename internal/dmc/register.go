@@ -64,6 +64,8 @@ func init() {
 	registry.Register(registry.Spec{
 		Name: "frm",
 		Doc:  "First Reaction Method with an event queue, exact DMC baseline (§3)",
+		// Epoch 1: the payload no longer stores per-type counts.
+		Epoch: 1,
 		New: func(cm *model.Compiled, cfg *lattice.Config, src *rng.Source, o registry.Options, _ *partition.Partition, _ *partition.TypeSplit) (registry.Engine, error) {
 			return NewFRM(cm, cfg, src), nil
 		},

@@ -3,7 +3,7 @@
 // than N steps of history would have left it is saved verbatim; state
 // that is a pure function of the configuration is rebuilt by Reset and
 // only corrected here where the evolution order matters (swap-remove
-// list orderings, heap layouts, drifted Fenwick nodes).
+// list orderings, event queues, drifted Fenwick nodes).
 
 package dmc
 
@@ -126,10 +126,9 @@ func (v *VSSM) LoadState(rd io.Reader) error {
 	return nil
 }
 
-// SaveState writes the FRM clock, counters, the scheduled events sorted
-// by (time, key) (the queue's Snapshot order) and the per-type instance
-// counts. A sorted array is also a valid binary heap, so the payload
-// loads wherever a heap-ordered one does.
+// SaveState writes the FRM clock, counters and the scheduled events
+// sorted by (time, key), the queue's Snapshot order. The per-type
+// instance counts are not saved: LoadState derives them from the keys.
 func (f *FRM) SaveState(w io.Writer) error {
 	e := persist.NewWriter(w)
 	e.F64(f.time)
@@ -140,19 +139,16 @@ func (f *FRM) SaveState(w io.Writer) error {
 		e.F64(ev.Time)
 		e.I64(ev.Key)
 	}
-	e.U32(uint32(len(f.scheduled)))
-	for _, n := range f.scheduled {
-		e.I64(n)
-	}
 	return e.Err()
 }
 
 // LoadState restores a payload written by SaveState. The clock must be
 // finite and non-negative, and every event time finite and no earlier
 // than the clock, or the resumed run would step its clock backwards.
-// The events must form a valid heap (eventq.Restore checks it), the
-// per-type counts must tally their keys, and the keys must be exactly
-// the enabled (type, site) pairs of the configuration Reset installed.
+// The events must be sorted by (time, key) (eventq.Restore checks it),
+// and their keys must be exactly the enabled (type, site) pairs of the
+// configuration Reset installed; the per-type counts are tallied from
+// those keys.
 func (f *FRM) LoadState(rd io.Reader) error {
 	d := persist.NewReader(rd)
 	simTime := d.F64()
@@ -173,15 +169,6 @@ func (f *FRM) LoadState(rd io.Reader) error {
 		}
 		snap = append(snap, eventq.Event{Time: t, Key: key})
 	}
-	nt := d.U32()
-	if d.Err() == nil && int(nt) != len(f.scheduled) {
-		d.Failf("dmc: frm payload has %d reaction types, engine has %d", nt, len(f.scheduled))
-	}
-	// Sized by the engine, not the claim: nt is untrusted.
-	counts := make([]int64, 0, len(f.scheduled))
-	for i := 0; i < int(nt) && d.Err() == nil; i++ {
-		counts = append(counts, d.I64())
-	}
 	if err := d.Err(); err != nil {
 		return err
 	}
@@ -192,11 +179,6 @@ func (f *FRM) LoadState(rd io.Reader) error {
 	for _, ev := range snap {
 		rt, _ := f.unkey(ev.Key)
 		f.scheduled[rt]++
-	}
-	for rt, n := range counts {
-		if n != f.scheduled[rt] {
-			return fmt.Errorf("dmc: frm payload counts %d scheduled instances of reaction %d, its heap holds %d", n, rt, f.scheduled[rt])
-		}
 	}
 	if rt, s, ok := f.CheckConsistency(); !ok {
 		return fmt.Errorf("dmc: frm payload disagrees with the configuration on reaction %d at site %d", rt, s)

@@ -38,8 +38,8 @@ func loadFRM(f *FRM, payload []byte) error {
 	return g.LoadState(bytes.NewReader(payload))
 }
 
-// frmEvent is the byte offset of heap entry i in an FRM payload: clock,
-// event count and heap length precede 16-byte (time, key) entries.
+// frmEvent is the byte offset of event i in an FRM payload: clock,
+// event count and queue length precede 16-byte (time, key) entries.
 func frmEvent(i int) int { return 8 + 8 + 4 + 16*i }
 
 // A payload whose heap array has a child earlier than its parent must
@@ -62,8 +62,8 @@ func TestFRMLoadStateRejectsBrokenHeap(t *testing.T) {
 // A payload whose clock is not a finite non-negative number, or with
 // an event that is not finite or is earlier than the clock, must not
 // load: the resumed run would step its clock backwards or to NaN or
-// +Inf. Each corruption keeps the heap valid, so only the clock checks
-// can catch it.
+// +Inf. Each corruption keeps the (time, key) order, so only the clock
+// checks can catch it.
 func TestFRMLoadStateRejectsBadTimes(t *testing.T) {
 	f := runFRM(t)
 	payload := saveFRM(t, f)
@@ -90,25 +90,13 @@ func TestFRMLoadStateRejectsBadTimes(t *testing.T) {
 	}
 }
 
-// A payload whose per-type counts disagree with its heap must not
-// load: TotalRate would report a wrong propensity from then on.
-func TestFRMLoadStateRejectsWrongCount(t *testing.T) {
-	f := runFRM(t)
-	f.scheduled[0]++
-	payload := saveFRM(t, f)
-	f.scheduled[0]--
-	if err := loadFRM(f, payload); err == nil {
-		t.Fatal("payload with a scheduled count off by one loaded without error")
-	}
-}
-
 // A payload scheduling an instance that is disabled in the
 // configuration must not load: Step would execute it.
 func TestFRMLoadStateRejectsStrayKey(t *testing.T) {
 	f := runFRM(t)
 	payload := saveFRM(t, f)
-	// Re-key the last heap entry (a leaf, so the heap stays valid) to
-	// a disabled instance of the same type, so the counts still tally.
+	// Re-key the last event (the latest, so the order stays valid) to a
+	// disabled instance of the same type.
 	last := frmEvent(f.queue.Len() - 1)
 	rt, _ := f.unkey(int64(binary.LittleEndian.Uint64(payload[last+8:])))
 	stray := -1
@@ -219,22 +207,17 @@ func allocatedBy(f func()) uint64 {
 	return after.TotalAlloc - before.TotalAlloc
 }
 
-// A payload claiming 2³²-1 heap entries, reaction types or tree nodes
-// must fail without allocating for the claim: the count is untrusted
-// input.
+// A payload claiming 2³²-1 queued events or tree nodes must fail
+// without allocating for the claim: the count is untrusted input.
 func TestLoadStateInflatedCountsAllocateNothing(t *testing.T) {
 	f := runFRM(t)
 	frmPayload := saveFRM(t, f)
-	frmTypes := append([]byte(nil), frmPayload...)
 	binary.LittleEndian.PutUint32(frmPayload[16:], math.MaxUint32)
-	// The type count follows the last event.
-	binary.LittleEndian.PutUint32(frmTypes[frmEvent(f.queue.Len()):], math.MaxUint32)
 	v, vssmPayload := runVSSM(t)
 	// The node count precedes the Fenwick nodes at the payload's end.
 	binary.LittleEndian.PutUint32(vssmPayload[len(vssmPayload)-8*(v.typeRates.Len()+1)-4:], math.MaxUint32)
 	for name, load := range map[string]func() error{
-		"frm heap length":      func() error { return loadFRM(f, frmPayload) },
-		"frm type count":       func() error { return loadFRM(f, frmTypes) },
+		"frm queue length":     func() error { return loadFRM(f, frmPayload) },
 		"vssm tree node count": func() error { _, err := loadVSSM(v, vssmPayload); return err },
 	} {
 		var err error

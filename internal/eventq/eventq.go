@@ -105,24 +105,22 @@ func (q *Queue) Snapshot(dst []Event) []Event {
 // Restore replaces the queue's contents with the given events, as
 // though each were scheduled on an empty queue. Events must have keys
 // in [0, KeySpace()) with no duplicates and non-negative, non-NaN
-// times, and every event's time must be no earlier than its parent's in
-// the array read as a binary heap (the layout earlier queues saved, and
-// a property every sorted array has); otherwise Restore leaves the
-// queue empty and returns an error.
+// times, and must be sorted by (time, key), the order Snapshot writes;
+// otherwise Restore leaves the queue empty and returns an error.
 func (q *Queue) Restore(events []Event) error {
 	q.Reset()
 	for i, ev := range events {
 		var err error
-		switch parent := (i - 1) / 2; {
+		switch {
 		case ev.Key < 0 || ev.Key >= int64(len(q.pos)):
 			err = fmt.Errorf("eventq: restored key %d outside [0,%d)", ev.Key, len(q.pos))
 		case q.pos[ev.Key].bucket != 0:
 			err = fmt.Errorf("eventq: duplicate restored key %d", ev.Key)
 		case math.Float64bits(ev.Time) > maxBits:
 			err = fmt.Errorf("eventq: restored event %d has time %v", i, ev.Time)
-		case i > 0 && !(events[parent].Time <= ev.Time):
-			err = fmt.Errorf("eventq: restored event %d (time %v) is earlier than its parent %d (time %v)",
-				i, ev.Time, parent, events[parent].Time)
+		case i > 0 && compare(events[i-1], ev) >= 0:
+			err = fmt.Errorf("eventq: restored event %d %+v does not follow event %d %+v in (time, key) order",
+				i, ev, i-1, events[i-1])
 		}
 		if err != nil {
 			q.Reset()

@@ -227,35 +227,49 @@ func TestSchedulePanicsOnUnorderableTime(t *testing.T) {
 	}
 }
 
-// Restore must load both layouts an FRM payload can hold: the array
-// of the binary heap that earlier versions saved, and the sorted array
-// Snapshot writes now. Either way the queue pops by (time, key) and
-// snapshots sorted.
+// Restore loads the sorted array Snapshot writes, and refuses the array
+// of a binary heap that is not sorted, the layout of a queue that no
+// reachable payload holds any more.
 func TestRestoreLoadsHeapAndSortedLayouts(t *testing.T) {
 	// A valid heap that is not sorted: every parent is no later than
 	// its children, and the tie at time 2 is out of key order.
 	heap := []Event{{1, 6}, {3, 1}, {2, 4}, {5, 0}, {4, 5}, {2, 2}, {7, 3}}
 	sorted := slices.SortedFunc(slices.Values(heap), compare)
-	for name, events := range map[string][]Event{"heap": heap, "sorted": sorted} {
-		t.Run(name, func(t *testing.T) {
-			q := New(8)
-			if err := q.Restore(events); err != nil {
-				t.Fatal(err)
+	t.Run("heap", func(t *testing.T) {
+		q := New(8)
+		if err := q.Restore(heap); err == nil {
+			t.Fatal("restored an unsorted heap array")
+		}
+		if q.Len() != 0 {
+			t.Fatalf("failed Restore left %d events", q.Len())
+		}
+	})
+	t.Run("tie out of key order", func(t *testing.T) {
+		bad := slices.Clone(sorted)
+		i := slices.Index(bad, Event{2, 2})
+		bad[i], bad[i+1] = bad[i+1], bad[i]
+		if err := New(8).Restore(bad); err == nil {
+			t.Fatalf("restored %v, whose tie at time 2 is out of key order", bad)
+		}
+	})
+	t.Run("sorted", func(t *testing.T) {
+		q := New(8)
+		if err := q.Restore(sorted); err != nil {
+			t.Fatal(err)
+		}
+		if snap := q.Snapshot(nil); !slices.Equal(snap, sorted) {
+			t.Fatalf("Snapshot = %v, want %v", snap, sorted)
+		}
+		for _, want := range sorted {
+			if got, ok := q.Pop(); !ok || got != want {
+				t.Fatalf("Pop = %+v,%v, want %+v", got, ok, want)
 			}
-			if snap := q.Snapshot(nil); !slices.Equal(snap, sorted) {
-				t.Fatalf("Snapshot = %v, want %v", snap, sorted)
-			}
-			for _, want := range sorted {
-				if got, ok := q.Pop(); !ok || got != want {
-					t.Fatalf("Pop = %+v,%v, want %+v", got, ok, want)
-				}
-			}
-		})
-	}
+		}
+	})
 }
 
 // Restore must refuse a time the queue cannot order, even where the
-// heap check alone would pass it.
+// order check alone would pass it.
 func TestRestoreRejectsUnorderableTimes(t *testing.T) {
 	for _, tm := range []float64{math.NaN(), math.Copysign(0, -1), -1} {
 		q := New(8)

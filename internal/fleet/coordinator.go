@@ -511,11 +511,13 @@ func (c *Coordinator) recoverShards(fj *fleetJob) error {
 	return nil
 }
 
-// payloadMatches validates a decoded shard payload against its record
-// and the job's shape.
+// payloadMatches validates a decoded shard payload against its record,
+// the job's shape and the coordinator's own hash of the variant's spec,
+// which refuses rows of another engine epoch, live or on replay.
 func (fj *fleetJob) payloadMatches(res *ShardResult, rec *store.ShardRecord) bool {
 	return res.Variant == rec.Variant && res.Lo == rec.Lo && res.Hi == rec.Hi &&
 		res.Variant < len(fj.specs) &&
+		res.SpecHash == fj.specs[res.Variant].Hash() &&
 		len(res.Rows) > 0 &&
 		len(res.Rows[0]) == fj.specs[res.Variant].NumSpecies() &&
 		len(res.Rows[0][0]) == fj.grid.Len()

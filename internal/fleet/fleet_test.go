@@ -114,6 +114,16 @@ func runGrant(t *testing.T, g *Grant) []byte {
 	if err != nil {
 		t.Fatal(err)
 	}
+	return runGrantAs(t, g, spec.Hash())
+}
+
+// runGrantAs is runGrant with the payload stamped with specHash.
+func runGrantAs(t *testing.T, g *Grant, specHash string) []byte {
+	t.Helper()
+	spec, err := parsurf.ParseSpec(g.Spec)
+	if err != nil {
+		t.Fatal(err)
+	}
 	rows, err := parsurf.RunReplicaRange(context.Background(), spec, g.Variant, g.Lo, g.Hi,
 		2, g.Until, g.Every)
 	if err != nil {
@@ -121,7 +131,7 @@ func runGrant(t *testing.T, g *Grant) []byte {
 	}
 	n := g.Hi - g.Lo
 	data, err := encodeShardResult(&ShardResult{
-		Variant: g.Variant, Lo: g.Lo, Hi: g.Hi,
+		Variant: g.Variant, Lo: g.Lo, Hi: g.Hi, SpecHash: specHash,
 		Rows: rows, Steps: make([]uint64, n), Times: make([]float64, n),
 	})
 	if err != nil {
@@ -484,6 +494,106 @@ func TestResultRejectsMismatchedPayload(t *testing.T) {
 	}
 	j.Cancel()
 	waitTerminal(t, j, 30*time.Second)
+}
+
+// Rows stamped with another spec hash — a worker that ran the spec at
+// another epoch of its engine, or another spec — are refused, both on
+// upload and when a restarted coordinator replays stored results: the
+// shard is re-run instead of merged.
+func TestResultRejectsOtherSpecHash(t *testing.T) {
+	mkReq := func() job.Request {
+		return job.Request{
+			Specs:    []*parsurf.SessionSpec{ziffSpec(t, 0.51, 13)},
+			Replicas: 4,
+			Workers:  2,
+			Until:    5,
+			Every:    1,
+		}
+	}
+	want := controlJSON(t, mkReq())
+	other := ziffSpec(t, 0.51, 14).Hash()
+
+	st := store.NewMem()
+	coordA, err := New(st, ShardSize(2), LeaseTTL(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	mA := fleetManager(t, st, coordA, 1)
+	j, err := mA.Submit(mkReq())
+	if err != nil {
+		t.Fatal(err)
+	}
+	jobID := j.ID()
+	g := waitLease(t, coordA, "w1", 10*time.Second)
+	_, shardID, err := SplitShardID(g.Shard)
+	if err != nil {
+		t.Fatal(err)
+	}
+	stale := runGrantAs(t, g, other)
+	err = coordA.Result(jobID, shardID, "w1", stale)
+	if err == nil || !strings.Contains(err.Error(), "does not match") {
+		t.Fatalf("result stamped with another spec hash: %v, want a mismatch error", err)
+	}
+	mA.Close()
+	coordA.Close()
+
+	// Plant the stale rows as this shard's stored, done result, then
+	// restart: recovery must re-run the shard rather than replay them.
+	if err := st.PutShardResult(jobID, shardID, stale); err != nil {
+		t.Fatal(err)
+	}
+	recs, err := st.Shards(jobID)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for _, rec := range recs {
+		if rec.ID == shardID {
+			rec.State = shardDone
+			if err := st.PutShard(rec); err != nil {
+				t.Fatal(err)
+			}
+		}
+	}
+	coordB, err := New(st, ShardSize(2), LeaseTTL(10*time.Second))
+	if err != nil {
+		t.Fatal(err)
+	}
+	defer coordB.Close()
+	mB := fleetManager(t, st, coordB, 1)
+	defer mB.Close()
+	jB, ok := mB.Get(jobID)
+	if !ok {
+		t.Fatalf("job %s not recovered", jobID)
+	}
+	leased := map[string]bool{}
+	for range 2 {
+		g := waitLease(t, coordB, "w2", 10*time.Second)
+		_, sid, err := SplitShardID(g.Shard)
+		if err != nil {
+			t.Fatal(err)
+		}
+		leased[sid] = true
+		if err := coordB.Result(jobID, sid, "w2", runGrant(t, g)); err != nil {
+			t.Fatal(err)
+		}
+	}
+	if !leased[shardID] {
+		t.Fatalf("shard %s with stale stored rows was replayed, not re-run (leased %v)", shardID, leased)
+	}
+	if st := waitTerminal(t, jB, 30*time.Second); st.State != job.StateDone {
+		t.Fatalf("job: %s (%s)", st.State, st.Error)
+	}
+	res, err := jB.ResultData()
+	if err != nil {
+		t.Fatal(err)
+	}
+	got, err := json.Marshal(res)
+	if err != nil {
+		t.Fatal(err)
+	}
+	if string(got) != want {
+		t.Fatal("recovered fleet result differs from the single-node run")
+	}
 }
 
 // A restarted coordinator+manager pair rebuilds the shard table from

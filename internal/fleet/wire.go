@@ -6,7 +6,8 @@
 // bit-identical regardless of how the replica space was sharded. Floats
 // travel as their exact bit patterns through the error-latching persist
 // codec; lengths in the header are untrusted and bounded before any
-// allocation grows to meet them.
+// allocation grows to meet them. The header carries the worker's spec
+// hash, so rows of another spec or engine epoch are never merged.
 
 package fleet
 
@@ -19,17 +20,17 @@ import (
 )
 
 const (
-	// wireMagic / wireVersion stamp every shard result blob. Version 2
-	// has the layout of 1; it marks rows drawn with the ziggurat clock
-	// sampler, so a worker built before it cannot merge old-sampler
-	// rows into a new run.
+	// wireMagic / wireVersion stamp every shard result blob. The
+	// version names the layout only (3 added the spec hash); the spec
+	// hash, which folds in the engine's epoch, names the trajectories.
 	wireMagic   = 0x50534c46 // "PSLF"
-	wireVersion = 2
-	// maxWireSpecies / maxWirePoints / maxWireReplicas bound the header
-	// claims of an untrusted blob.
+	wireVersion = 3
+	// maxWireSpecies / maxWirePoints / maxWireReplicas / maxWireHash
+	// bound the header claims of an untrusted blob.
 	maxWireSpecies  = 256
 	maxWirePoints   = 1 << 24
 	maxWireReplicas = 1 << 20
+	maxWireHash     = 64
 )
 
 // ShardResult is a decoded shard payload: the identity of the slice it
@@ -37,8 +38,9 @@ const (
 // grid points), and each replica's final engine counters (steps taken,
 // simulated time reached) for progress accounting.
 type ShardResult struct {
-	Variant int
-	Lo, Hi  int
+	Variant  int
+	Lo, Hi   int
+	SpecHash string // the worker's SessionSpec.Hash of the variant
 	// Rows[k] is replica Lo+k's species × points sample matrix.
 	Rows [][][]float64
 	// Steps[k] and Times[k] are replica Lo+k's final engine step count
@@ -67,6 +69,7 @@ func encodeShardResult(res *ShardResult) ([]byte, error) {
 	e.U32(uint32(res.Hi))
 	e.U32(uint32(species))
 	e.U32(uint32(points))
+	e.Block([]byte(res.SpecHash))
 	for k := 0; k < n; k++ {
 		if len(res.Rows[k]) != species {
 			return nil, fmt.Errorf("fleet: replica %d has %d species rows, want %d", res.Lo+k, len(res.Rows[k]), species)
@@ -115,22 +118,27 @@ func decodeShardResult(data []byte) (*ShardResult, error) {
 			d.Failf("fleet: shard result carries %d grid points", points)
 		}
 	}
+	hash := d.Block(maxWireHash)
+	// The header is coherent; the remaining length is now fully
+	// determined, so a short or padded body is caught before anything
+	// is allocated to meet the claims.
+	n := int(hi - lo)
+	if need := uint64(n) * (16 + 8*uint64(species)*uint64(points)); d.Err() == nil && need != uint64(r.Len()) {
+		d.Failf("fleet: shard result claims %d body bytes, %d remain", need, r.Len())
+	}
 	if err := d.Err(); err != nil {
 		return nil, err
 	}
-	// The header is coherent; the remaining length is now fully
-	// determined, so a short or padded body is caught without trusting
-	// any further claims.
-	n := int(hi - lo)
 	res := &ShardResult{
-		Variant: int(variant),
-		Lo:      int(lo),
-		Hi:      int(hi),
-		Rows:    make([][][]float64, n),
-		Steps:   make([]uint64, n),
-		Times:   make([]float64, n),
+		Variant:  int(variant),
+		Lo:       int(lo),
+		Hi:       int(hi),
+		SpecHash: string(hash),
+		Rows:     make([][][]float64, n),
+		Steps:    make([]uint64, n),
+		Times:    make([]float64, n),
 	}
-	for k := 0; k < n && d.Err() == nil; k++ {
+	for k := range n {
 		res.Steps[k] = d.U64()
 		res.Times[k] = d.F64()
 		rows := make([][]float64, species)
@@ -141,9 +149,6 @@ func decodeShardResult(data []byte) (*ShardResult, error) {
 			}
 		}
 		res.Rows[k] = rows
-	}
-	if d.Err() == nil && r.Len() > 0 {
-		d.Failf("fleet: shard result has %d trailing bytes", r.Len())
 	}
 	if err := d.Err(); err != nil {
 		return nil, err

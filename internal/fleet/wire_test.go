@@ -1,17 +1,20 @@
 package fleet
 
 import (
+	"bytes"
 	"encoding/binary"
 	"reflect"
+	"runtime"
 	"strings"
 	"testing"
 )
 
 func sampleResult() *ShardResult {
 	return &ShardResult{
-		Variant: 1,
-		Lo:      4,
-		Hi:      6,
+		Variant:  1,
+		Lo:       4,
+		Hi:       6,
+		SpecHash: strings.Repeat("5e", 32),
 		Rows: [][][]float64{
 			{{0.5, 0.25, 0.125}, {1e-300, 0, 3.14}},
 			{{-1.5, 2.5, 4.5}, {0.1, 0.2, 0.3}},
@@ -58,10 +61,19 @@ func TestWireRejectsMalformed(t *testing.T) {
 	bad = append([]byte(nil), good...)
 	bad[4] ^= 0x01
 	cases["version"] = bad
-	// Version 1 blobs carry rows of the inversion clock sampler.
+	// Older layouts are refused.
 	bad = append([]byte(nil), good...)
 	binary.LittleEndian.PutUint32(bad[4:], 1)
 	cases["version1"] = bad
+	// Version 2 blobs have no spec hash block.
+	bad = append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(bad[4:], 2)
+	cases["version 2"] = bad
+	// A spec hash block longer than any hash (offset 28: after the
+	// seven fixed header words).
+	bad = append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(bad[28:], maxWireHash+1)
+	cases["hash length"] = bad
 	// Absurd species claim (offset 20: after magic, version, variant,
 	// lo, hi).
 	bad = append([]byte(nil), good...)
@@ -114,4 +126,44 @@ func TestGlobalShardID(t *testing.T) {
 			t.Errorf("SplitShardID(%q): %v, want malformed error", bad, err)
 		}
 	}
+}
+
+// FuzzDecodeShardResult: whatever the bytes, decodeShardResult either
+// errors or returns a result that re-encodes to exactly those bytes,
+// and it never allocates far beyond the blob's own size, so a header
+// claiming more replicas, species or points than the body carries
+// costs nothing.
+func FuzzDecodeShardResult(f *testing.F) {
+	good, err := encodeShardResult(sampleResult())
+	if err != nil {
+		f.Fatal(err)
+	}
+	f.Add(good)
+	f.Add(good[:len(good)-5])
+	inflated := append([]byte(nil), good...)
+	binary.LittleEndian.PutUint32(inflated[12:], 0)     // lo
+	binary.LittleEndian.PutUint32(inflated[16:], 1<<20) // hi
+	f.Add(inflated)
+	f.Add([]byte{})
+	f.Fuzz(func(t *testing.T, data []byte) {
+		var res *ShardResult
+		var err error
+		var before, after runtime.MemStats
+		runtime.ReadMemStats(&before)
+		res, err = decodeShardResult(data)
+		runtime.ReadMemStats(&after)
+		if n, limit := after.TotalAlloc-before.TotalAlloc, uint64(8*len(data)+1<<16); n > limit {
+			t.Fatalf("decoding %d bytes allocated %d bytes (limit %d)", len(data), n, limit)
+		}
+		if err != nil {
+			return
+		}
+		again, err := encodeShardResult(res)
+		if err != nil {
+			t.Fatalf("accepted result does not re-encode: %v", err)
+		}
+		if !bytes.Equal(again, data) {
+			t.Fatalf("accepted %d bytes re-encode to %d different bytes", len(data), len(again))
+		}
+	})
 }

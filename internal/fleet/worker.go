@@ -289,12 +289,13 @@ func (w *Worker) runShard(ctx context.Context, grant *Grant) {
 	}
 
 	res := &ShardResult{
-		Variant: grant.Variant,
-		Lo:      grant.Lo,
-		Hi:      grant.Hi,
-		Rows:    rows,
-		Steps:   make([]uint64, n),
-		Times:   make([]float64, n),
+		Variant:  grant.Variant,
+		Lo:       grant.Lo,
+		Hi:       grant.Hi,
+		SpecHash: spec.Hash(),
+		Rows:     rows,
+		Steps:    make([]uint64, n),
+		Times:    make([]float64, n),
 	}
 	for k := 0; k < n; k++ {
 		res.Steps[k] = steps[k].Load()

@@ -177,6 +177,32 @@ func (c ModelCase) Run() (Trace, registry.Engine, error) {
 	}, eng, nil
 }
 
+// EpochRow is one row of an engine's epoch history: a trajectory epoch
+// (registry.Spec.Epoch) and the Digest of the engine's pins at it.
+type EpochRow struct {
+	Epoch  uint32
+	Digest uint64
+}
+
+// String formats the row as the Go literal the history table uses.
+func (r EpochRow) String() string {
+	return fmt.Sprintf("{Epoch: %d, Digest: 0x%016x}", r.Epoch, r.Digest)
+}
+
+// Digest hashes every trajectory pin of one engine: its golden trace
+// and its entries of the model-trace table (keyed by ModelCase.Key, in
+// ModelCases order). A re-pin of any of them moves the digest.
+func Digest(engine string, golden Trace, model map[string]Trace) uint64 {
+	h := fnv.New64a()
+	fmt.Fprintf(h, "%s %v\n", engine, golden)
+	for _, c := range ModelCases() {
+		if c.Engine == engine {
+			fmt.Fprintf(h, "%s %v\n", c.Key(), model[c.Key()])
+		}
+	}
+	return h.Sum64()
+}
+
 // fold hashes a trace half followed by extra bytes.
 func fold(half uint64, extra []byte) uint64 {
 	h := fnv.New64a()

@@ -26,7 +26,7 @@
 // jobs that were queued or running when the process died are re-queued
 // automatically. A finished job keeps only its status in memory; its
 // specs and result live in the store. Because the result key is the
-// SHA-256 of the canonical (spec, run-shape) bytes, the store doubles as
+// SHA-256 of the specs' hashes and the run shape, the store doubles as
 // a result cache: a resubmission whose hash matches a stored completed
 // result is answered `done` immediately without re-simulating (opt out
 // per submission with Request.NoCache).
@@ -710,7 +710,7 @@ func encodeRequest(req Request) (json.RawMessage, string, error) {
 	if err != nil {
 		return nil, "", fmt.Errorf("job: encoding request: %w", err)
 	}
-	return raw, contentHash(specs, req.Replicas, req.Until, req.Every), nil
+	return raw, contentHash(req.Specs, req.Replicas, req.Until, req.Every), nil
 }
 
 // decodeRequest rebuilds a runnable Request from its stored form.
@@ -738,21 +738,21 @@ func decodeRequest(raw json.RawMessage) (Request, error) {
 }
 
 // contentHash is the SHA-256 content address of (specs, replicas,
-// until, every). The spec bytes are the byte-fixed-point specfile
-// marshal, so identical workloads hash identically across processes.
-// Workers is deliberately excluded: merged Mean/Std are bit-identical
-// for every worker count, so runs differing only in worker fan-out
-// share one result. The prefix names the trajectory generation: v2
-// results are drawn with the ziggurat clock sampler, so a result
-// cached, checkpointed or sharded under v1 never answers a v2 request.
-func contentHash(specs []json.RawMessage, replicas int, until, every float64) string {
+// until, every). Each spec enters as its Hash, which covers the
+// byte-fixed-point specfile marshal and the engine's trajectory epoch,
+// so identical workloads hash identically across processes and a bump
+// of one engine's epoch retires only the results, and the replica
+// snapshots keyed by them, of jobs that run that engine. The prefix
+// carries no version: the epochs mark trajectory generations. Workers is
+// deliberately excluded: merged Mean/Std are bit-identical for every
+// worker count, so runs differing only in worker fan-out share one
+// result.
+func contentHash(specs []*parsurf.SessionSpec, replicas int, until, every float64) string {
 	h := sha256.New()
-	fmt.Fprintf(h, "parsurf-job-v2 replicas=%d until=%016x every=%016x\n",
+	fmt.Fprintf(h, "parsurf-job replicas=%d until=%016x every=%016x\n",
 		replicas, math.Float64bits(until), math.Float64bits(every))
-	for _, b := range specs {
-		fmt.Fprintf(h, "%d:", len(b))
-		h.Write(b)
-		h.Write([]byte{'\n'})
+	for _, sp := range specs {
+		fmt.Fprintf(h, "%s\n", sp.Hash())
 	}
 	return hex.EncodeToString(h.Sum(nil))
 }

@@ -705,11 +705,10 @@ func TestServerCacheHitOverHTTP(t *testing.T) {
 }
 
 // smokeHash is the content hash of smokeSpec: the result-cache key the
-// CI smoke workload is stored under. It derives from the canonical
-// spec bytes and the contentHash generation prefix (parsurf-job-v2
-// since the ziggurat clock sampler), so it is pinned — a change
-// orphans every stored result.
-const smokeHash = "ecf34c169b9b4e512d0a6e47e1da0c0b9cd647fa34fabb70a1c9e33cf2798dcb"
+// CI smoke workload is stored under. It derives from the spec's Hash
+// (canonical bytes and the ziff engine's epoch) and the run shape, so
+// it is pinned — a change orphans every stored result.
+const smokeHash = "e49f143cbc9b96130014024f4cdb14ef1aa7dd44d1c89de3f4881a2365ec8ebc"
 
 func TestSmokeRequestHashPinned(t *testing.T) {
 	var body SubmitRequest

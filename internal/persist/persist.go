@@ -10,7 +10,7 @@
 //	magic    "PSRF"            4 bytes
 //	version  uint32            currently 3
 //	engine   uint32 + bytes    registry engine name (may be empty)
-//	spec     uint32 + bytes    hex SHA-256 of the session spec (may be empty)
+//	spec     uint32 + bytes    session spec hash (may be empty)
 //	species  uint32            species count bounding the cell block
 //	l0, l1   uint32, uint32    lattice extents
 //	steps    uint64            completed engine steps
@@ -19,10 +19,10 @@
 //	cells    l0·l1 bytes       species values, each < species
 //	payload  uint32 + bytes    engine-private state (Engine.SaveState)
 //
-// v3 has the layout of v2. The version moved because the exponential
-// clock sampler changed (internal/rng): a v2 file holds a trajectory of
-// the old sampler, and resuming it would continue on the new one, a run
-// neither sampler produces, so Load refuses it.
+// The version names this layout only. A checkpoint's trajectory
+// generation and payload layout are its engine's epoch
+// (registry.Spec.Epoch), which the spec hash folds in: resuming refuses
+// a hash other than the resuming spec's.
 //
 // Load validates every cell byte against the species count, refuses
 // implausible extents and oversized variable blocks, and rejects any
@@ -54,7 +54,7 @@ type Checkpoint struct {
 	// checkpoint; empty for engine-agnostic snapshots.
 	Engine string
 	// SpecHash fingerprints the session spec the run was built from
-	// (hex SHA-256 of its canonical JSON); empty when unknown.
+	// (SessionSpec.Hash); empty when unknown.
 	SpecHash string
 	// NumSpecies bounds the species values in the configuration.
 	NumSpecies int
@@ -71,7 +71,7 @@ type Checkpoint struct {
 	Payload []byte
 }
 
-// Write serializes the checkpoint in the v2 format.
+// Write serializes the checkpoint in the current format.
 func Write(w io.Writer, c *Checkpoint) error {
 	if len(c.Engine) > maxNameLen {
 		return fmt.Errorf("persist: engine name %d bytes exceeds %d", len(c.Engine), maxNameLen)

@@ -159,7 +159,7 @@ func TestLoadRejectsCorruption(t *testing.T) {
 		{"truncated cells", good[:offCells+5]},
 		{"truncated payload length", good[:len(good)-2]},
 		{"bad version", corrupt(offVersion, 99)},
-		// v2 files hold trajectories of the inversion clock sampler.
+		// Only the current layout loads; older files are refused.
 		{"version 2", corrupt(offVersion, 2)},
 		{"zero extent", corrupt(offL0, 0, 0, 0, 0)},
 		{"zero species", corrupt(offSpecies, 0, 0, 0, 0)},

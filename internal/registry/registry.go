@@ -70,8 +70,8 @@ type Engine interface {
 	// counters, enabled-set orderings, event-queue layouts, drifted
 	// rate trees — everything Reset re-derives differently than N
 	// steps of history would have left it. The encoding is opaque to
-	// callers and versioned only through the surrounding persist
-	// checkpoint.
+	// callers and versioned only through the engine's Spec.Epoch,
+	// which the checkpoint's spec hash carries.
 	SaveState(w io.Writer) error
 	// LoadState restores state written by SaveState by the same
 	// engine kind over the same model/lattice/options. It is called
@@ -209,6 +209,10 @@ type Spec struct {
 	Accepts OptionSet
 	// ModelFree marks engines that need no compiled model (ziff).
 	ModelFree bool
+	// Epoch is the engine's trajectory generation, folded into every
+	// spec hash: bump it with any change to the engine's trajectories
+	// or checkpoint payload to retire only this engine's old results.
+	Epoch uint32
 	// New is the factory.
 	New Factory
 }

@@ -194,6 +194,7 @@ type SessionSpec struct {
 	split   *TypeSplit
 	initFn  initpreset.Func
 	factory registry.Factory
+	epoch   uint32 // the engine's registry.Spec.Epoch, folded into Hash
 }
 
 // SessionOption edits the spec document NewSpec validates.
@@ -381,7 +382,7 @@ func (sp *SessionSpec) finish() error {
 		return err
 	}
 	eng, _ := registry.Lookup(d.Engine.Name) // Validate found it
-	sp.factory = eng.New
+	sp.factory, sp.epoch = eng.New, eng.Epoch
 	return nil
 }
 
