@@ -2,6 +2,7 @@ package main
 
 import (
 	"fmt"
+	"io"
 
 	"parsurf"
 	"parsurf/internal/lattice"
@@ -11,14 +12,33 @@ import (
 	"parsurf/internal/trace"
 )
 
-// runCriteria checks the two Segers correctness criteria of §6 for each
-// exact DMC engine: exponential waiting times (Kolmogorov–Smirnov test)
-// and rate-ratio type selection (chi-square test).
-func runCriteria(opt options) error {
-	reps := 20000
-	if opt.quick {
-		reps = 4000
-	}
+// ratioRow is one engine's criterion-2 outcome: how many replicates
+// ended in each reaction type, and the chi-square statistic against
+// k_i/K with its degrees of freedom and verdict (alpha 0.01).
+type ratioRow struct {
+	engine string
+	counts []int
+	chi2   float64
+	dof    int
+	pass   bool
+}
+
+// criteriaResult holds the Segers criteria of §6: the KS statistic,
+// p-value and verdict (alpha 0.01) of RSM's waiting times against
+// Exp(k) (criterion 1), and one type-ratio row per exact DMC engine
+// (criterion 2).
+type criteriaResult struct {
+	ksD, ksP float64
+	ksPass   bool
+	ratio    []ratioRow
+}
+
+// criteria checks the two Segers correctness criteria of §6 for each
+// exact DMC engine over reps replicates: exponential waiting times
+// (Kolmogorov–Smirnov test) and rate-ratio type selection (chi-square
+// test).
+func criteria(reps int, seed uint64) (*criteriaResult, error) {
+	res := &criteriaResult{}
 
 	// Criterion 1: on a single-site system with one reaction of rate k,
 	// the time to the reaction is Exp(k).
@@ -32,24 +52,23 @@ func runCriteria(opt options) error {
 	}
 	cm1, err := model.Compile(m1, lat)
 	if err != nil {
-		return err
+		return nil, err
 	}
-	src := rng.New(opt.seed)
+	src := rng.New(seed)
 	waits := make([]float64, reps)
 	for i := range waits {
 		cfg := lattice.NewConfig(lat)
 		eng, err := parsurf.NewEngine("rsm", cm1, cfg, src)
 		if err != nil {
-			return err
+			return nil, err
 		}
 		r := eng.(*parsurf.RSM) // concrete engine for single-trial stepping
 		for !r.Trial() {
 		}
 		waits[i] = r.Time()
 	}
-	d, p := stats.KSExponential(waits, 2.5)
-	fmt.Printf("criterion 1 (waiting time ~ Exp(k)): RSM, %d replicates\n", reps)
-	fmt.Printf("  KS statistic %.4f, p-value %.3f  =>  %s\n", d, p, verdict(p > 0.01))
+	res.ksD, res.ksP = stats.KSExponential(waits, 2.5)
+	res.ksPass = res.ksP > 0.01
 
 	// Criterion 2: with competing reactions of rates 1 and 3, the next
 	// type follows k_i/K for every engine.
@@ -62,21 +81,18 @@ func runCriteria(opt options) error {
 	}
 	cm2, err := model.Compile(m2, lat)
 	if err != nil {
-		return err
+		return nil, err
 	}
 	// The exact DMC engines, by registry name — no per-engine
 	// constructors needed.
-	engines := []string{"rsm", "vssm", "frm"}
-	fmt.Printf("criterion 2 (type ratio k_i/K = 0.25/0.75): %d replicates per engine\n", reps)
-	rows := make([][]string, 0, len(engines))
-	for _, name := range engines {
-		src := rng.New(opt.seed + 7)
+	for _, name := range []string{"rsm", "vssm", "frm"} {
+		src := rng.New(seed + 7)
 		counts := []int{0, 0}
 		for i := 0; i < reps; i++ {
 			cfg := lattice.NewConfig(lat)
 			sim, err := parsurf.NewEngine(name, cm2, cfg, src)
 			if err != nil {
-				return err
+				return nil, err
 			}
 			for cfg.Get(0) == 0 {
 				if !sim.Step() {
@@ -87,18 +103,37 @@ func runCriteria(opt options) error {
 		}
 		chi2, dof, err := stats.ChiSquare(counts, []float64{0.25, 0.75})
 		if err != nil {
-			return err
+			return nil, err
 		}
 		// chi-square critical value at 1 dof, alpha 0.01: 6.63.
+		res.ratio = append(res.ratio, ratioRow{engine: name, counts: counts, chi2: chi2, dof: dof, pass: chi2 < 6.63})
+	}
+	return res, nil
+}
+
+func runCriteria(w io.Writer, opt options) error {
+	reps := 20000
+	if opt.quick {
+		reps = 4000
+	}
+	res, err := criteria(reps, opt.seed)
+	if err != nil {
+		return err
+	}
+	fmt.Fprintf(w, "criterion 1 (waiting time ~ Exp(k)): RSM, %d replicates\n", reps)
+	fmt.Fprintf(w, "  KS statistic %.4f, p-value %.3f  =>  %s\n", res.ksD, res.ksP, verdict(res.ksPass))
+	fmt.Fprintf(w, "criterion 2 (type ratio k_i/K = 0.25/0.75): %d replicates per engine\n", reps)
+	rows := make([][]string, 0, len(res.ratio))
+	for _, r := range res.ratio {
 		rows = append(rows, []string{
-			name,
-			fmt.Sprintf("%.4f", float64(counts[0])/float64(reps)),
-			fmt.Sprintf("%.4f", float64(counts[1])/float64(reps)),
-			fmt.Sprintf("%.2f (dof %d)", chi2, dof),
-			verdict(chi2 < 6.63),
+			r.engine,
+			fmt.Sprintf("%.4f", float64(r.counts[0])/float64(reps)),
+			fmt.Sprintf("%.4f", float64(r.counts[1])/float64(reps)),
+			fmt.Sprintf("%.2f (dof %d)", r.chi2, r.dof),
+			verdict(r.pass),
 		})
 	}
-	fmt.Print(trace.Table([]string{"engine", "P(A)", "P(B)", "chi2", "verdict"}, rows))
+	fmt.Fprint(w, trace.Table([]string{"engine", "P(A)", "P(B)", "chi2", "verdict"}, rows))
 	return nil
 }
 

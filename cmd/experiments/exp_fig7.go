@@ -1,26 +1,99 @@
 package main
 
 import (
+	"context"
 	"fmt"
+	"io"
 
 	"parsurf"
 	"parsurf/internal/trace"
 )
 
-// runFig7 regenerates the speedup surface T(1,N)/T(p,N) of Fig. 7 on
-// the simulated parallel machine (internal/machine, standing in for the
-// paper's parallel hardware), validates the real goroutine executor's
-// bit-identity, and contrasts the Segers-style domain decomposition
-// overhead.
-func runFig7(opt options) error {
+// ddRow is one worker count of the Segers domain-decomposition contrast:
+// the measured boundary trials per step and the modeled step times of
+// DDRSM and PNDCA.
+type ddRow struct {
+	p        int
+	boundary uint64
+	tDD, tPN float64
+}
+
+// fig7 regenerates the speedup surface T(1,N)/T(p,N) of Fig. 7,
+// indexed [side][worker], on the simulated parallel machine
+// (internal/machine, standing in for the paper's parallel hardware).
+// same reports whether 8 goroutine workers end a 20-step checkSide²
+// Pt(100) run in the same configuration as 1. dd models the
+// Segers-style domain decomposition's step time from its measured
+// boundary trials on ZGB 100×100 at 2, 4 and 8 workers.
+func fig7(ctx context.Context, sides, workers []int, checkSide int, seed uint64) (surface [][]float64, same bool, dd []ddRow, err error) {
 	mm := parsurf.DefaultMachine()
+	if surface, err = mm.SpeedupSurface(sides, workers); err != nil {
+		return nil, false, nil, err
+	}
+
+	// Fidelity: the goroutine-parallel sweep is bit-identical to the
+	// sequential one, so the modeled concurrency reflects a real
+	// execution.
+	var final [2]*parsurf.Config
+	for i, w := range []int{1, 8} {
+		sess, err := parsurf.NewSession(
+			parsurf.WithModel(parsurf.NewPtCOModel(parsurf.DefaultPtCORates())),
+			parsurf.WithLattice(checkSide, checkSide),
+			parsurf.WithEngine("pndca", parsurf.Workers(w)),
+			parsurf.WithSeed(seed),
+		)
+		if err != nil {
+			return nil, false, nil, err
+		}
+		if _, err := sess.Run(ctx, parsurf.ForSteps(20)); err != nil {
+			return nil, false, nil, err
+		}
+		final[i] = sess.Config()
+	}
+
+	// Segers baseline: measure the boundary communication volume of the
+	// domain decomposition and model its step time next to PNDCA's.
+	zlat := parsurf.NewSquareLattice(100)
+	zcm, err := parsurf.Compile(table1(), zlat)
+	if err != nil {
+		return nil, false, nil, err
+	}
+	zpart, err := parsurf.VonNeumann5(zlat)
+	if err != nil {
+		return nil, false, nil, err
+	}
+	for _, p := range []int{2, 4, 8} {
+		eng, err := parsurf.NewEngine("ddrsm", zcm, parsurf.NewConfig(zlat), parsurf.NewRNG(seed), parsurf.Workers(p))
+		if err != nil {
+			return nil, false, nil, err
+		}
+		d := eng.(*parsurf.DDRSM)
+		const steps = 20
+		for range steps {
+			d.Step()
+		}
+		interior := (d.Trials() - d.Deferred()) / steps
+		boundary := d.Deferred() / steps
+		dd = append(dd, ddRow{
+			p:        p,
+			boundary: boundary,
+			tDD:      mm.DDRSMStepTime(interior, boundary, p),
+			tPN:      mm.PNDCAStepTime(zpart, p),
+		})
+	}
+	return surface, final[0].Equal(final[1]), dd, nil
+}
+
+func runFig7(w io.Writer, opt options) error {
 	sides := []int{200, 300, 400, 500, 600, 700, 800, 900, 1000}
 	workers := []int{2, 3, 4, 5, 6, 7, 8, 9, 10}
+	checkSide := 100
 	if opt.quick {
 		sides = []int{200, 600, 1000}
 		workers = []int{2, 6, 10}
+		checkSide = 50
 	}
-	surface, err := mm.SpeedupSurface(sides, workers)
+	surface, same, dd, err := fig7(opt.ctx, sides, workers, checkSide, opt.seed)
 	if err != nil {
 		return err
 	}
@@ -36,79 +109,21 @@ func runFig7(opt options) error {
 		}
 		rows[si] = row
 	}
-	fmt.Println("modeled PNDCA speedup (machine constants: 1 µs/trial, 3 ms barrier):")
-	fmt.Print(trace.Table(header, rows))
+	fmt.Fprintln(w, "modeled PNDCA speedup (machine constants: 1 µs/trial, 3 ms barrier):")
+	fmt.Fprint(w, trace.Table(header, rows))
+	fmt.Fprintf(w, "goroutine check (%dx%d Pt(100), 20 steps): 8 workers == sequential: %v\n",
+		checkSide, checkSide, same)
 
-	// Fidelity: the goroutine-parallel sweep is bit-identical to the
-	// sequential one, so the modeled concurrency reflects a real
-	// execution.
-	side := 50
-	if !opt.quick {
-		side = 100
-	}
-	m := parsurf.NewPtCOModel(parsurf.DefaultPtCORates())
-	run := func(w int) (*parsurf.Config, error) {
-		sess, err := parsurf.NewSession(
-			parsurf.WithModel(m),
-			parsurf.WithLattice(side, side),
-			parsurf.WithEngine("pndca", parsurf.Workers(w)),
-			parsurf.WithSeed(opt.seed),
-		)
-		if err != nil {
-			return nil, err
-		}
-		if _, err := sess.Run(opt.ctx, parsurf.ForSteps(20)); err != nil {
-			return nil, err
-		}
-		return sess.Config(), nil
-	}
-	seq, err := run(1)
-	if err != nil {
-		return err
-	}
-	par, err := run(8)
-	if err != nil {
-		return err
-	}
-	fmt.Printf("goroutine check (%dx%d Pt(100), 20 steps): 8 workers == sequential: %v\n",
-		side, side, seq.Equal(par))
-
-	// Segers baseline: measure the boundary communication volume of the
-	// domain decomposition and model its step time next to PNDCA's.
-	zm := parsurf.NewZGBModel(parsurf.DefaultZGBRates())
-	zlat := parsurf.NewSquareLattice(100)
-	zcm, err := parsurf.Compile(zm, zlat)
-	if err != nil {
-		return err
-	}
-	fmt.Println("\ndomain-decomposition RSM (Segers) vs PNDCA, modeled step time at 100x100:")
-	zpart, err := parsurf.VonNeumann5(zlat)
-	if err != nil {
-		return err
-	}
+	fmt.Fprintln(w, "\ndomain-decomposition RSM (Segers) vs PNDCA, modeled step time at 100x100:")
 	rows = rows[:0]
-	for _, p := range []int{2, 4, 8} {
-		cfg := parsurf.NewConfig(zlat)
-		eng, err := parsurf.NewEngine("ddrsm", zcm, cfg, parsurf.NewRNG(opt.seed), parsurf.Workers(p))
-		if err != nil {
-			return err
-		}
-		d := eng.(*parsurf.DDRSM)
-		steps := 20
-		for i := 0; i < steps; i++ {
-			d.Step()
-		}
-		interior := (d.Trials() - d.Deferred()) / uint64(steps)
-		boundary := d.Deferred() / uint64(steps)
-		tDD := mm.DDRSMStepTime(interior, boundary, p)
-		tPN := mm.PNDCAStepTime(zpart, p)
+	for _, r := range dd {
 		rows = append(rows, []string{
-			fmt.Sprintf("%d", p),
-			fmt.Sprintf("%d", boundary),
-			fmt.Sprintf("%.2f ms", tDD*1e3),
-			fmt.Sprintf("%.2f ms", tPN*1e3),
+			fmt.Sprintf("%d", r.p),
+			fmt.Sprintf("%d", r.boundary),
+			fmt.Sprintf("%.2f ms", r.tDD*1e3),
+			fmt.Sprintf("%.2f ms", r.tPN*1e3),
 		})
 	}
-	fmt.Print(trace.Table([]string{"p", "boundary trials/step", "T_DDRSM", "T_PNDCA"}, rows))
+	fmt.Fprint(w, trace.Table([]string{"p", "boundary trials/step", "T_DDRSM", "T_PNDCA"}, rows))
 	return nil
 }

@@ -17,13 +17,20 @@
 //	fig9     five chunks, L=1 vs L=100 (Fig. 9)
 //	fig10    random chunk order once per step, L=N/m (Fig. 10)
 //	ziff     ZGB phase diagram (§1 "experimental data for Ziff model")
+//	criteria Segers correctness criteria for the exact DMC engines (§6)
 //	all      run everything above in order
+//
+// Each experiment is a function that computes the figure's numbers and
+// a printer on top of it; go test ./cmd/experiments runs every one at a
+// reduced size, asserts the paper's claims on the numbers and compares
+// the fast printers' -quick output with testdata/<name>.golden.
 package main
 
 import (
 	"context"
 	"flag"
 	"fmt"
+	"io"
 	"os"
 )
 
@@ -33,11 +40,13 @@ type options struct {
 	ctx   context.Context
 }
 
-var experiments = []struct {
+type experiment struct {
 	name string
 	desc string
-	run  func(opt options) error
-}{
+	run  func(w io.Writer, opt options) error
+}
+
+var experiments = []experiment{
 	{"table1", "Table I: ZGB reaction types", runTable1},
 	{"table2", "Table II: reaction-type subsets", runTable2},
 	{"fig3", "Fig. 3: 1-D BCA with shifting blocks", runFig3},
@@ -49,6 +58,16 @@ var experiments = []struct {
 	{"fig10", "Fig. 10: random order preserves oscillations", runFig10},
 	{"ziff", "ZGB phase diagram", runZiff},
 	{"criteria", "Segers correctness criteria (§6)", runCriteria},
+}
+
+// runExperiment writes e's banner, its output and a blank line to w.
+func runExperiment(w io.Writer, e experiment, opt options) error {
+	fmt.Fprintf(w, "==== %s — %s ====\n", e.name, e.desc)
+	if err := e.run(w, opt); err != nil {
+		return fmt.Errorf("experiments %s: %w", e.name, err)
+	}
+	fmt.Fprintln(w)
+	return nil
 }
 
 func main() {
@@ -67,31 +86,19 @@ func main() {
 		os.Exit(2)
 	}
 
-	run := func(e struct {
-		name string
-		desc string
-		run  func(opt options) error
-	}) {
-		fmt.Printf("==== %s — %s ====\n", e.name, e.desc)
-		if err := e.run(opt); err != nil {
-			fmt.Fprintf(os.Stderr, "experiments %s: %v\n", e.name, err)
+	found := false
+	for _, e := range experiments {
+		if name != "all" && e.name != name {
+			continue
+		}
+		found = true
+		if err := runExperiment(os.Stdout, e, opt); err != nil {
+			fmt.Fprintln(os.Stderr, err)
 			os.Exit(1)
 		}
-		fmt.Println()
 	}
-
-	if name == "all" {
-		for _, e := range experiments {
-			run(e)
-		}
-		return
+	if !found {
+		fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", name)
+		os.Exit(2)
 	}
-	for _, e := range experiments {
-		if e.name == name {
-			run(e)
-			return
-		}
-	}
-	fmt.Fprintf(os.Stderr, "experiments: unknown experiment %q\n", name)
-	os.Exit(2)
 }

@@ -1,9 +1,7 @@
 // Package cluster provides spatial analysis of lattice configurations:
 // connected-component labelling (union–find) of same-species domains,
-// island counting and size distributions. The Pt(100) oscillation
-// experiments use it to track the growth and shrinkage of the 1×1
-// phase islands that drive the cycle; the ZGB experiments use it to
-// inspect poisoning clusters near the first-order transition.
+// island counting and size distributions. parsurf.Clusters exposes it
+// for one species, e.g. the particle domains of a diffusion run.
 package cluster
 
 import (
@@ -111,15 +109,6 @@ func Components(c *lattice.Config, include func(lattice.Species) bool) *Labeling
 // SpeciesComponents labels clusters of exactly one species.
 func SpeciesComponents(c *lattice.Config, sp lattice.Species) *Labeling {
 	return Components(c, func(s lattice.Species) bool { return s == sp })
-}
-
-// GroupComponents labels clusters of any species in the group.
-func GroupComponents(c *lattice.Config, group ...lattice.Species) *Labeling {
-	set := make(map[lattice.Species]bool, len(group))
-	for _, sp := range group {
-		set[sp] = true
-	}
-	return Components(c, func(s lattice.Species) bool { return set[s] })
 }
 
 // Stats summarises a labelling.

@@ -96,20 +96,6 @@ func TestCheckerboardAllSingletons(t *testing.T) {
 	}
 }
 
-func TestGroupComponents(t *testing.T) {
-	lat := lattice.NewSquare(6)
-	c := lattice.NewConfig(lat)
-	c.SetXY(1, 1, 1)
-	c.SetXY(2, 1, 2) // different species, adjacent
-	lb := GroupComponents(c, 1, 2)
-	if lb.NumClusters() != 1 || lb.Sizes[0] != 2 {
-		t.Fatalf("group clustering failed: %+v", lb.Sizes)
-	}
-	if SpeciesComponents(c, 1).NumClusters() != 1 {
-		t.Fatal("single species clustering changed")
-	}
-}
-
 func TestSummarize(t *testing.T) {
 	lat := lattice.NewSquare(6)
 	c := lattice.NewConfig(lat)

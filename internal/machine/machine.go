@@ -57,13 +57,20 @@ func (m Model) PNDCAStepTime(part *partition.Partition, p int) float64 {
 	}
 	total := 0.0
 	for _, chunk := range part.Chunks {
-		seg := ceilDiv(len(chunk), p)
-		total += float64(seg) * m.TTrial
-		if p > 1 {
-			total += m.TBarrier + float64(p)*m.TSpawn
-		}
+		total += m.chunkTime(len(chunk), p)
 	}
 	return total
+}
+
+// chunkTime is the modeled wall time of sweeping one chunk of size
+// sites on p workers: the slowest worker segment, plus the
+// distribution and barrier costs when the sweep is split.
+func (m Model) chunkTime(size, p int) float64 {
+	t := float64(ceilDiv(size, p)) * m.TTrial
+	if p > 1 {
+		t += m.TBarrier + float64(p)*m.TSpawn
+	}
+	return t
 }
 
 // PNDCASpeedup returns T(1,N)/T(p,N) for one PNDCA step over the given
@@ -104,22 +111,24 @@ func (m Model) SpeedupSurface(sides []int, workers []int) ([][]float64, error) {
 		if side%5 != 0 {
 			return nil, fmt.Errorf("machine: side %d not divisible by 5", side)
 		}
-		// The speedup depends only on the chunk sizes; synthesise the
-		// five-chunk layout without materialising a lattice.
-		n := side * side
-		chunk := n / 5
-		t1 := 5 * float64(chunk) * m.TTrial
+		// The speedup depends only on the chunk sizes; sum the five
+		// equal chunks as PNDCAStepTime would, without materialising a
+		// lattice.
+		chunk := side * side / 5
+		stepTime := func(p int) float64 {
+			total := 0.0
+			for range 5 {
+				total += m.chunkTime(chunk, p)
+			}
+			return total
+		}
+		t1 := stepTime(1)
 		out[si] = make([]float64, len(workers))
 		for pi, p := range workers {
 			if p < 1 {
 				return nil, fmt.Errorf("machine: worker count %d", p)
 			}
-			seg := ceilDiv(chunk, p)
-			tp := 5 * float64(seg) * m.TTrial
-			if p > 1 {
-				tp += 5 * (m.TBarrier + float64(p)*m.TSpawn)
-			}
-			out[si][pi] = t1 / tp
+			out[si][pi] = t1 / stepTime(p)
 		}
 	}
 	return out, nil

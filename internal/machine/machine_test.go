@@ -62,6 +62,30 @@ func TestSpeedupSurfaceShapeMatchesFig7(t *testing.T) {
 	}
 }
 
+// TestSpeedupSurfaceMatchesPNDCASpeedup ties the synthesised surface to
+// the partition-driven formula: both must give the same number, bit for
+// bit, on a real five-chunk partition.
+func TestSpeedupSurfaceMatchesPNDCASpeedup(t *testing.T) {
+	m := Default()
+	sides := []int{20, 50, 100}
+	workers := []int{1, 2, 3, 7, 10}
+	surface, err := m.SpeedupSurface(sides, workers)
+	if err != nil {
+		t.Fatal(err)
+	}
+	for si, side := range sides {
+		part, err := partition.VonNeumann5(lattice.NewSquare(side))
+		if err != nil {
+			t.Fatal(err)
+		}
+		for pi, p := range workers {
+			if got, want := surface[si][pi], m.PNDCASpeedup(part, p); got != want {
+				t.Errorf("side %d, p=%d: SpeedupSurface %v, PNDCASpeedup %v", side, p, got, want)
+			}
+		}
+	}
+}
+
 func TestSpeedupAtP1IsOne(t *testing.T) {
 	m := Default()
 	lat := lattice.NewSquare(20)

@@ -15,8 +15,8 @@ type ReplicaLedger struct {
 // Record samples the ledger from a live simulation at grid time t: the
 // CO2 count keeps updating CO2Equil while t is still inside the
 // equilibration window, and the latest count and poisoning flag always
-// land in CO2End/Poisoned. Both ensemble sweep binaries call this from
-// their per-replica observers, so the window-boundary rule lives in
+// land in CO2End/Poisoned. The experiments ziff sweep calls this from
+// its per-replica observer, so the window-boundary rule lives in
 // exactly one place.
 func (led *ReplicaLedger) Record(z *ZGB, t float64, equil int) {
 	if t <= float64(equil) {
@@ -50,8 +50,8 @@ func WindowMean(s *stats.Series, equil int) float64 {
 // are time-averaged over the measurement window (equil, horizon], the
 // CO2 rate is the window production per site per MCS averaged across
 // replicas, and the point counts as poisoned when at least half the
-// replicas froze. Shared by cmd/experiments and the phase-diagram
-// example so the window and rate conventions cannot drift apart.
+// replicas froze. The window and rate conventions live here, next to
+// Record's window boundary, so the two cannot drift apart.
 func EnsemblePoint(y float64, mean []*stats.Series, equil, measure int, sites float64, ledgers []ReplicaLedger) PhasePoint {
 	pt := PhasePoint{
 		Y:       y,
