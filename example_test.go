@@ -8,7 +8,7 @@ import (
 	"parsurf"
 )
 
-// Example_quickstart simulates CO oxidation on a 100×100 lattice with
+// Example_quickstart simulates CO oxidation on a 50×50 lattice with
 // the Random Selection Method, the paper's reference Dynamic Monte
 // Carlo engine. The session wires a periodic lattice (initially
 // vacant), the seven-reaction model of Table I and the engine chosen by
@@ -16,7 +16,7 @@ import (
 func Example_quickstart() {
 	sess, err := parsurf.NewSession(
 		parsurf.WithModel(parsurf.NewZGBModel(parsurf.DefaultZGBRates())),
-		parsurf.WithLattice(100, 100),
+		parsurf.WithLattice(50, 50),
 		parsurf.WithEngine("rsm"),
 		parsurf.WithSeed(2003),
 	)
@@ -26,7 +26,7 @@ func Example_quickstart() {
 	obs := parsurf.ObserverFunc(func(t float64, cfg *parsurf.Config) {
 		fmt.Printf("t=%4.1f  CO %.3f  O %.3f\n", t, cfg.Coverage(1), cfg.Coverage(2))
 	})
-	if _, err := sess.Run(context.Background(), parsurf.Until(40), parsurf.SampleEvery(10, obs)); err != nil {
+	if _, err := sess.Run(context.Background(), parsurf.Until(20), parsurf.SampleEvery(5, obs)); err != nil {
 		log.Fatal(err)
 	}
 	cfg := sess.Config()
@@ -35,11 +35,11 @@ func Example_quickstart() {
 		cfg.Coverage(1), cfg.Coverage(2), cfg.Coverage(0), rsm.Time(), rsm.Trials())
 	// Output:
 	// t= 0.0  CO 0.000  O 0.000
-	// t=10.0  CO 0.090  O 0.432
-	// t=20.0  CO 0.074  O 0.478
-	// t=30.0  CO 0.060  O 0.499
-	// t=40.0  CO 0.067  O 0.488
-	// final: CO 0.067, O 0.488, vacant 0.445 after 40.0 time units (16450000 trials)
+	// t= 5.0  CO 0.116  O 0.375
+	// t=10.0  CO 0.085  O 0.435
+	// t=15.0  CO 0.072  O 0.452
+	// t=20.0  CO 0.072  O 0.446
+	// final: CO 0.072, O 0.446, vacant 0.481 after 20.0 time units (2057500 trials)
 }
 
 // Example_conflicts measures the Fig. 2 problem. Dense particles
